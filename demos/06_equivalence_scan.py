@@ -1,8 +1,11 @@
 """Hunting for pairs with different Ramsey graphs among all small hosts.
 
-Quick invariants (max clique number, chromatic sum) refute equivalence
-outright; otherwise every host up to a vertex bound is decided for both
-pairs.  Finding nothing proves nothing, but finding one graph settles it.
+A max-clique-number mismatch refutes equivalence outright when both
+patterns of the pair with the larger clique number have an edge (a Ramsey
+graph of that pair then contains both patterns, while Nešetřil–Rödl give the
+other pair a Ramsey graph of its own smaller clique number).  Otherwise every
+host up to a vertex bound is decided for both pairs.  Finding nothing proves
+nothing, but finding one graph settles it.
 """
 
 from ramseylab import clique, clique_with_pendants, equivalence_scan, graph_to_graph6, star

@@ -3,13 +3,13 @@
 from .arrowing import (
     ArrowingVerdict,
     arrows,
-    arrows_parallel,
     coloring_is_free,
     equivalence_scan,
     exhaustive_arrows,
     minimal_ramsey_check,
     ramsey_number,
     sampled_arrows,
+    verify_determiner,
 )
 from .errors import (
     BudgetExhaustedError,

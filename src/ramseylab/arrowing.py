@@ -10,7 +10,8 @@ exhausted search proves that it does.
 
 The exhaustive decider rebuilds the copies by brute-force injection
 enumeration and scans all 2^m colorings vectorized; it exists to cross-check
-the pruned search and never shares its search path.
+the pruned search and never shares its search path.  numpy is imported only
+inside the exhaustive and sampled deciders, so the CLI starts without it.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BudgetExhaustedError, CapExceededError, InvariantViolationError
 from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, edge
-from .subgraph import GraphTooLargeError, chromatic_number, clique_number, contains_copy, copies_as_edge_sets
+from .subgraph import GraphTooLargeError, clique_number, contains_copy, copies_as_edge_sets
 from .enumeration import are_isomorphic, graphs_up_to_vertices
+from .families import clique
 from .formats import graph_to_graph6
 
 DEFAULT_BUDGET = 50_000_000
@@ -36,9 +36,9 @@ def coloring_is_free(f: Graph, c: EdgeColoring, g: Graph, h: Graph) -> bool:
     """True iff c has no red-restricted copy of g and no blue-restricted copy of h."""
     if c.host != f:
         raise ValueError("coloring domain mismatch: coloring does not belong to f")
-    if contains_copy(f, g, restricted_to=c.predicate(RED)) is not None:
+    if contains_copy(c.monochromatic_subgraph(RED), g) is not None:
         return False
-    return contains_copy(f, h, restricted_to=c.predicate(BLUE)) is None
+    return contains_copy(c.monochromatic_subgraph(BLUE), h) is None
 
 
 @dataclass(frozen=True)
@@ -273,6 +273,8 @@ def exhaustive_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingVerdict:
     Copy enumeration and the coloring scan share nothing with the pruned
     search; this is the oracle the pruned verdicts are checked against.
     """
+    import numpy as np
+
     m = f.m
     if m > 24:
         raise GraphTooLargeError(f"exhaustive scan supports at most 24 edges, got {m}")
@@ -310,6 +312,8 @@ def sampled_arrows(
     Returns a negative verdict when a witness turns up, else None: sampling
     can never establish that f arrows.
     """
+    import numpy as np
+
     m = f.m
     if m > 62:
         raise GraphTooLargeError(f"sampled mode supports at most 62 edges, got {m}")
@@ -357,63 +361,12 @@ def sampled_arrows(
     return None
 
 
-def arrows_parallel(
-    f: Graph, g: Graph, h: Graph, budget: int = DEFAULT_BUDGET, jobs: int = 2
-) -> ArrowingVerdict:
-    """Like arrows(), splitting the top of the search tree across processes.
-
-    Branch prefixes are fixed up front and consumed in prefix order, so the
-    verdict and witness never depend on worker scheduling.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    if jobs < 2:
-        return arrows(f, g, h, budget)
-    engine = _ArrowEngine(f, g, h)
-    if engine.trivial_arrows:
-        return ArrowingVerdict(True, None, 0, "pruned")
-    depth = max(1, min((jobs - 1).bit_length(), engine.m, 6))
-    lead = engine.order[:depth]
-    prefixes = [
-        tuple(zip(lead, combo))
-        for combo in itertools.product((_RED_BIT, _BLUE_BIT), repeat=depth)
-        # Color-swap symmetry: with identical patterns, prefixes starting
-        # blue mirror prefixes starting red.
-        if not (engine.symmetric and combo[0] == _BLUE_BIT)
-    ]
-    total_nodes = 0
-    witness_colors = None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_solve_prefix, f, g, h, budget, prefix) for prefix in prefixes
-        ]
-        for fut in futures:
-            colors, nodes = fut.result()
-            total_nodes += nodes
-            if colors is not None:
-                witness_colors = colors
-                for other in futures:
-                    other.cancel()
-                break
-    if witness_colors is None:
-        return ArrowingVerdict(True, None, total_nodes, "pruned")
-    witness = engine.coloring_from_colors(witness_colors)
-    if not coloring_is_free(f, witness, g, h):
-        raise InvariantViolationError("search produced a non-free witness coloring")
-    return ArrowingVerdict(False, witness, total_nodes, "pruned")
-
-
-def _solve_prefix(f, g, h, budget, prefix):
-    return _ArrowEngine(f, g, h).solve(budget, prefix)
-
-
 def ramsey_number(g: Graph, h: Graph, cap: int, budget: int = DEFAULT_BUDGET) -> int:
     """Least n <= cap with K_n -> (g, h)."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     for n in range(1, cap + 1):
-        host = Graph(n, itertools.combinations(range(n), 2))
-        if arrows(host, g, h, budget).arrows:
+        if arrows(clique(n), g, h, budget).arrows:
             return n
     raise CapExceededError(f"no complete graph up to K_{cap} arrows the pair")
 
@@ -433,6 +386,51 @@ def minimal_ramsey_check(f: Graph, g: Graph, h: Graph, budget: int = DEFAULT_BUD
         if arrows(f.without_vertex(v), g, h, budget).arrows:
             return False
     return True
+
+
+def verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int = 10_000_000) -> dict:
+    """Check the four determiner axioms for (d, beta) against the pair (T, K_t).
+
+    Axioms: (i) d has a (T, K_t)-free coloring; (ii) beta is red in every free
+    coloring; (iii) some free coloring turns every edge adjacent to beta blue;
+    (iv) the closed neighborhood of beta induces exactly K_t.  Each axiom is
+    decided by exhaustive search (via the pruned decider with pinned edges);
+    an exhausted budget leaves that axiom as None.  Raises ValueError when
+    beta is not an edge of d.
+    """
+    beta = edge(*beta)
+    if beta not in d.edge_set():
+        raise ValueError(f"beta {beta} is not an edge of the determiner graph")
+    target = clique(t)
+    results: dict[str, bool | None] = {}
+
+    def run(pinned):
+        try:
+            return arrows(d, T, target, budget=budget, pinned=pinned)
+        except BudgetExhaustedError:
+            return None
+
+    base = run(None)
+    results["free_coloring_exists"] = None if base is None else not base.arrows
+    blue_beta = run({beta: BLUE})
+    results["beta_forced_red"] = None if blue_beta is None else blue_beta.arrows
+    u, v = beta
+    adjacent = {
+        e: BLUE
+        for e in d.edges
+        if e != beta and (u in e or v in e)
+    }
+    well = run(adjacent)
+    results["well_behaved"] = None if well is None else not well.arrows
+    closure = {u, v}
+    closure.update(d.neighbors(u))
+    closure.update(d.neighbors(v))
+    induced = d.induced(closure)
+    results["beta_closure_is_clique"] = (
+        induced.n == t and induced.m == t * (t - 1) // 2
+        and contains_copy(induced, target) is not None
+    )
+    return results
 
 
 @dataclass
@@ -455,29 +453,28 @@ def equivalence_scan(
 ) -> ScanResult:
     """Search small hosts for a graph arrowing one pair but not the other.
 
-    Clique-number and chromatic-sum mismatches prove non-equivalence outright
-    and are reported symbolically.  Otherwise every graph on up to
-    max_vertices vertices (up to isomorphism) is tested.  Finding nothing is
-    NOT a proof of equivalence.
+    A clique-number mismatch proves non-equivalence outright, and is reported
+    symbolically, when both patterns of the pair with the larger maximum
+    clique number have an edge.  Otherwise every graph on up to max_vertices
+    vertices (up to isomorphism) is tested.  Finding nothing is NOT a proof of
+    equivalence.
     """
     if max_vertices > 8:
         raise ValueError("enumeration bound: max_vertices must be at most 8")
     omega1 = max(clique_number(g1), clique_number(h1))
     omega2 = max(clique_number(g2), clique_number(h2))
-    if omega1 != omega2:
+    g_big, h_big = (g1, h1) if omega1 > omega2 else (g2, h2)
+    # All-red and all-blue colorings force every Ramsey graph of a pair whose
+    # patterns both have an edge to contain both patterns.
+    if omega1 != omega2 and g_big.m and h_big.m:
         return ScanResult(
             "symbolic-distinguisher",
             reason=(
-                f"max clique numbers differ ({omega1} vs {omega2}): some Ramsey graph "
-                f"of clique number {min(omega1, omega2)} for one pair cannot arrow the other"
+                f"max clique numbers differ ({omega1} vs {omega2}); both patterns of the "
+                f"larger pair have an edge, so each of its Ramsey graphs contains both and "
+                f"has clique number >= {max(omega1, omega2)}, while Nešetřil–Rödl (1976) "
+                f"give the other pair a Ramsey graph of clique number {min(omega1, omega2)}"
             ),
-        )
-    chi1 = chromatic_number(g1) + chromatic_number(h1)
-    chi2 = chromatic_number(g2) + chromatic_number(h2)
-    if chi1 != chi2:
-        return ScanResult(
-            "symbolic-distinguisher",
-            reason=f"chromatic sums differ ({chi1} vs {chi2}), which forbids equivalence",
         )
     result = ScanResult("no-distinguisher-found")
     for host in sorted(

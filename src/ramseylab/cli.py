@@ -32,8 +32,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .formats import FormatError, coloring_from_text, coloring_to_text, graph_from_graph6, graph_to_graph6
-from .graphs import BLUE, EdgeColoring, Graph
-from .subgraph import contains_copy
+from .graphs import EdgeColoring, Graph
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -210,10 +209,7 @@ def _cmd_arrows(args, seed, t0) -> int:
             return EXIT_INDETERMINATE
         _emit("arrows", inputs, _verdict_payload(verdict, args.witness_out), verdict.nodes_explored, t0, seed)
         return EXIT_OK
-    if args.jobs and args.jobs > 1:
-        verdict = arrowing.arrows_parallel(f, g, h, budget=args.budget, jobs=args.jobs)
-    else:
-        verdict = arrowing.arrows(f, g, h, budget=args.budget)
+    verdict = arrowing.arrows(f, g, h, budget=args.budget)
     _emit("arrows", inputs, _verdict_payload(verdict, args.witness_out), verdict.nodes_explored, t0, seed)
     return EXIT_OK
 
@@ -311,57 +307,11 @@ def _cmd_recolor(args, seed, t0) -> int:
     return EXIT_OK
 
 
-def verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int = 10_000_000) -> dict:
-    """Check the four determiner axioms for (d, beta) against the pair (T, K_t).
-
-    Axioms: (i) d has a (T, K_t)-free coloring; (ii) beta is red in every free
-    coloring; (iii) some free coloring turns every edge adjacent to beta blue;
-    (iv) the closed neighborhood of beta induces exactly K_t.  Each axiom is
-    decided by exhaustive search (via the pruned decider with pinned edges);
-    an exhausted budget leaves that axiom as None.
-    """
-    from .graphs import edge as norm_edge
-
-    beta = norm_edge(*beta)
-    if beta not in d.edge_set():
-        raise _UsageError(f"beta {beta} is not an edge of the determiner graph")
-    target = families.clique(t)
-    results: dict[str, bool | None] = {}
-
-    def run(pinned):
-        try:
-            return arrowing.arrows(d, T, target, budget=budget, pinned=pinned)
-        except BudgetExhaustedError:
-            return None
-
-    base = run(None)
-    results["free_coloring_exists"] = None if base is None else not base.arrows
-    blue_beta = run({beta: BLUE})
-    results["beta_forced_red"] = None if blue_beta is None else blue_beta.arrows
-    u, v = beta
-    adjacent = {
-        e: BLUE
-        for e in d.edges
-        if e != beta and (u in e or v in e)
-    }
-    well = run(adjacent)
-    results["well_behaved"] = None if well is None else not well.arrows
-    closure = {u, v}
-    closure.update(d.neighbors(u))
-    closure.update(d.neighbors(v))
-    induced = d.induced(closure)
-    results["beta_closure_is_clique"] = (
-        induced.n == t and induced.m == t * (t - 1) // 2
-        and contains_copy(induced, target) is not None
-    )
-    return results
-
-
 def _cmd_verify_determiner(args, seed, t0) -> int:
     d = _load_graph(args.d)
     T = _load_graph(args.T)
     inputs = {args.d: _sha256(args.d), args.T: _sha256(args.T)}
-    results = verify_determiner(d, _parse_edge(args.beta), T, args.t, budget=args.budget)
+    results = arrowing.verify_determiner(d, _parse_edge(args.beta), T, args.t, budget=args.budget)
     _emit("verify-determiner", inputs, results, 0, t0, seed)
     if any(v is None for v in results.values()):
         return EXIT_INDETERMINATE
@@ -440,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f")
     p.add_argument("--budget", type=int, default=arrowing.DEFAULT_BUDGET)
     p.add_argument("--sampled", type=int, default=None, help="try K random colorings instead")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--witness-out", dest="witness_out", default=None)
 
     p = sub.add_parser("ramsey-number")

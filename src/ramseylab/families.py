@@ -481,34 +481,16 @@ def hypergraph_girth(h: Hypergraph, cap: int) -> int | None:
     """Length of the shortest hypergraph cycle of length <= cap, else None.
 
     A cycle alternates distinct hyperedges and distinct vertices, consecutive
-    pairs incident, wrapping around; length counts the hyperedges.
+    pairs incident, wrapping around; length counts the hyperedges.  The girth
+    is the least length at which some hyperedge closes a cycle against the
+    others.
     """
     edges = [set(e) for e in h.hyperedges]
-
-    def dfs(start: int, current: int, used_edges: set[int], used_vertices: set[int], length: int) -> int | None:
-        # `current` is the last hyperedge index; try to close or extend.
-        best = None
-        if length >= 2:
-            closing = edges[current] & (edges[start] - used_vertices)
-            if closing:
+    for length in range(2, cap + 1):
+        for i, e in enumerate(edges):
+            if _creates_short_cycle(edges[:i] + edges[i + 1 :], e, length):
                 return length
-        if length >= cap:
-            return None
-        for v in sorted(edges[current] - used_vertices):
-            for nxt in range(len(edges)):
-                if nxt in used_edges or v not in edges[nxt]:
-                    continue
-                found = dfs(start, nxt, used_edges | {nxt}, used_vertices | {v}, length + 1)
-                if found is not None and (best is None or found < best):
-                    best = found
-        return best
-
-    best = None
-    for start in range(len(edges)):
-        found = dfs(start, start, {start}, set(), 1)
-        if found is not None and (best is None or found < best):
-            best = found
-    return best
+    return None
 
 
 def _creates_short_cycle(edges: list[set[int]], new: set[int], cap: int) -> bool:
@@ -517,7 +499,6 @@ def _creates_short_cycle(edges: list[set[int]], new: set[int], cap: int) -> bool
     Searches for an alternating edge/vertex path leaving and re-entering `new`
     on distinct vertices.
     """
-    others = edges
 
     def dfs(current: set[int], used_edges: set[int], used_vertices: set[int], length: int) -> bool:
         if length >= 2 and (current & new) - used_vertices:
@@ -525,7 +506,7 @@ def _creates_short_cycle(edges: list[set[int]], new: set[int], cap: int) -> bool
         if length >= cap:
             return False
         for v in current - used_vertices:
-            for idx, e in enumerate(others):
+            for idx, e in enumerate(edges):
                 if idx in used_edges or v not in e:
                     continue
                 if dfs(e, used_edges | {idx}, used_vertices | {v}, length + 1):

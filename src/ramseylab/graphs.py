@@ -8,7 +8,7 @@ intersections and degree counts are constant-time on word-sized instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 RED = "R"
 BLUE = "B"
@@ -255,10 +255,6 @@ class EdgeColoring:
         """The spanning subgraph carrying only the edges of one color."""
         kept = self.red if color == RED else self.blue
         return Graph(self.host.n, kept)
-
-    def predicate(self, color: str) -> Callable[[Edge], bool]:
-        kept = self.red if color == RED else self.blue
-        return lambda e: edge(*e) in kept
 
     def degree(self, v: int, color: str) -> int:
         kept = self.red if color == RED else self.blue

@@ -20,7 +20,7 @@ from .arrowing import coloring_is_free, ramsey_number
 from .errors import InvariantViolationError
 from .families import clique, clique_with_pendants, star
 from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, edge
-from .subgraph import clique_number, cliques_of_size, contains_copy, embeddings
+from .subgraph import clique_number, cliques_of_size, contains_copy, copies_as_edge_sets
 
 # -- domain types -------------------------------------------------------------
 
@@ -173,7 +173,7 @@ def alternating_walk_step(
         raise InvariantViolationError(
             f"walk flip failed to reduce blue cliques: {before} -> {after}"
         )
-    if contains_copy(f, pendant, restricted_to=flipped.predicate(BLUE)) is not None:
+    if contains_copy(flipped.monochromatic_subgraph(BLUE), pendant) is not None:
         raise InvariantViolationError("walk flip created a blue pendant clique")
     return flipped, trace
 
@@ -352,10 +352,7 @@ def woven_recolor(
     matching.sort()
     phi2 = phi1.flipped(matching)
 
-    red_copies = [
-        emb.edge_image() for emb in embeddings(f, G, restricted_to=phi2.predicate(RED))
-    ]
-    red_copies = sorted(set(red_copies), key=sorted)
+    red_copies = copies_as_edge_sets(phi2.monochromatic_subgraph(RED), G)
     matching_set = set(matching)
     y_sets: list[frozenset[Edge]] = []
     for i, ei in enumerate(matching):
@@ -380,7 +377,7 @@ def woven_recolor(
     all_y = frozenset().union(*y_sets) if y_sets else frozenset()
     phi3 = phi2.flipped(all_y)
 
-    offending = contains_copy(f, G, restricted_to=phi3.predicate(RED))
+    offending = contains_copy(phi3.monochromatic_subgraph(RED), G)
     if offending is not None:
         raise InvariantViolationError(
             f"red copy of G survived the pipeline: {sorted(offending.edge_image())}"

@@ -1,35 +1,22 @@
 """Subgraph containment, clique search, and exact chromatic number.
 
 Containment is non-induced throughout: a copy of the pattern may sit inside a
-denser host region.  The optional edge predicate restricts which host edges an
-embedding may use, which is how red/blue-restricted copies are found.
+denser host region.  Red- or blue-restricted copies are found by searching the
+color's spanning subgraph (`EdgeColoring.monochromatic_subgraph`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import RamseyLabError
 from .graphs import Edge, Embedding, Graph, bits
-
-EdgePredicate = Callable[[Edge], bool]
 
 CHROMATIC_VERTEX_CAP = 30
 
 
 class GraphTooLargeError(RamseyLabError):
     """Raised when an exact solver is asked for an instance beyond its cap."""
-
-
-def _allowed_adjacency(host: Graph, restricted_to: EdgePredicate | None) -> tuple[int, ...]:
-    if restricted_to is None:
-        return host.adj
-    adj = [0] * host.n
-    for u, v in host.edges:
-        if restricted_to((u, v)):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return tuple(adj)
 
 
 def _search_order(pattern: Graph, pinned: tuple[int, ...]) -> list[int]:
@@ -52,10 +39,7 @@ def _search_order(pattern: Graph, pinned: tuple[int, ...]) -> list[int]:
 
 
 def embeddings(
-    host: Graph,
-    pattern: Graph,
-    restricted_to: EdgePredicate | None = None,
-    pins: dict[int, int] | None = None,
+    host: Graph, pattern: Graph, pins: dict[int, int] | None = None
 ) -> Iterator[Embedding]:
     """Yield every embedding of `pattern` into `host` (as vertex maps).
 
@@ -64,7 +48,7 @@ def embeddings(
     """
     if pattern.n > host.n:
         return
-    adj = _allowed_adjacency(host, restricted_to)
+    adj = host.adj
     host_deg = [a.bit_count() for a in adj]
     pins = pins or {}
     for p, h in pins.items():
@@ -112,26 +96,18 @@ def embeddings(
 
 
 def contains_copy(
-    host: Graph,
-    pattern: Graph,
-    restricted_to: EdgePredicate | None = None,
-    pins: dict[int, int] | None = None,
+    host: Graph, pattern: Graph, pins: dict[int, int] | None = None
 ) -> Embedding | None:
     """Return one embedding of `pattern` into `host`, or None.
 
-    The empty pattern embeds trivially.  With `restricted_to`, only host edges
-    satisfying the predicate may carry pattern edges.
+    The empty pattern embeds trivially.
     """
-    return next(embeddings(host, pattern, restricted_to, pins), None)
+    return next(embeddings(host, pattern, pins), None)
 
 
-def copies_as_edge_sets(
-    host: Graph,
-    pattern: Graph,
-    restricted_to: EdgePredicate | None = None,
-) -> list[frozenset[Edge]]:
+def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[frozenset[Edge]]:
     """All distinct edge sets realized by copies of `pattern` in `host`, sorted."""
-    seen = {emb.edge_image() for emb in embeddings(host, pattern, restricted_to)}
+    seen = {emb.edge_image() for emb in embeddings(host, pattern)}
     return sorted(seen, key=sorted)
 
 

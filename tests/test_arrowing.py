@@ -6,7 +6,6 @@ import pytest
 from ramseylab.arrowing import (
     ArrowingVerdict,
     arrows,
-    arrows_parallel,
     coloring_is_free,
     equivalence_scan,
     exhaustive_arrows,
@@ -139,21 +138,6 @@ def test_sampled_mode():
     assert a.witness == b.witness and a.nodes_explored == b.nodes_explored
 
 
-def test_parallel_agrees_with_sequential():
-    instances = [
-        (clique(5), path(3), K3),
-        (clique(4), path(3), K3),
-        (cycle(5), star(2), star(2)),
-        (clique(6), K3, K3),
-    ]
-    for f, g, h in instances:
-        seq = arrows(f, g, h)
-        par = arrows_parallel(f, g, h, jobs=3)
-        assert seq.arrows == par.arrows
-        if not seq.arrows:
-            assert coloring_is_free(f, par.witness, g, h)
-
-
 def test_minimal_ramsey_spec_examples():
     assert minimal_ramsey_check(star(3), star(1), star(3))
     assert not minimal_ramsey_check(star(4), star(1), star(3))
@@ -173,12 +157,21 @@ def test_minimal_ramsey_spec_examples():
 
 
 def test_equivalence_scan_symbolic_filters():
-    # Clique numbers differ: max(2,3)=3 vs max(2,4)=4.
+    # Clique numbers differ: max(2,3)=3 vs max(2,4)=4, and both patterns of
+    # the larger pair have an edge.
     res = equivalence_scan(star(2), K3, star(2), clique(4), max_vertices=4)
     assert res.kind == "symbolic-distinguisher" and "clique" in res.reason
-    # Same max clique number, different chromatic sum.
-    res2 = equivalence_scan(K3, K3, path(3), K3, max_vertices=4)
-    assert res2.kind == "symbolic-distinguisher" and "chromatic" in res2.reason
+    assert "Nešetřil–Rödl" in res.reason
+    # Every graph with a vertex arrows all three pairs (a red K1 is always
+    # there), so a clique mismatch alone proves nothing when the larger
+    # pair has an edgeless pattern.
+    for g1, h1 in ((clique(1), clique(5)), (clique(1), cycle(5))):
+        res1 = equivalence_scan(g1, h1, clique(1), clique(2), max_vertices=4)
+        assert res1.kind == "no-distinguisher-found" and res1.reason is None
+    # Same max clique number: no symbolic filter applies, the search decides.
+    res2 = equivalence_scan(K3, K3, path(3), K3, max_vertices=5)
+    assert res2.kind == "distinguisher" and res2.distinguisher.n == 5
+    assert not res2.verdict_first.arrows and res2.verdict_second.arrows
 
 
 def test_equivalence_scan_finds_odd_regular_distinguisher():

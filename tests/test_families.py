@@ -98,7 +98,7 @@ def test_lambda_gadget_p4():
     comps = [c for c in blue_graph.components() if len(c) > 1]
     assert len(comps) == 2 and all(len(c) == 4 for c in comps)
     # no red copy of T: the red star has diameter 2 < 3
-    assert contains_copy(lam.graph, path(4), restricted_to=w.predicate(RED)) is None
+    assert contains_copy(red_graph, path(4)) is None
 
 
 def test_lambda_gadget_structure_invariants():
@@ -128,7 +128,7 @@ def test_c_gadget():
     cg5 = c_gadget(cycle(5))
     assert cg5.graph.n == 7 and cg5.graph.m == 15
     w = cg5.witness_coloring
-    assert contains_copy(cg5.graph, clique(3), restricted_to=w.predicate(BLUE)) is None
+    assert contains_copy(w.monochromatic_subgraph(BLUE), clique(3)) is None
     red_graph = w.monochromatic_subgraph(RED)
     assert sorted(red_graph.degree(v) for v in range(7)) == [2, 2, 2, 2, 2, 5, 5]
     assert clique_number(red_graph) == 2  # complete bipartite, triangle-free

@@ -208,7 +208,7 @@ def test_woven_recolor_k6_instance():
     assert trace.U_K_sets == (frozenset(),)
     assert len(trace.matching_M) == 3
     assert coloring_is_free(f, phi3, star(2), clique(6))
-    assert contains_copy(f, clique(6), restricted_to=phi3.predicate(BLUE)) is None
+    assert contains_copy(phi3.monochromatic_subgraph(BLUE), clique(6)) is None
 
 
 def test_woven_recolor_noop_and_threshold():

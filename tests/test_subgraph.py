@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseylab.families import clique, clique_with_pendants, cycle, path, star
-from ramseylab.graphs import Graph
+from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph
 from ramseylab.subgraph import (
     GraphTooLargeError,
     chromatic_number,
@@ -41,11 +41,13 @@ def test_isolated_pattern_vertices_need_capacity():
 
 
 def test_color_restricted_search():
-    g = clique(3)
-    red = {(0, 1)}
-    emb = contains_copy(g, path(2), restricted_to=lambda e: tuple(sorted(e)) in red)
+    # A red copy is a copy in the red spanning subgraph.
+    c = EdgeColoring(clique(3), red=[(0, 1)], blue=[(0, 2), (1, 2)])
+    red = c.monochromatic_subgraph(RED)
+    emb = contains_copy(red, path(2))
     assert emb is not None and emb.edge_image() == frozenset({(0, 1)})
-    assert contains_copy(g, path(3), restricted_to=lambda e: tuple(sorted(e)) in red) is None
+    assert contains_copy(red, path(3)) is None
+    assert contains_copy(c.monochromatic_subgraph(BLUE), path(3)) is not None
 
 
 def test_pins():

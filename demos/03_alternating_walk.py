@@ -18,12 +18,12 @@ c = EdgeColoring(
 
 s, t = 3, 3
 step = 0
-while _blue_cliques(f, c, t):
+while _blue_cliques(c, t):
     step += 1
     c, trace = alternating_walk_step(f, c, s, t)
     walk = ", ".join(f"{e}:{col}" for e, col in zip(trace.edges, trace.colors_before))
     print(f"step {step}: seed {trace.start_edge}, walk [{walk}]")
-    print(f"  blue triangles left: {len(_blue_cliques(f, c, t))}")
+    print(f"  blue triangles left: {len(_blue_cliques(c, t))}")
 
 assert coloring_is_free(f, c, star(s), clique(t))
 print("final coloring is free of red K_1,3 and blue K_3")

@@ -8,7 +8,6 @@ from .arrowing import (
     exhaustive_arrows,
     minimal_ramsey_check,
     ramsey_number,
-    sampled_arrows,
     verify_determiner,
 )
 from .errors import (

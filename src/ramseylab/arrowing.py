@@ -11,7 +11,7 @@ exhausted search proves that it does.
 The exhaustive decider rebuilds the copies by brute-force injection
 enumeration and scans all 2^m colorings vectorized; it exists to cross-check
 the pruned search and never shares its search path.  numpy is imported only
-inside the exhaustive and sampled deciders, so the CLI starts without it.
+inside the exhaustive decider, so the CLI starts without it.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ class ArrowingVerdict:
             raise ValueError("a positive verdict cannot carry a witness")
         if not self.arrows and self.witness is None:
             raise ValueError("a negative verdict must carry a witness coloring")
-        if self.method == "sampled" and self.arrows:
-            raise ValueError("sampling can only establish negative verdicts")
-        if self.method not in ("exhaustive", "pruned", "sampled"):
+        if self.method not in ("exhaustive", "pruned"):
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -299,68 +297,6 @@ def exhaustive_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingVerdict:
     return ArrowingVerdict(False, witness, total, "exhaustive")
 
 
-def sampled_arrows(
-    f: Graph,
-    g: Graph,
-    h: Graph,
-    samples: int,
-    seed: int = 0,
-    batch: int = 1 << 14,
-) -> ArrowingVerdict | None:
-    """Search random colorings for a (g, h)-free witness.
-
-    Returns a negative verdict when a witness turns up, else None: sampling
-    can never establish that f arrows.
-    """
-    import numpy as np
-
-    m = f.m
-    if m > 62:
-        raise GraphTooLargeError(f"sampled mode supports at most 62 edges, got {m}")
-    engine = _ArrowEngine(f, g, h)
-    if engine.trivial_arrows:
-        return None
-    gmasks = np.array(
-        [
-            sum(1 << e for e in edges)
-            for edges, bad in zip(engine.clause_edges, engine.clause_bad)
-            if bad == _RED_BIT
-        ],
-        dtype=np.uint64,
-    )
-    hmasks = np.array(
-        [
-            sum(1 << e for e in edges)
-            for edges, bad in zip(engine.clause_edges, engine.clause_bad)
-            if bad == _BLUE_BIT
-        ],
-        dtype=np.uint64,
-    )
-    rng = np.random.default_rng(seed)
-    done = 0
-    zero = np.uint64(0)
-    while done < samples:
-        take = min(batch, samples - done)
-        cand = rng.integers(0, 1 << m, size=take, dtype=np.uint64)
-        done += take
-        bad = np.zeros(take, dtype=bool)
-        for mask in gmasks:
-            bad |= (cand & mask) == mask
-        for mask in hmasks:
-            bad |= (cand & mask) == zero
-        free = np.nonzero(~bad)[0]
-        if free.size:
-            value = int(cand[free[0]])
-            # Scan convention: a set bit means red.
-            witness = engine.coloring_from_colors(
-                [_RED_BIT if value >> i & 1 else _BLUE_BIT for i in range(m)]
-            )
-            if not coloring_is_free(f, witness, g, h):
-                raise InvariantViolationError("sampled witness failed the freeness check")
-            return ArrowingVerdict(False, witness, done, "sampled")
-    return None
-
-
 def ramsey_number(g: Graph, h: Graph, cap: int, budget: int = DEFAULT_BUDGET) -> int:
     """Least n <= cap with K_n -> (g, h)."""
     if cap < 1:
@@ -388,7 +324,7 @@ def minimal_ramsey_check(f: Graph, g: Graph, h: Graph, budget: int = DEFAULT_BUD
     return True
 
 
-def verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int = 10_000_000) -> dict:
+def verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Check the four determiner axioms for (d, beta) against the pair (T, K_t).
 
     Axioms: (i) d has a (T, K_t)-free coloring; (ii) beta is red in every free

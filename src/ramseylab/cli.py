@@ -195,20 +195,6 @@ def _cmd_arrows(args, seed, t0) -> int:
     g = _load_graph(args.g)
     h = _load_graph(args.h)
     inputs = {p: _sha256(p) for p in (args.g, args.h, args.f)}
-    if args.sampled:
-        verdict = arrowing.sampled_arrows(f, g, h, samples=args.sampled, seed=seed or 0)
-        if verdict is None:
-            _emit(
-                "arrows",
-                inputs,
-                {"arrows": None, "method": "sampled", "samples": args.sampled},
-                args.sampled,
-                t0,
-                seed,
-            )
-            return EXIT_INDETERMINATE
-        _emit("arrows", inputs, _verdict_payload(verdict, args.witness_out), verdict.nodes_explored, t0, seed)
-        return EXIT_OK
     verdict = arrowing.arrows(f, g, h, budget=args.budget)
     _emit("arrows", inputs, _verdict_payload(verdict, args.witness_out), verdict.nodes_explored, t0, seed)
     return EXIT_OK
@@ -389,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h")
     p.add_argument("--f")
     p.add_argument("--budget", type=int, default=arrowing.DEFAULT_BUDGET)
-    p.add_argument("--sampled", type=int, default=None, help="try K random colorings instead")
     p.add_argument("--witness-out", dest="witness_out", default=None)
 
     p = sub.add_parser("ramsey-number")
@@ -438,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--T", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=arrowing.DEFAULT_BUDGET)
 
     return parser
 

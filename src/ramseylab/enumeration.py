@@ -9,7 +9,7 @@ published sequences in the tests.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph
 from .subgraph import contains_copy
@@ -65,34 +65,40 @@ class IsoClassStore:
         self.count += 1
         return True
 
-    def __iter__(self) -> Iterator[Graph]:
-        for bucket in self._buckets.values():
-            yield from bucket
+
+def _levels(n: int, children: Callable[[Graph], Iterable[Graph]]) -> Iterator[list[Graph]]:
+    """Yield the isomorph-free level on each of 1..n vertices, unsorted.
+
+    Level k+1 keeps the first of each class among the children of level k, so
+    one augmentation pass serves every size and a level never depends on n.
+    """
+    level = [Graph(1)]
+    for size in range(1, n + 1):
+        if size > 1:
+            store = IsoClassStore()
+            level = [c for g in level for c in children(g) if store.add(c)]
+        yield level
+
+
+def _new_vertex_children(g: Graph) -> Iterator[Graph]:
+    for nbrs in range(1 << g.n):
+        yield Graph(g.n + 1, list(g.edges) + [(w, g.n) for w in range(g.n) if nbrs >> w & 1])
+
+
+def _graph_order(g: Graph):
+    return (g.m, g.edges)
 
 
 def graphs_on_vertices(n: int) -> list[Graph]:
     """All graphs on exactly n vertices up to isomorphism (isolates included)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    level = [Graph(1)]
-    for size in range(2, n + 1):
-        store = IsoClassStore()
-        nxt = []
-        for g in level:
-            for bits_ in range(1 << (size - 1)):
-                extra = [(w, size - 1) for w in range(size - 1) if bits_ >> w & 1]
-                candidate = Graph(size, list(g.edges) + extra)
-                if store.add(candidate):
-                    nxt.append(candidate)
-        level = nxt
-    return sorted(level, key=lambda g: (g.m, g.edges))
+    *_, level = _levels(n, _new_vertex_children)
+    return sorted(level, key=_graph_order)
 
 
 def graphs_up_to_vertices(n: int) -> list[Graph]:
-    out: list[Graph] = []
-    for size in range(1, n + 1):
-        out.extend(graphs_on_vertices(size))
-    return out
+    return [g for level in _levels(n, _new_vertex_children) for g in sorted(level, key=_graph_order)]
 
 
 def graphs_by_edge_count(max_edges: int) -> dict[int, list[Graph]]:
@@ -123,28 +129,25 @@ def graphs_by_edge_count(max_edges: int) -> dict[int, list[Graph]]:
     return levels
 
 
+def _leaf_children(t: Graph) -> Iterator[Graph]:
+    for v in range(t.n):
+        yield Graph(t.n + 1, list(t.edges) + [(v, t.n)])
+
+
+def _tree_order(t: Graph):
+    return t.edges
+
+
 def trees_on_vertices(n: int) -> list[Graph]:
     """All trees on exactly n vertices up to isomorphism, by leaf augmentation."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    level = [Graph(1)]
-    for size in range(2, n + 1):
-        store = IsoClassStore()
-        nxt = []
-        for t in level:
-            for v in range(t.n):
-                candidate = Graph(size, list(t.edges) + [(v, size - 1)])
-                if store.add(candidate):
-                    nxt.append(candidate)
-        level = nxt
-    return sorted(level, key=lambda g: g.edges)
+    *_, level = _levels(n, _leaf_children)
+    return sorted(level, key=_tree_order)
 
 
 def trees_up_to_vertices(n: int) -> list[Graph]:
-    out: list[Graph] = []
-    for size in range(1, n + 1):
-        out.extend(trees_on_vertices(size))
-    return out
+    return [t for level in _levels(n, _leaf_children) for t in sorted(level, key=_tree_order)]
 
 
 def regular_graphs(n: int, r: int) -> list[Graph]:
@@ -171,24 +174,17 @@ def regular_graphs(n: int, r: int) -> list[Graph]:
         deficit = sum(r - g.degree(v) for v in range(size))
         return deficit <= remaining * r
 
-    level: list[Graph] = [Graph(1)]
-    for size in range(2, n + 1):
-        store = IsoClassStore()
-        nxt = []
-        for g in level:
-            open_slots = [v for v in range(size - 1) if g.degree(v) < r]
-            for count in range(min(r, len(open_slots)) + 1):
-                for combo in itertools.combinations(open_slots, count):
-                    candidate = Graph(size, list(g.edges) + [(v, size - 1) for v in combo])
-                    if feasible(candidate, size) and store.add(candidate):
-                        nxt.append(candidate)
-        level = nxt
+    def children(g: Graph) -> Iterator[Graph]:
+        open_slots = [v for v in range(g.n) if g.degree(v) < r]
+        for count in range(min(r, len(open_slots)) + 1):
+            for combo in itertools.combinations(open_slots, count):
+                candidate = Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in combo])
+                if feasible(candidate, g.n + 1):
+                    yield candidate
+
+    *_, level = _levels(n, children)
     return sorted(
         (g for g in level if all(g.degree(v) == r for v in range(n))),
         key=lambda g: g.edges,
     )
 
-
-def all_graphs(vertex_counts: Iterable[int]) -> Iterator[Graph]:
-    for n in vertex_counts:
-        yield from graphs_on_vertices(n)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from .graphs import Edge, Graph
 from .matching import maximum_matching
 
+_BELCK_GREEDY_STEPS = 8
+
 
 @dataclass(frozen=True)
 class FactorWitness:
@@ -117,7 +119,7 @@ def belck_check(g: Graph, D, p: int) -> BelckCertificate | None:
     return None
 
 
-def find_belck(g: Graph, p: int, max_extra: int = 8) -> BelckCertificate | None:
+def find_belck(g: Graph, p: int) -> BelckCertificate | None:
     """Heuristic search for a Belck certificate.
 
     Exhausts |D| <= 3, then greedily extends the best seed by the vertex that
@@ -139,7 +141,7 @@ def find_belck(g: Graph, p: int, max_extra: int = 8) -> BelckCertificate | None:
     if best is None:
         return None
     D = set(best[1])
-    for _ in range(max_extra):
+    for _ in range(_BELCK_GREEDY_STEPS):
         gain = [
             (odd_components(g, D | {v}), v) for v in range(g.n) if v not in D
         ]

@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import SearchExhaustedError
+from .factors import BelckCertificate
 from .graphs import Edge, EdgeColoring, Graph
-from .subgraph import clique_number
+from .subgraph import clique_number, cliques_of_size
 from .trees import longest_path_neighbors, tree_classify
 
 # -- domain types -----------------------------------------------------------
@@ -240,8 +241,6 @@ def _vertex_folkman_check(J: Graph, t: int) -> bool:
     """Every vertex 2-coloring of J contains a vertex-monochromatic K_{t-1}."""
     if J.n > 20:
         raise ValueError("exhaustive vertex-coloring check capped at 20 vertices")
-    from .subgraph import cliques_of_size
-
     cliques = cliques_of_size(J, t - 1)
     masks = [sum(1 << v for v in c) for c in cliques]
     for assignment in range(1 << J.n):
@@ -366,8 +365,6 @@ def factor_extremal_graph(p: int, q: int, r: int):
     stage three wires q*t copies of that graph to a K_t hub, with t and the
     hub wiring depending on the parity of r.  The hub is the Belck set.
     """
-    from .factors import BelckCertificate
-
     if p % 2 == 0 or q % 2 == 0:
         raise ValueError("p and q must be odd")
     if p < 1:

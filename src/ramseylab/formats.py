@@ -98,15 +98,22 @@ def coloring_from_text(text: str, host: Graph | None = None) -> EdgeColoring:
         n, m = int(rows[0][0]), int(rows[0][1])
     except ValueError as exc:
         raise FormatError(f"bad coloring header: {rows[0]}") from exc
+    if n < 0 or m < 0:
+        raise FormatError(f"negative count in coloring header: {rows[0]}")
     if len(rows) - 1 != m:
         raise FormatError(f"header promises {m} edges, file has {len(rows) - 1}")
     colors: dict[Edge, str] = {}
     for row in rows[1:]:
         if len(row) != 3 or row[2] not in (RED, BLUE):
             raise FormatError(f"bad coloring line: {' '.join(row)}")
-        u, v = int(row[0]), int(row[1])
+        try:
+            u, v = int(row[0]), int(row[1])
+        except ValueError as exc:
+            raise FormatError(f"bad coloring line: {' '.join(row)}") from exc
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise FormatError(f"loop ({u},{v}) in coloring file")
         e = (u, v) if u < v else (v, u)
         if e in colors:
             raise FormatError(f"duplicate edge {e} in coloring file")

@@ -183,9 +183,6 @@ class Embedding:
     def edge_image(self) -> frozenset[Edge]:
         return frozenset(edge(self.map[u], self.map[v]) for u, v in self.pattern.edges)
 
-    def vertex_image(self) -> frozenset[int]:
-        return frozenset(self.map)
-
 
 class EdgeColoring:
     """A total red/blue assignment on the edge set of a host graph."""

@@ -77,7 +77,7 @@ class RecolorTrace:
 # -- alternating-walk recoloring ----------------------------------------------
 
 
-def _blue_cliques(f: Graph, c: EdgeColoring, t: int) -> list[tuple[int, ...]]:
+def _blue_cliques(c: EdgeColoring, t: int) -> list[tuple[int, ...]]:
     return cliques_of_size(c.monochromatic_subgraph(BLUE), t)
 
 
@@ -105,7 +105,7 @@ def alternating_walk_step(
     pendant = clique_with_pendants(t, 1, 2)
     if not coloring_is_free(f, c, star(s), pendant):
         raise ValueError("input coloring is not free of red stars / blue pendant cliques")
-    blue_cliques = _blue_cliques(f, c, t)
+    blue_cliques = _blue_cliques(c, t)
     if not blue_cliques:
         raise ValueError("no blue clique to remove")
 
@@ -168,7 +168,7 @@ def alternating_walk_step(
 
     if _has_red_star(flipped, s):
         raise InvariantViolationError("walk flip created a red star")
-    before, after = len(blue_cliques), len(_blue_cliques(f, flipped, t))
+    before, after = len(blue_cliques), len(_blue_cliques(flipped, t))
     if after >= before:
         raise InvariantViolationError(
             f"walk flip failed to reduce blue cliques: {before} -> {after}"
@@ -186,10 +186,10 @@ def star_clique_recolor(f: Graph, c: EdgeColoring, s: int, t: int) -> EdgeColori
     """
     if not coloring_is_free(f, c, star(s), clique_with_pendants(t, 1, 2)):
         raise ValueError("input coloring is not free of red stars / blue pendant cliques")
-    remaining = len(_blue_cliques(f, c, t))
+    remaining = len(_blue_cliques(c, t))
     while remaining > 0:
         c, _ = alternating_walk_step(f, c, s, t)
-        remaining = len(_blue_cliques(f, c, t))
+        remaining = len(_blue_cliques(c, t))
     if not coloring_is_free(f, c, star(s), clique(t)):
         raise InvariantViolationError("walk iteration ended on a non-free coloring")
     return c

@@ -11,7 +11,6 @@ from ramseylab.arrowing import (
     exhaustive_arrows,
     minimal_ramsey_check,
     ramsey_number,
-    sampled_arrows,
 )
 from ramseylab.enumeration import graphs_up_to_vertices, trees_up_to_vertices
 from ramseylab.errors import BudgetExhaustedError, CapExceededError
@@ -123,19 +122,6 @@ def test_pinned_search():
     # C_5 for (K_{1,1}, K_{1,3}): free colorings are all-blue only.
     assert arrows(cycle(5), star(1), star(3), pinned={(0, 1): RED}).arrows
     assert not arrows(cycle(5), star(1), star(3), pinned={(0, 1): BLUE}).arrows
-
-
-def test_sampled_mode():
-    found = sampled_arrows(clique(4), path(3), K3, samples=5000, seed=1)
-    assert found is not None and not found.arrows
-    assert found.method == "sampled"
-    assert coloring_is_free(clique(4), found.witness, path(3), K3)
-    # K_5 arrows, so sampling must come back empty-handed.
-    assert sampled_arrows(clique(5), path(3), K3, samples=2000, seed=1) is None
-    # determinism
-    a = sampled_arrows(clique(4), path(3), K3, samples=5000, seed=7)
-    b = sampled_arrows(clique(4), path(3), K3, samples=5000, seed=7)
-    assert a.witness == b.witness and a.nodes_explored == b.nodes_explored
 
 
 def test_minimal_ramsey_spec_examples():

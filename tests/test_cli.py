@@ -91,18 +91,6 @@ def test_arrows_cli_flag_and_positional(files, capsys):
     assert code2 == EXIT_OK and report2["verdict"] == report["verdict"]
 
 
-def test_arrows_cli_sampled_indeterminate(files, capsys):
-    _, write = files
-    g = write("p3.g6", path(3))
-    h = write("k3.g6", clique(3))
-    f = write("k5.g6", clique(5))
-    code, report = run(
-        capsys, ["--seed", "9", "arrows", "--g", g, "--h", h, "--f", f, "--sampled", "500"]
-    )
-    assert code == EXIT_INDETERMINATE
-    assert report["verdict"]["arrows"] is None and report["seed"] == 9
-
-
 def test_arrows_witness_file_beyond_62_vertices(files, capsys):
     tmp_path, write = files
     big = Graph(70, [(i, i + 1) for i in range(69)])
@@ -243,6 +231,11 @@ def test_exit_codes(files, capsys):
     c5 = write("c5.g6", cycle(5))
     code = main(["recolor", "walk", c5, str(cpath), "--s", "2", "--t", "3"])
     assert code == EXIT_MISMATCH
+    # malformed coloring lines: a non-integer vertex, a loop
+    for line in ("x 2 B", "0 0 B"):
+        cpath.write_text(f"3 3\n{line}\n0 2 B\n1 2 B\n")
+        code = main(["recolor", "walk", k3, str(cpath), "--s", "2", "--t", "3"])
+        assert code == EXIT_BAD_INPUT
     # budget exhaustion
     k6 = write("k6.g6", clique(6))
     code = main(["arrows", "--g", k3, "--h", k3, "--f", k6, "--budget", "2"])

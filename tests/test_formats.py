@@ -88,3 +88,5 @@ def test_coloring_mismatch_and_malformed():
         coloring_from_text("3 2\n0 1 R\n0 1 B\n")
     with pytest.raises(FormatError):
         coloring_from_text("not a header\n")
+    with pytest.raises(FormatError):
+        coloring_from_text("-1 0\n")

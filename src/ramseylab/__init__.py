@@ -59,7 +59,7 @@ from .recolor import (
     woven_recolor,
     yuv_certificate,
 )
-from .subgraph import chromatic_number, clique_number, cliques_of_size, contains_copy
+from .subgraph import clique_number, cliques_of_size, contains_copy
 from .trees import TreeProfile, greedy_min_degree_embed, tree_classify
 
 __version__ = "0.1.0"

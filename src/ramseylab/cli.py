@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -31,7 +30,14 @@ from .errors import (
     RamseyLabError,
     SearchExhaustedError,
 )
-from .formats import FormatError, coloring_from_text, coloring_to_text, graph_from_graph6, graph_to_graph6
+from .formats import (
+    FormatError,
+    MismatchError,
+    coloring_from_text,
+    coloring_to_text,
+    graph_from_graph6,
+    graph_to_graph6,
+)
 from .graphs import EdgeColoring, Graph
 
 EXIT_OK = 0
@@ -48,35 +54,26 @@ class _UsageError(RamseyLabError):
     pass
 
 
-class _MismatchError(RamseyLabError):
-    pass
-
-
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load_graph(path: str) -> Graph:
+def _read(path: str, inputs: dict[str, str]) -> str:
+    """Read `path` once: record the sha256 of its bytes in `inputs`, return them as ASCII text."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return graph_from_graph6(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+    inputs[path] = hashlib.sha256(data).hexdigest()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not an ASCII file: {exc}") from exc
 
 
-def _load_coloring(path: str, host: Graph) -> EdgeColoring:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
-    try:
-        return coloring_from_text(text, host=host)
-    except FormatError as exc:
-        if "does not match" in str(exc):
-            raise _MismatchError(str(exc)) from exc
-        raise
+def _load_graph(path: str, inputs: dict[str, str]) -> Graph:
+    return graph_from_graph6(_read(path, inputs))
+
+
+def _load_coloring(path: str, host: Graph, inputs: dict[str, str]) -> EdgeColoring:
+    return coloring_from_text(_read(path, inputs), host=host)
 
 
 def _coloring_payload(c: EdgeColoring, witness_out: str | None):
@@ -137,27 +134,20 @@ def _cmd_construct(args, seed, t0) -> int:
         gadget = families.uniform_tree(args.k, args.i)
         graph, extra = gadget.graph, {"root": gadget.root}
     elif kind == "lambda":
-        T = _load_graph(args.T)
-        gamma = _load_graph(args.gamma)
-        inputs = {args.T: _sha256(args.T), args.gamma: _sha256(args.gamma)}
+        T = _load_graph(args.T, inputs)
+        gamma = _load_graph(args.gamma, inputs)
         gadget = families.lambda_gadget(T, gamma, args.i)
         graph, coloring, extra = gadget.graph, gadget.witness_coloring, {"root": gadget.root}
     elif kind == "c-gadget":
-        gp = _load_graph(args.gamma_prime)
-        inputs = {args.gamma_prime: _sha256(args.gamma_prime)}
+        gp = _load_graph(args.gamma_prime, inputs)
         gadget = families.c_gadget(gp)
         graph, coloring = gadget.graph, gadget.witness_coloring
         extra = {"root": gadget.root, "co_root": gadget.co_root}
     elif kind == "distinguisher":
-        T = _load_graph(args.T)
-        inputs = {args.T: _sha256(args.T)}
-        gamma = _load_graph(args.gamma) if args.gamma else None
-        gp = _load_graph(args.gamma_prime) if args.gamma_prime else None
-        J = _load_graph(args.J) if args.J else None
-        for name in ("gamma", "gamma_prime", "J"):
-            value = getattr(args, name)
-            if value:
-                inputs[value] = _sha256(value)
+        T = _load_graph(args.T, inputs)
+        gamma = _load_graph(args.gamma, inputs) if args.gamma else None
+        gp = _load_graph(args.gamma_prime, inputs) if args.gamma_prime else None
+        J = _load_graph(args.J, inputs) if args.J else None
         graph, coloring = families.diameter_distinguisher(T, args.t, gamma, gp, J)
     elif kind == "factor-extremal":
         graph, trace, cert = families.factor_extremal_graph(args.p, args.q, args.r)
@@ -172,9 +162,8 @@ def _cmd_construct(args, seed, t0) -> int:
         )
         extra = {"hyperedges": sorted(sorted(e) for e in hyper.hyperedges)}
     elif kind == "determiner-chain":
-        T = _load_graph(args.T)
-        d_graph = _load_graph(args.determiner)
-        inputs = {args.T: _sha256(args.T), args.determiner: _sha256(args.determiner)}
+        T = _load_graph(args.T, inputs)
+        d_graph = _load_graph(args.determiner, inputs)
         gadget = families.DeterminerGadget(d_graph, _parse_edge(args.beta))
         graph = families.determiner_chain(T, gadget)
     else:  # pragma: no cover - argparse restricts choices
@@ -191,37 +180,37 @@ def _cmd_construct(args, seed, t0) -> int:
 
 
 def _cmd_arrows(args, seed, t0) -> int:
-    f = _load_graph(args.f)
-    g = _load_graph(args.g)
-    h = _load_graph(args.h)
-    inputs = {p: _sha256(p) for p in (args.g, args.h, args.f)}
+    inputs = {}
+    f = _load_graph(args.f, inputs)
+    g = _load_graph(args.g, inputs)
+    h = _load_graph(args.h, inputs)
     verdict = arrowing.arrows(f, g, h, budget=args.budget)
     _emit("arrows", inputs, _verdict_payload(verdict, args.witness_out), verdict.nodes_explored, t0, seed)
     return EXIT_OK
 
 
 def _cmd_ramsey_number(args, seed, t0) -> int:
-    g = _load_graph(args.g)
-    h = _load_graph(args.h)
-    inputs = {p: _sha256(p) for p in (args.g, args.h)}
+    inputs = {}
+    g = _load_graph(args.g, inputs)
+    h = _load_graph(args.h, inputs)
     value = arrowing.ramsey_number(g, h, cap=args.cap, budget=args.budget)
     _emit("ramsey-number", inputs, {"ramsey_number": value}, 0, t0, seed)
     return EXIT_OK
 
 
 def _cmd_minimal(args, seed, t0) -> int:
-    f = _load_graph(args.f)
-    g = _load_graph(args.g)
-    h = _load_graph(args.h)
-    inputs = {p: _sha256(p) for p in (args.f, args.g, args.h)}
+    inputs = {}
+    f = _load_graph(args.f, inputs)
+    g = _load_graph(args.g, inputs)
+    h = _load_graph(args.h, inputs)
     value = arrowing.minimal_ramsey_check(f, g, h, budget=args.budget)
     _emit("minimal", inputs, {"minimal": value}, 0, t0, seed)
     return EXIT_OK
 
 
 def _cmd_equiv_scan(args, seed, t0) -> int:
-    graphs = [_load_graph(p) for p in (args.g1, args.h1, args.g2, args.h2)]
-    inputs = {p: _sha256(p) for p in (args.g1, args.h1, args.g2, args.h2)}
+    inputs = {}
+    graphs = [_load_graph(p, inputs) for p in (args.g1, args.h1, args.g2, args.h2)]
     result = arrowing.equivalence_scan(*graphs, max_vertices=args.max_vertices, budget=args.budget)
     verdict = {"kind": result.kind}
     if result.reason:
@@ -237,8 +226,8 @@ def _cmd_equiv_scan(args, seed, t0) -> int:
 
 
 def _cmd_factor(args, seed, t0) -> int:
-    g = _load_graph(args.graph)
-    inputs = {args.graph: _sha256(args.graph)}
+    inputs = {}
+    g = _load_graph(args.graph, inputs)
     witness = factors.has_k_factor(g, args.k)
     if witness is None:
         verdict = {"k": args.k, "factor": None}
@@ -249,8 +238,8 @@ def _cmd_factor(args, seed, t0) -> int:
 
 
 def _cmd_belck(args, seed, t0) -> int:
-    g = _load_graph(args.graph)
-    inputs = {args.graph: _sha256(args.graph)}
+    inputs = {}
+    g = _load_graph(args.graph, inputs)
     D = [int(x) for x in args.d.split(",")] if args.d else []
     cert = factors.belck_check(g, D, args.p)
     if cert is None:
@@ -267,15 +256,14 @@ def _cmd_belck(args, seed, t0) -> int:
 
 
 def _cmd_recolor(args, seed, t0) -> int:
-    f = _load_graph(args.f)
-    coloring = _load_coloring(args.coloring, f)
-    inputs = {args.f: _sha256(args.f), args.coloring: _sha256(args.coloring)}
+    inputs = {}
+    f = _load_graph(args.f, inputs)
+    coloring = _load_coloring(args.coloring, f, inputs)
     if args.mode == "walk":
         result = recolor.star_clique_recolor(f, coloring, args.s, args.t)
         summary = {"mode": "walk", "s": args.s, "t": args.t}
     else:
-        g = _load_graph(args.g)
-        inputs[args.g] = _sha256(args.g)
+        g = _load_graph(args.g, inputs)
         result, trace = recolor.woven_recolor(
             f, coloring, g, k=args.k, a=args.a, b=args.b, t=args.t
         )
@@ -294,9 +282,9 @@ def _cmd_recolor(args, seed, t0) -> int:
 
 
 def _cmd_verify_determiner(args, seed, t0) -> int:
-    d = _load_graph(args.d)
-    T = _load_graph(args.T)
-    inputs = {args.d: _sha256(args.d), args.T: _sha256(args.T)}
+    inputs = {}
+    d = _load_graph(args.d, inputs)
+    T = _load_graph(args.T, inputs)
     results = arrowing.verify_determiner(d, _parse_edge(args.beta), T, args.t, budget=args.budget)
     _emit("verify-determiner", inputs, results, 0, t0, seed)
     if any(v is None for v in results.values()):
@@ -314,7 +302,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ramseylab", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (env RAMSEYLAB_SEED overrides)")
+    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     con = sub.add_parser("construct", help="build a named graph or gadget")
@@ -370,10 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
 
     p = sub.add_parser("arrows", help="decide F -> (G, H)")
-    p.add_argument("positional", nargs="*", metavar="g.g6 h.g6 f.g6")
-    p.add_argument("--g")
-    p.add_argument("--h")
-    p.add_argument("--f")
+    p.add_argument("--g", required=True)
+    p.add_argument("--h", required=True)
+    p.add_argument("--f", required=True)
     p.add_argument("--budget", type=int, default=arrowing.DEFAULT_BUDGET)
     p.add_argument("--witness-out", dest="witness_out", default=None)
 
@@ -406,17 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--d", default="", help="comma-separated vertex set D")
 
-    p = sub.add_parser("recolor")
-    p.add_argument("mode", choices=("walk", "woven"))
-    p.add_argument("f")
-    p.add_argument("coloring")
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--g", default=None, help="woven mode: the graph G (graph6 file)")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--out", default=None)
+    rsub = sub.add_parser("recolor").add_subparsers(dest="mode", required=True)
+    walk, woven = rsub.add_parser("walk"), rsub.add_parser("woven")
+    for p in (walk, woven):
+        p.add_argument("f")
+        p.add_argument("coloring")
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--out", default=None)
+    walk.add_argument("--s", type=int, required=True)
+    woven.add_argument("--g", required=True, help="the graph G (graph6 file)")
+    for name in ("--k", "--a", "--b"):
+        woven.add_argument(name, type=int, required=True)
 
     p = sub.add_parser("verify-determiner")
     p.add_argument("--d", required=True)
@@ -451,27 +438,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "arrows":
-            pos = list(args.positional)
-            if pos and (args.g or args.h or args.f):
-                raise _UsageError("give g/h/f either positionally or as flags, not both")
-            if pos:
-                if len(pos) != 3:
-                    raise _UsageError("positional form needs exactly: g.g6 h.g6 f.g6")
-                args.g, args.h, args.f = pos
-            if not (args.g and args.h and args.f):
-                raise _UsageError("arrows needs --g, --h and --f")
-        if args.command == "recolor":
-            if args.mode == "walk" and args.s is None:
-                raise _UsageError("recolor walk needs --s")
-            if args.mode == "woven" and None in (args.g, args.k, args.a, args.b):
-                raise _UsageError("recolor woven needs --g, --k, --a and --b")
-        seed = args.seed
-        env_seed = os.environ.get("RAMSEYLAB_SEED")
-        if env_seed is not None:
-            seed = int(env_seed)
-        return _HANDLERS[args.command](args, seed, t0)
-    except _MismatchError as exc:
+        return _HANDLERS[args.command](args, args.seed, t0)
+    except MismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except FormatError as exc:

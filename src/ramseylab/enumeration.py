@@ -52,7 +52,6 @@ class IsoClassStore:
 
     def __init__(self):
         self._buckets: dict[tuple, list[Graph]] = {}
-        self.count = 0
 
     def add(self, g: Graph) -> bool:
         """Insert g; returns True when its class was not present yet."""
@@ -62,7 +61,6 @@ class IsoClassStore:
             if contains_copy(rep, g) is not None:
                 return False
         bucket.append(g)
-        self.count += 1
         return True
 
 

@@ -21,6 +21,10 @@ class FormatError(RamseyLabError):
     pass
 
 
+class MismatchError(FormatError):
+    """A well-formed coloring file that colors another graph than the host."""
+
+
 def _encode_size(n: int) -> str:
     if n <= GRAPH6_SHORT_MAX:
         return chr(n + 63)
@@ -90,7 +94,11 @@ def coloring_to_text(c: EdgeColoring) -> str:
 
 
 def coloring_from_text(text: str, host: Graph | None = None) -> EdgeColoring:
-    """Parse a coloring file; when `host` is given the edge sets must match."""
+    """Parse a coloring file; when `host` is given the edge sets must match.
+
+    Raises MismatchError when the file colors another graph than `host`, and
+    FormatError when it is malformed.
+    """
     rows = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not rows or len(rows[0]) != 2:
         raise FormatError("coloring file must start with a 'n m' header line")
@@ -100,6 +108,8 @@ def coloring_from_text(text: str, host: Graph | None = None) -> EdgeColoring:
         raise FormatError(f"bad coloring header: {rows[0]}") from exc
     if n < 0 or m < 0:
         raise FormatError(f"negative count in coloring header: {rows[0]}")
+    if host is not None and host.n != n:
+        raise MismatchError(f"coloring file on {n} vertices does not match the {host.n}-vertex host graph")
     if len(rows) - 1 != m:
         raise FormatError(f"header promises {m} edges, file has {len(rows) - 1}")
     colors: dict[Edge, str] = {}
@@ -118,9 +128,8 @@ def coloring_from_text(text: str, host: Graph | None = None) -> EdgeColoring:
         if e in colors:
             raise FormatError(f"duplicate edge {e} in coloring file")
         colors[e] = row[2]
-    graph = Graph(n, colors.keys())
-    if host is not None:
-        if host.n != n or host.edge_set() != graph.edge_set():
-            raise FormatError("coloring file does not match the host graph")
-        graph = host
-    return EdgeColoring.from_mapping(graph, colors)
+    if host is None:
+        host = Graph(n, colors.keys())
+    elif host.edge_set() != colors.keys():
+        raise MismatchError("coloring file does not match the host graph")
+    return EdgeColoring.from_mapping(host, colors)

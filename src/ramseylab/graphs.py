@@ -69,9 +69,6 @@ class Graph:
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(a.bit_count() for a in self.adj))
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 

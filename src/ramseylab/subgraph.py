@@ -1,4 +1,4 @@
-"""Subgraph containment, clique search, and exact chromatic number.
+"""Subgraph containment and clique search.
 
 Containment is non-induced throughout: a copy of the pattern may sit inside a
 denser host region.  Red- or blue-restricted copies are found by searching the
@@ -11,8 +11,6 @@ from typing import Iterator
 
 from .errors import RamseyLabError
 from .graphs import Edge, Embedding, Graph, bits
-
-CHROMATIC_VERTEX_CAP = 30
 
 
 class GraphTooLargeError(RamseyLabError):
@@ -173,69 +171,3 @@ def clique_number(g: Graph) -> int:
 
     expand((1 << g.n) - 1, 0)
     return best
-
-
-def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by branch and bound; capped at 30 vertices.
-
-    Intended as a pre-filter on small pattern graphs, hence the hard cap.
-    """
-    if g.n > CHROMATIC_VERTEX_CAP:
-        raise GraphTooLargeError(
-            f"chromatic_number supports at most {CHROMATIC_VERTEX_CAP} vertices, got {g.n}"
-        )
-    if g.n == 0:
-        return 0
-    if g.m == 0:
-        return 1
-    lower = clique_number(g)
-
-    # DSATUR-style greedy for an upper bound and a good vertex order.
-    def greedy() -> int:
-        colors = [-1] * g.n
-        for _ in range(g.n):
-            v = max(
-                (u for u in range(g.n) if colors[u] == -1),
-                key=lambda u: (
-                    len({colors[w] for w in g.neighbors(u) if colors[w] != -1}),
-                    g.degree(u),
-                ),
-            )
-            taken = {colors[w] for w in g.neighbors(v)}
-            c = 0
-            while c in taken:
-                c += 1
-            colors[v] = c
-        return max(colors) + 1
-
-    upper = greedy()
-    if upper == lower:
-        return lower
-
-    order = sorted(range(g.n), key=g.degree, reverse=True)
-
-    def colorable(k: int) -> bool:
-        colors = [-1] * g.n
-
-        def assign(idx: int, used: int) -> bool:
-            if idx == g.n:
-                return True
-            v = order[idx]
-            taken = {colors[w] for w in g.neighbors(v) if colors[w] != -1}
-            # Allowing at most one fresh color kills color-permutation symmetry.
-            limit = min(used + 1, k)
-            for c in range(limit):
-                if c in taken:
-                    continue
-                colors[v] = c
-                if assign(idx + 1, max(used, c + 1)):
-                    return True
-                colors[v] = -1
-            return False
-
-        return assign(0, 0)
-
-    for k in range(lower, upper):
-        if colorable(k):
-            return k
-    return upper

@@ -80,13 +80,6 @@ def brute_has_k_factor(g: Graph, k: int) -> bool:
     return bool(ok.any())
 
 
-def brute_k_colorable(g: Graph, k: int) -> bool:
-    for assignment in itertools.product(range(k), repeat=g.n):
-        if all(assignment[u] != assignment[v] for u, v in g.edges):
-            return True
-    return False
-
-
 def brute_hypergraph_cycles(hyperedges, max_len: int) -> list[int]:
     """All hypergraph cycle lengths up to max_len, by direct sequence enumeration.
 

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +18,7 @@ from ramseylab.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from ramseylab.families import clique, cycle, path, star
@@ -79,7 +83,7 @@ def test_construct_writes_files(files, capsys):
     assert colout.exists() and report["verdict"]["coloring"]["path"] == str(colout)
 
 
-def test_arrows_cli_flag_and_positional(files, capsys):
+def test_arrows_cli(files, capsys):
     _, write = files
     g = write("star2.g6", star(2))
     h = write("k3.g6", clique(3))
@@ -87,8 +91,8 @@ def test_arrows_cli_flag_and_positional(files, capsys):
     code, report = run(capsys, ["arrows", "--g", g, "--h", h, "--f", f])
     assert code == EXIT_OK and report["verdict"]["arrows"] is False
     assert report["verdict"]["witness"]["format"] == "inline"
-    code2, report2 = run(capsys, ["arrows", g, h, f])
-    assert code2 == EXIT_OK and report2["verdict"] == report["verdict"]
+    assert main(["arrows", g, h, f]) == EXIT_USAGE
+    capsys.readouterr()
 
 
 def test_arrows_witness_file_beyond_62_vertices(files, capsys):
@@ -159,6 +163,8 @@ def test_recolor_cli(files, capsys):
 
     result = coloring_from_text(out.read_text(), host=f_graph)
     assert result.color((0, 1)) == "R"
+    # each digest covers exactly the bytes of its file
+    assert report["inputs"] == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (f, str(cpath))}
 
 
 def test_recolor_woven_cli(files, capsys):
@@ -224,6 +230,14 @@ def test_exit_codes(files, capsys):
     k3 = write("k3.g6", clique(3))
     code = main(["arrows", "--g", k3, "--h", k3, "--f", str(bad)])
     assert code == EXIT_BAD_INPUT
+    # non-ASCII graph6 and coloring files are malformed input, not usage errors
+    nonascii = tmp_path / "nonascii.g6"
+    nonascii.write_bytes("Bw\u00e9\n".encode("utf-8"))
+    assert main(["arrows", "--g", str(nonascii), "--h", k3, "--f", k3]) == EXIT_BAD_INPUT
+    assert main(["factor", str(nonascii), "--k", "1"]) == EXIT_BAD_INPUT
+    nonascii_col = tmp_path / "nonascii.txt"
+    nonascii_col.write_bytes("3 3\n0 1 B\n0 2 B\n1 2 \u00df\n".encode("utf-8"))
+    assert main(["recolor", "walk", k3, str(nonascii_col), "--s", "2", "--t", "3"]) == EXIT_BAD_INPUT
     # coloring for the wrong graph
     other = EdgeColoring.monochromatic(clique(3), BLUE)
     cpath = tmp_path / "col.txt"
@@ -231,6 +245,13 @@ def test_exit_codes(files, capsys):
     c5 = write("c5.g6", cycle(5))
     code = main(["recolor", "walk", c5, str(cpath), "--s", "2", "--t", "3"])
     assert code == EXIT_MISMATCH
+    huge = tmp_path / "huge.txt"
+    huge.write_text("5000000 0\n")
+    assert main(["recolor", "walk", k3, str(huge), "--s", "2", "--t", "3"]) == EXIT_MISMATCH
+    # each recolor mode takes only its own options, and all of them
+    assert main(["recolor", "walk", k3, str(cpath), "--t", "3"]) == EXIT_USAGE
+    woven = ["recolor", "woven", k3, str(cpath), "--g", k3, "--k", "1", "--a", "1", "--b", "2", "--t", "3"]
+    assert main(woven + ["--s", "2"]) == EXIT_USAGE
     # malformed coloring lines: a non-integer vertex, a loop
     for line in ("x 2 B", "0 0 B"):
         cpath.write_text(f"3 3\n{line}\n0 2 B\n1 2 B\n")
@@ -253,16 +274,6 @@ def test_report_determinism(files, capsys):
     r1.pop("elapsed")
     r2.pop("elapsed")
     assert r1 == r2
-
-
-def test_env_seed_override(files, capsys, monkeypatch):
-    _, write = files
-    g = write("p3.g6", path(3))
-    h = write("k3.g6", clique(3))
-    f = write("k4.g6", clique(4))
-    monkeypatch.setenv("RAMSEYLAB_SEED", "123")
-    _, report = run(capsys, ["--seed", "1", "arrows", "--g", g, "--h", h, "--f", f])
-    assert report["seed"] == 123
 
 
 def test_verify_determiner_bad_beta(files, capsys):
@@ -299,3 +310,11 @@ def test_construct_distinguisher_cli(files, capsys):
     assert code == EXIT_OK
     assert report["verdict"]["n"] == 27 and report["verdict"]["m"] == 45
     assert report["verdict"]["coloring"]["format"] == "inline"
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = re.findall(r"^ramseylab .*$", readme.read_text(), flags=re.M)
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -7,6 +8,7 @@ from ramseylab.enumeration import graphs_up_to_vertices
 from ramseylab.families import clique, cycle, path
 from ramseylab.formats import (
     FormatError,
+    MismatchError,
     coloring_from_text,
     coloring_to_text,
     graph_from_graph6,
@@ -90,3 +92,17 @@ def test_coloring_mismatch_and_malformed():
         coloring_from_text("not a header\n")
     with pytest.raises(FormatError):
         coloring_from_text("-1 0\n")
+
+
+def test_coloring_mismatch_is_typed_and_checked_before_allocation():
+    edges_differ = coloring_to_text(EdgeColoring.monochromatic(path(3), RED))
+    with pytest.raises(MismatchError):
+        coloring_from_text(edges_differ, host=Graph(3, [(0, 1), (0, 2)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MismatchError):
+            coloring_from_text("5000000 0\n", host=clique(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20

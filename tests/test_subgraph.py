@@ -1,15 +1,12 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseylab.families import clique, clique_with_pendants, cycle, path, star
 from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph
 from ramseylab.subgraph import (
-    GraphTooLargeError,
-    chromatic_number,
     clique_number,
     cliques_of_size,
     contains_copy,
@@ -18,7 +15,7 @@ from ramseylab.subgraph import (
 )
 
 from conftest import random_graph
-from oracles import brute_clique_number, brute_k_colorable, injection_embeds
+from oracles import brute_clique_number, injection_embeds
 
 
 def test_contains_copy_spec_examples():
@@ -114,28 +111,3 @@ def test_cliques_of_size():
     assert cliques_of_size(cycle(5), 3) == []
     assert cliques_of_size(clique(3), 0) == [()]
     assert cliques_of_size(Graph(4), 1) == [(0,), (1,), (2,), (3,)]
-
-
-def test_chromatic_number_examples(petersen):
-    assert chromatic_number(clique(6)) == 6
-    assert chromatic_number(cycle(5)) == 3
-    assert chromatic_number(petersen) == 3
-    assert chromatic_number(Graph(0)) == 0
-    assert chromatic_number(Graph(5)) == 1
-
-
-def test_chromatic_number_against_oracle(petersen):
-    # derived example: exhaustive 3-coloring search confirms the Petersen value
-    assert not brute_k_colorable(petersen, 2)
-    assert brute_k_colorable(petersen, 3)
-    rng = random.Random(13)
-    for _ in range(40):
-        g = random_graph(rng, n_range=(1, 7), max_edges=12)
-        chi = chromatic_number(g)
-        assert brute_k_colorable(g, chi)
-        assert chi == 0 or not brute_k_colorable(g, chi - 1)
-
-
-def test_chromatic_number_cap():
-    with pytest.raises(GraphTooLargeError):
-        chromatic_number(Graph(31))

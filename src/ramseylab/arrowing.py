@@ -2,11 +2,12 @@
 
 A host F arrows a pair (G, H) when every red/blue edge coloring of F shows a
 red G or a blue H.  The pruned decider enumerates the copies of G and H in F
-once, then runs a DFS over partial colorings: a copy acts as the constraint
-"not all of my edges may take my forbidden color", conflicts prune, and
-almost-complete copies force the last free edge (unit propagation).  A
-completed conflict-free coloring is a witness that F does not arrow; an
-exhausted search proves that it does.
+once, then runs a DFS over partial colorings: a copy is a clause, the bitmask
+of its edges, which may not all take the copy's forbidden color.  A partial
+coloring is two edge bitmasks, red and blue.  Conflicts prune, and a copy
+with one uncolored edge left and no edge of its allowed color forces that
+edge (unit propagation).  A completed conflict-free coloring is a witness
+that F does not arrow; an exhausted search proves that it does.
 
 The exhaustive decider rebuilds the copies by brute-force injection
 enumeration and scans all 2^m colorings vectorized; it exists to cross-check
@@ -58,44 +59,54 @@ class ArrowingVerdict:
 
 
 class _ArrowEngine:
-    """Clause-based DFS with unit propagation over one (f, g, h) instance."""
+    """Clause DFS with unit propagation over one (f, g, h) instance.
+
+    Each copy of g or h is a clause: the bitmask of its edge indices, which
+    may not all take the copy's forbidden color (red for g, blue for h).
+    `forbid[c][e]` holds the clauses through edge e that forbid color c; they
+    are the only clauses that assigning c to e can make unit or violate.  The
+    search state is two edge bitmasks, `red` and `blue`, passed down the DFS,
+    so backtracking returns to the parent's masks and nothing is undone.
+    """
 
     def __init__(self, f: Graph, g: Graph, h: Graph):
         self.f = f
-        self.g = g
-        self.h = h
         self.m = f.m
         self.edge_index = {e: i for i, e in enumerate(f.edges)}
         self.trivial_arrows = False
 
-        clause_edges: list[tuple[int, ...]] = []
-        clause_bad: list[int] = []
+        forbid: tuple[list[list[int]], list[list[int]]] = (
+            [[] for _ in range(self.m)],
+            [[] for _ in range(self.m)],
+        )
+        # Single-edge clauses force their edge to the other color up front.
+        units: list[tuple[int, int]] = []
         for pattern, bad in ((g, _RED_BIT), (h, _BLUE_BIT)):
             for copy in copies_as_edge_sets(f, pattern):
                 if not copy:
                     # An edgeless copy is monochromatic under every coloring.
                     self.trivial_arrows = True
                     return
-                clause_edges.append(tuple(sorted(self.edge_index[e] for e in copy)))
-                clause_bad.append(bad)
-        self.clause_edges = clause_edges
-        self.clause_bad = clause_bad
-        self.size = [len(c) for c in clause_edges]
-        by_edge: list[list[int]] = [[] for _ in range(self.m)]
-        for ci, edges in enumerate(clause_edges):
-            for e in edges:
-                by_edge[e].append(ci)
-        self.by_edge = [tuple(x) for x in by_edge]
+                indices = [self.edge_index[e] for e in copy]
+                mask = sum(1 << i for i in indices)
+                for i in indices:
+                    forbid[bad][i].append(mask)
+                if len(indices) == 1:
+                    units.append((indices[0], 1 - bad))
+        self.forbid = tuple([tuple(x) for x in per_edge] for per_edge in forbid)
+        self.units = tuple(units)
         # Branch on the most constrained edges first.
-        self.order = sorted(range(self.m), key=lambda e: (-len(by_edge[e]), e))
+        self.order = sorted(
+            range(self.m), key=lambda e: (-len(forbid[0][e]) - len(forbid[1][e]), e)
+        )
         # Swapping the two colors maps free colorings onto free colorings
         # exactly when the two patterns coincide.
         self.symmetric = are_isomorphic(g, h)
 
     def solve(
         self, budget: int, prefix: tuple[tuple[int, int], ...] = ()
-    ) -> tuple[list[int] | None, int]:
-        """Run the DFS; returns (witness colors by edge index | None, nodes).
+    ) -> tuple[int | None, int]:
+        """Run the DFS; returns (witness red-edge mask | None, nodes).
 
         A None witness means every completion of `prefix` contains a red g or
         a blue h.  Raises BudgetExhaustedError when the node budget runs out.
@@ -103,85 +114,60 @@ class _ArrowEngine:
         if self.trivial_arrows:
             return None, 0
         m = self.m
-        color = [-1] * m
-        n_bad = [0] * len(self.clause_edges)
-        n_good = [0] * len(self.clause_edges)
-        by_edge = self.by_edge
-        clause_bad = self.clause_bad
-        clause_edges = self.clause_edges
-        size = self.size
+        forbid = self.forbid
+        order = self.order
         nodes = 0
 
-        def assign(e: int, c: int) -> list[int] | None:
-            """Propagate one assignment; returns the trail or None on conflict."""
-            trail: list[int] = []
-            queue = [(e, c)]
-            qi = 0
-            while qi < len(queue):
-                e, c = queue[qi]
-                qi += 1
-                cur = color[e]
-                if cur != -1:
-                    if cur == c:
+        def assign(red: int, blue: int, e: int, c: int) -> tuple[int, int] | None:
+            """Assign c to e and propagate; returns the new masks or None on conflict."""
+            stack = [(e, c)]
+            while stack:
+                e, c = stack.pop()
+                bit = 1 << e
+                if c == _RED_BIT:
+                    if red & bit:
                         continue
-                    undo(trail)
-                    return None
-                color[e] = c
-                trail.append(e)
-                conflict = False
-                # Counter updates for this edge must complete even on conflict,
-                # or undo() would decrement clauses that were never incremented.
-                for ci in by_edge[e]:
-                    if clause_bad[ci] == c:
-                        n_bad[ci] += 1
-                        if not conflict and n_good[ci] == 0:
-                            nb = n_bad[ci]
-                            if nb == size[ci]:
-                                conflict = True
-                            elif nb == size[ci] - 1:
-                                for fe in clause_edges[ci]:
-                                    if color[fe] == -1:
-                                        queue.append((fe, 1 - c))
-                                        break
-                    else:
-                        n_good[ci] += 1
-                if conflict:
-                    undo(trail)
-                    return None
-            return trail
+                    if blue & bit:
+                        return None
+                    red |= bit
+                    own, other = red, blue
+                else:
+                    if blue & bit:
+                        continue
+                    if red & bit:
+                        return None
+                    blue |= bit
+                    own, other = blue, red
+                not_own = ~own
+                for clause in forbid[c][e]:
+                    if clause & other:
+                        continue  # already has an edge of the allowed color
+                    rest = clause & not_own
+                    if not rest:
+                        return None
+                    if not rest & (rest - 1):
+                        stack.append((rest.bit_length() - 1, 1 - c))
+            return red, blue
 
-        def undo(trail: list[int]) -> None:
-            for e in reversed(trail):
-                c = color[e]
-                for ci in by_edge[e]:
-                    if clause_bad[ci] == c:
-                        n_bad[ci] -= 1
-                    else:
-                        n_good[ci] -= 1
-                color[e] = -1
-
-        # Unit clauses force moves before any branching.
-        seed: list[tuple[int, int]] = list(prefix)
-        for ci, edges in enumerate(clause_edges):
-            if len(edges) == 1:
-                seed.append((edges[0], 1 - clause_bad[ci]))
-        for e, c in seed:
-            if assign(e, c) is None:
+        state: tuple[int, int] | None = (0, 0)
+        for e, c in prefix + self.units:
+            state = assign(*state, e, c)
+            if state is None:
                 return None, 0
 
-        order = self.order
         # With identical patterns and no pinned prefix, the color swap is a
         # free-coloring bijection, so the first branched edge may be fixed red.
         first_branch_colors = (
             (_RED_BIT,) if self.symmetric and not prefix else (_RED_BIT, _BLUE_BIT)
         )
 
-        def search(pos: int) -> list[int] | None:
+        def search(pos: int, red: int, blue: int) -> int | None:
             nonlocal nodes
-            while pos < m and color[order[pos]] != -1:
+            assigned = red | blue
+            while pos < m and assigned >> order[pos] & 1:
                 pos += 1
             if pos == m:
-                return list(color)
+                return red
             first = nodes == 0
             nodes += 1
             if nodes > budget:
@@ -190,20 +176,22 @@ class _ArrowEngine:
                 )
             e = order[pos]
             for c in first_branch_colors if first else (_RED_BIT, _BLUE_BIT):
-                trail = assign(e, c)
-                if trail is not None:
-                    result = search(pos + 1)
+                child = assign(red, blue, e, c)
+                if child is not None:
+                    result = search(pos + 1, *child)
                     if result is not None:
                         return result
-                    undo(trail)
             return None
 
-        return search(0), nodes
+        return search(0, *state), nodes
 
-    def coloring_from_colors(self, colors: list[int]) -> EdgeColoring:
-        red = [e for e, i in self.edge_index.items() if colors[i] == _RED_BIT]
-        blue = [e for e, i in self.edge_index.items() if colors[i] == _BLUE_BIT]
-        return EdgeColoring(self.f, red=red, blue=blue)
+    def coloring_from_red(self, red: int) -> EdgeColoring:
+        edges = self.f.edges
+        return EdgeColoring(
+            self.f,
+            red=[e for i, e in enumerate(edges) if red >> i & 1],
+            blue=[e for i, e in enumerate(edges) if not red >> i & 1],
+        )
 
 
 def arrows(
@@ -217,20 +205,29 @@ def arrows(
 
     With `pinned`, only colorings extending the given edge->color assignment
     are considered: arrows=True then means every such extension is
-    monochromatic.  Raises BudgetExhaustedError (indeterminate) instead of
-    ever returning a wrong verdict.
+    monochromatic.  Raises ValueError when a pinned pair is not an edge of f,
+    its color is neither RED nor BLUE, or an edge is pinned to both colors
+    (as (u, v) and (v, u)).  Raises BudgetExhaustedError (indeterminate)
+    instead of ever returning a wrong verdict.
     """
-    engine = _ArrowEngine(f, g, h)
-    prefix: tuple[tuple[int, int], ...] = ()
+    pins: dict[Edge, int] = {}
     if pinned:
-        prefix = tuple(
-            (engine.edge_index[edge(*e)], _RED_BIT if col == RED else _BLUE_BIT)
-            for e, col in sorted(pinned.items())
-        )
-    colors, nodes = engine.solve(budget, prefix)
-    if colors is None:
+        edges = f.edge_set()
+        for pair, col in sorted(pinned.items()):
+            e = edge(*pair)
+            if e not in edges:
+                raise ValueError(f"pinned pair {pair} is not an edge of the host")
+            if col not in (RED, BLUE):
+                raise ValueError(f"pinned color {col!r} for {pair} is neither {RED!r} nor {BLUE!r}")
+            c = _RED_BIT if col == RED else _BLUE_BIT
+            if pins.setdefault(e, c) != c:
+                raise ValueError(f"edge {e} is pinned to both colors")
+    engine = _ArrowEngine(f, g, h)
+    prefix = tuple((engine.edge_index[e], c) for e, c in pins.items())
+    red, nodes = engine.solve(budget, prefix)
+    if red is None:
         return ArrowingVerdict(True, None, nodes, "pruned")
-    witness = engine.coloring_from_colors(colors)
+    witness = engine.coloring_from_red(red)
     if not coloring_is_free(f, witness, g, h):
         raise InvariantViolationError("search produced a non-free witness coloring")
     return ArrowingVerdict(False, witness, nodes, "pruned")

@@ -157,8 +157,10 @@ def _cmd_construct(args, seed, t0) -> int:
             "odd_components": cert.odd_component_count,
         }
     elif kind == "hypergraph-blowup":
+        if seed is None:
+            seed = 0  # the construction is randomized; the report names the seed it used
         hyper, graph = families.hypergraph_blowup(
-            args.t, args.girth, args.min_degree, args.n, trials=args.trials, seed=seed or 0
+            args.t, args.girth, args.min_degree, args.n, trials=args.trials, seed=seed
         )
         extra = {"hyperedges": sorted(sorted(e) for e in hyper.hyperedges)}
     elif kind == "determiner-chain":

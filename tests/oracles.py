@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from ramseylab.graphs import Graph
+from ramseylab.graphs import RED, Graph
 
 
 def injection_embeds(host: Graph, pattern: Graph) -> bool:
@@ -101,3 +101,30 @@ def brute_hypergraph_cycles(hyperedges, max_len: int) -> list[int]:
                 continue
             break
     return found
+
+
+def brute_pinned_arrows(host: Graph, g: Graph, h: Graph, pinned: dict) -> bool:
+    """Does every coloring that extends `pinned` show a red g or a blue h?
+
+    Copies come from all injective vertex maps, as edge-index masks; only the
+    2^(m - |pinned|) completions of the pin set are enumerated.
+    """
+    index = {e: i for i, e in enumerate(host.edges)}
+
+    def copies(pattern: Graph) -> set[int]:
+        found = set()
+        for perm in itertools.permutations(range(host.n), pattern.n):
+            image = [tuple(sorted((perm[u], perm[v]))) for u, v in pattern.edges]
+            if all(e in index for e in image):
+                found.add(sum(1 << index[e] for e in set(image)))
+        return found
+
+    g_copies, h_copies = copies(g), copies(h)
+    pins = {index[tuple(sorted(e))]: color for e, color in pinned.items()}
+    pinned_red = sum(1 << i for i, color in pins.items() if color == RED)
+    free = [i for i in range(host.m) if i not in pins]
+    for bits in range(1 << len(free)):
+        red = pinned_red | sum(1 << i for k, i in enumerate(free) if bits >> k & 1)
+        if not any(c & red == c for c in g_copies) and not any(c & red == 0 for c in h_copies):
+            return False
+    return True

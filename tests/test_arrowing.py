@@ -14,7 +14,14 @@ from ramseylab.arrowing import (
 )
 from ramseylab.enumeration import graphs_up_to_vertices, trees_up_to_vertices
 from ramseylab.errors import BudgetExhaustedError, CapExceededError
-from ramseylab.families import clique, cycle, path, star
+from ramseylab.families import (
+    clique,
+    clique_with_pendants,
+    cycle,
+    diameter_distinguisher,
+    path,
+    star,
+)
 from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph
 
 from conftest import random_graph
@@ -122,6 +129,83 @@ def test_pinned_search():
     # C_5 for (K_{1,1}, K_{1,3}): free colorings are all-blue only.
     assert arrows(cycle(5), star(1), star(3), pinned={(0, 1): RED}).arrows
     assert not arrows(cycle(5), star(1), star(3), pinned={(0, 1): BLUE}).arrows
+    # A color other than RED or BLUE, a pinned non-edge, or an edge pinned to
+    # both colors is rejected.
+    with pytest.raises(ValueError, match="color"):
+        arrows(clique(4), path(3), K3, pinned={(0, 1): "x"})
+    with pytest.raises(ValueError, match="not an edge"):
+        arrows(path(3), path(3), K3, pinned={(0, 2): RED})
+    with pytest.raises(ValueError, match="both colors"):
+        arrows(clique(4), path(3), K3, pinned={(0, 1): RED, (1, 0): BLUE})
+
+
+def test_pinned_search_agrees_with_completion_oracle():
+    from oracles import brute_pinned_arrows
+
+    rng = random.Random(1207)
+    pairs = [(star(2), K3), (path(4), K3), (K3, K3), (clique(2), star(2))]
+    for _ in range(150):
+        host = random_graph(rng, n_range=(3, 8), max_edges=12)
+        g, h = pairs[rng.randrange(len(pairs))]
+        chosen = rng.sample(host.edges, min(rng.randint(0, 3), host.m))
+        pinned = {e: rng.choice((RED, BLUE)) for e in chosen}
+        verdict = arrows(host, g, h, pinned=pinned)
+        assert verdict.arrows == brute_pinned_arrows(host, g, h, pinned), (host.edges, pinned)
+        if not verdict.arrows:
+            assert all(verdict.witness.color(e) == c for e, c in pinned.items())
+    # The unit clause of a red K2 forces (0, 1) blue, so pinning it red
+    # leaves no completion before any branching.
+    verdict = arrows(path(3), clique(2), K3, pinned={(0, 1): RED})
+    assert verdict.arrows and verdict.nodes_explored == 0
+    assert brute_pinned_arrows(path(3), clique(2), K3, {(0, 1): RED})
+
+
+# Node counts and witnesses of canonically labelled instances.  Unit
+# propagation to a fixpoint has a single outcome, so any change to the
+# engine that keeps the branching order must reproduce them exactly.
+ENGINE_PINS = [
+    (
+        lambda: (clique(10), path(5), clique(4), None),
+        711,
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (4, 7), (5, 6),
+         (5, 7), (6, 7), (8, 9)],
+    ),
+    (
+        lambda: (
+            diameter_distinguisher(path(4), 3)[0], path(4), clique_with_pendants(3, 1, 2), None
+        ),
+        721,
+        [(0, j) for j in range(3, 11)] + [(1, j) for j in range(11, 19)]
+        + [(2, j) for j in range(19, 27)],
+    ),
+    (
+        lambda: (clique(5), K3, K3, None),
+        5,
+        [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)],
+    ),
+    (
+        lambda: (clique(8), K3, clique(4), {(0, 1): RED, (0, 2): BLUE, (1, 2): BLUE}),
+        15,
+        [(0, 1), (0, 3), (0, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (3, 6), (4, 7),
+         (5, 7), (6, 7)],
+    ),
+    (lambda: (clique(6), K3, K3, {(0, 1): RED}), 9, None),
+]
+
+
+@pytest.mark.parametrize(
+    "make, nodes, red",
+    ENGINE_PINS,
+    ids=["K10-P5-K4", "D27-P4-K3K2", "K5-K3-K3", "K8-K3-K4-pinned", "K6-K3-K3-pinned"],
+)
+def test_engine_node_counts_and_witnesses_are_pinned(make, nodes, red):
+    f, g, h, pinned = make()
+    verdict = arrows(f, g, h, pinned=pinned)
+    assert verdict.nodes_explored == nodes
+    if red is None:
+        assert verdict.arrows
+    else:
+        assert not verdict.arrows and verdict.witness.red == frozenset(red)
 
 
 def test_minimal_ramsey_spec_examples():

@@ -276,6 +276,17 @@ def test_report_determinism(files, capsys):
     assert r1 == r2
 
 
+def test_construct_reports_the_seed_it_used(files, capsys):
+    argv = ["construct", "hypergraph-blowup", "--t", "3", "--girth", "3"]
+    argv += ["--min-degree", "2", "--n", "9"]
+    _, implicit = run(capsys, argv)
+    _, explicit = run(capsys, ["--seed", "0", *argv])
+    implicit.pop("elapsed")
+    explicit.pop("elapsed")
+    assert implicit == explicit
+    assert explicit["seed"] == 0
+
+
 def test_verify_determiner_bad_beta(files, capsys):
     _, write = files
     d = write("k3.g6", clique(3))

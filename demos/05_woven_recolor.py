@@ -29,7 +29,7 @@ pendants = [(0, 6), (2, 7), (4, 8)]
 f = Graph(9, base + pendants)
 phi1 = EdgeColoring(f, red=pendants, blue=base)
 
-phi3, trace = woven_recolor(f, phi1, star(2), k=1, a=1, b=2, t=6)
+phi3, trace = woven_recolor(f, phi1, star(2), a=1, b=2, t=6)
 print("blue cliques kept pairwise-scattered:", [tuple(k) for k in trace.family_B])
 print("matching flipped blue->red:", list(trace.matching_M))
 print("hitting sets flipped red->blue:", [sorted(y) for y in trace.Y_sets])

@@ -390,8 +390,8 @@ def equivalence_scan(
     vertices (up to isomorphism) is tested.  Finding nothing is NOT a proof of
     equivalence.
     """
-    if max_vertices > 8:
-        raise ValueError("enumeration bound: max_vertices must be at most 8")
+    if not 1 <= max_vertices <= 8:
+        raise ValueError("enumeration bound: max_vertices must be between 1 and 8")
     omega1 = max(clique_number(g1), clique_number(h1))
     omega2 = max(clique_number(g2), clique_number(h2))
     g_big, h_big = (g1, h1) if omega1 > omega2 else (g2, h2)

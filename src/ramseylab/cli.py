@@ -266,9 +266,7 @@ def _cmd_recolor(args, seed, t0) -> int:
         summary = {"mode": "walk", "s": args.s, "t": args.t}
     else:
         g = _load_graph(args.g, inputs)
-        result, trace = recolor.woven_recolor(
-            f, coloring, g, k=args.k, a=args.a, b=args.b, t=args.t
-        )
+        result, trace = recolor.woven_recolor(f, coloring, g, a=args.a, b=args.b, t=args.t)
         summary = {
             "mode": "woven",
             "family_size": len(trace.family_B),
@@ -404,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
     walk.add_argument("--s", type=int, required=True)
     woven.add_argument("--g", required=True, help="the graph G (graph6 file)")
-    for name in ("--k", "--a", "--b"):
+    for name in ("--a", "--b"):
         woven.add_argument(name, type=int, required=True)
 
     p = sub.add_parser("verify-determiner")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import SearchExhaustedError
 from .factors import BelckCertificate
 from .graphs import Edge, EdgeColoring, Graph
-from .subgraph import clique_number, cliques_of_size
+from .subgraph import cliques_of_size
 from .trees import longest_path_neighbors, tree_classify
 
 # -- domain types -----------------------------------------------------------
@@ -299,7 +299,7 @@ def diameter_distinguisher(
         if t != 3:
             raise ValueError("no default Gamma available for t > 3; supply one")
         Gamma = T  # triangle-free, and arrows (T, K_2): color anything.
-    if clique_number(Gamma) >= t:
+    if cliques_of_size(Gamma, t):
         raise ValueError("Gamma must not contain K_t")
 
     hub = clique(t)
@@ -330,13 +330,13 @@ def diameter_distinguisher(
             if t != 3:
                 raise ValueError("no default J available for t > 3; supply one")
             J = cycle(5)
-        if clique_number(J) >= t:
+        if cliques_of_size(J, t):
             raise ValueError("J must not contain K_t")
         if not _vertex_folkman_check(J, t):
             raise ValueError("J fails its vertex-coloring property")
         if GammaPrime is None:
             raise ValueError("the even-diameter construction needs GammaPrime")
-        if clique_number(GammaPrime) >= t:
+        if cliques_of_size(GammaPrime, t):
             raise ValueError("GammaPrime must not contain K_t")
         _, on_path = longest_path_neighbors(T)
         a = len(on_path) - 1

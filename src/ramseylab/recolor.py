@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrowing import coloring_is_free, ramsey_number
+from .arrowing import coloring_is_free
 from .errors import InvariantViolationError
 from .families import clique, clique_with_pendants, star
 from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, edge
-from .subgraph import clique_number, cliques_of_size, contains_copy, copies_as_edge_sets
+from .subgraph import cliques_of_size, contains_copy, copies_as_edge_sets
 
 # -- domain types -------------------------------------------------------------
 
@@ -286,12 +286,14 @@ def woven_recolor(
     f: Graph,
     phi1: EdgeColoring,
     G: Graph,
-    k: int,
     a: int,
     b: int,
     t: int,
 ) -> tuple[EdgeColoring, RecolorTrace]:
     """Turn a (G, K_t.aK_b)-free coloring into a (G, K_t)-free one.
+
+    G must be a star or a suitable caterpillar.  Its shape fixes the woven
+    bound k, and Chvatal's theorem gives r = R(G, K_{b-1}) = (b-2)(|G|-1)+1.
 
     Follows the proof pipeline: collect the saturated vertices U_K of every
     blue K_t (those with a large blue complete neighborhood outside K), pick a
@@ -305,7 +307,8 @@ def woven_recolor(
         raise ValueError("need a >= 1 and b >= 2")
     if phi1.host != f:
         raise ValueError("coloring does not belong to f")
-    r = 1 if b == 2 else ramsey_number(G, clique(b - 1), cap=(G.n - 1) * (b - 2) + 1)
+    _, _, k = _classify_woven_tree(G)
+    r = (b - 2) * (G.n - 1) + 1
     threshold = 4 * k + 2 * (r + (a - 1) * (b - 1)) + (a - 1)
     if t < threshold:
         raise ValueError(f"t={t} is below the pipeline threshold {threshold}")
@@ -322,7 +325,7 @@ def woven_recolor(
         out = []
         for uu in members:
             candidates = [w for w in blue_graph.neighbors(uu) if w not in inside]
-            if len(candidates) >= rho and clique_number(f.induced(candidates)) >= rho:
+            if len(candidates) >= rho and cliques_of_size(f.induced(candidates), rho):
                 out.append(uu)
         return frozenset(out)
 

@@ -3,10 +3,14 @@
 Containment is non-induced throughout: a copy of the pattern may sit inside a
 denser host region.  Red- or blue-restricted copies are found by searching the
 color's spanning subgraph (`EdgeColoring.monochromatic_subgraph`).
+
+`cliques_of_size` is the package's one clique search: the clique number, the
+"contains K_k" checks and the copies of a complete pattern all go through it.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 from .errors import RamseyLabError
@@ -105,6 +109,12 @@ def contains_copy(
 
 def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[frozenset[Edge]]:
     """All distinct edge sets realized by copies of `pattern` in `host`, sorted."""
+    n = pattern.n
+    if 2 * pattern.m == n * (n - 1):
+        # A complete pattern has n! embeddings per copy, so list each clique
+        # once instead.  The set keeps one empty edge set for K1.
+        seen = {frozenset(itertools.combinations(c, 2)) for c in cliques_of_size(host, n)}
+        return sorted(seen, key=sorted)
     seen = {emb.edge_image() for emb in embeddings(host, pattern)}
     return sorted(seen, key=sorted)
 
@@ -137,37 +147,9 @@ def cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
 def clique_number(g: Graph) -> int:
     """Exact maximum clique size; 0 for the empty graph.
 
-    Branch and bound with a greedy-coloring upper bound on the candidate set.
+    The largest k for which `cliques_of_size(g, k)` is non-empty.
     """
-    if g.n == 0:
-        return 0
-    best = 1
-
-    def color_bound(cand: int) -> int:
-        # Greedy coloring of the candidate set: the class count bounds the
-        # largest clique inside it.
-        classes: list[int] = []
-        for v in bits(cand):
-            for i, cls in enumerate(classes):
-                if not (cls & g.adj[v]):
-                    classes[i] |= 1 << v
-                    break
-            else:
-                classes.append(1 << v)
-        return len(classes)
-
-    def expand(cand: int, size: int):
-        nonlocal best
-        if not cand:
-            best = max(best, size)
-            return
-        if size + color_bound(cand) <= best:
-            return
-        for v in sorted(bits(cand), key=lambda u: g.adj[u].bit_count(), reverse=True):
-            if size + cand.bit_count() <= best:
-                return
-            cand &= ~(1 << v)
-            expand(cand & g.adj[v], size + 1)
-
-    expand((1 << g.n) - 1, 0)
-    return best
+    k = 0
+    while cliques_of_size(g, k + 1):
+        k += 1
+    return k

@@ -11,12 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import RamseyLabError
 from .graphs import Embedding, Graph
-
-
-class NotATreeError(RamseyLabError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -30,7 +25,7 @@ class TreeProfile:
 
 def _require_tree(t: Graph) -> None:
     if not t.is_tree():
-        raise NotATreeError(f"expected a tree, got n={t.n}, m={t.m}, connected={t.is_connected()}")
+        raise ValueError(f"expected a tree, got n={t.n}, m={t.m}, connected={t.is_connected()}")
 
 
 def _bfs_dist(g: Graph, src: int) -> list[int]:

@@ -263,8 +263,9 @@ def test_equivalence_scan_no_distinguisher():
 
 
 def test_equivalence_scan_bound():
-    with pytest.raises(ValueError):
-        equivalence_scan(K3, K3, K3, K3, max_vertices=9)
+    for max_vertices in (0, 9):
+        with pytest.raises(ValueError):
+            equivalence_scan(K3, K3, K3, K3, max_vertices=max_vertices)
 
 
 def test_star_pair_ramsey_numbers_match_closed_form():

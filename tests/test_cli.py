@@ -180,7 +180,7 @@ def test_recolor_woven_cli(files, capsys):
         capsys,
         [
             "recolor", "woven", f, str(cpath), "--g", g,
-            "--k", "1", "--a", "1", "--b", "2", "--t", "6",
+            "--a", "1", "--b", "2", "--t", "6",
         ],
     )
     assert code == EXIT_OK
@@ -250,8 +250,12 @@ def test_exit_codes(files, capsys):
     assert main(["recolor", "walk", k3, str(huge), "--s", "2", "--t", "3"]) == EXIT_MISMATCH
     # each recolor mode takes only its own options, and all of them
     assert main(["recolor", "walk", k3, str(cpath), "--t", "3"]) == EXIT_USAGE
-    woven = ["recolor", "woven", k3, str(cpath), "--g", k3, "--k", "1", "--a", "1", "--b", "2", "--t", "3"]
+    woven = ["recolor", "woven", k3, str(cpath), "--g", k3, "--a", "1", "--b", "2", "--t", "3"]
     assert main(woven + ["--s", "2"]) == EXIT_USAGE
+    # a non-tree T and a scan over no hosts are usage errors
+    assert main(["construct", "distinguisher", "--T", c5, "--t", "3"]) == EXIT_USAGE
+    scan = ["equiv-scan", "--g1", k3, "--h1", k3, "--g2", k3, "--h2", k3]
+    assert main(scan + ["--max-vertices", "0"]) == EXIT_USAGE
     # malformed coloring lines: a non-integer vertex, a loop
     for line in ("x 2 B", "0 0 B"):
         cpath.write_text(f"3 3\n{line}\n0 2 B\n1 2 B\n")

@@ -203,7 +203,7 @@ def test_woven_recolor_k6_instance():
     base = list(itertools.combinations(range(6), 2))
     f = Graph(10, base + [(6, 7), (8, 9)])
     phi1 = EdgeColoring(f, red=[(6, 7), (8, 9)], blue=base)
-    phi3, trace = woven_recolor(f, phi1, star(2), k=1, a=1, b=2, t=6)
+    phi3, trace = woven_recolor(f, phi1, star(2), a=1, b=2, t=6)
     assert len(trace.family_B) == 1
     assert trace.U_K_sets == (frozenset(),)
     assert len(trace.matching_M) == 3
@@ -215,17 +215,19 @@ def test_woven_recolor_noop_and_threshold():
     base = list(itertools.combinations(range(6), 2))
     f = Graph(10, base + [(6, 7), (8, 9)])
     phi_nb = EdgeColoring(f, red=[base[0], (6, 7), (8, 9)], blue=base[1:])
-    phi3, trace = woven_recolor(f, phi_nb, star(2), k=1, a=1, b=2, t=6)
+    phi3, trace = woven_recolor(f, phi_nb, star(2), a=1, b=2, t=6)
     assert phi3 == phi_nb and trace.family_B == ()
     with pytest.raises(ValueError, match="threshold"):
-        woven_recolor(f, phi_nb, star(2), k=1, a=1, b=2, t=5)
+        woven_recolor(f, phi_nb, star(2), a=1, b=2, t=5)
+    # G must be woven; P6 is neither a star nor a suitable caterpillar.
+    with pytest.raises(ValueError, match="neither a star"):
+        woven_recolor(f, phi_nb, path(6), a=1, b=2, t=6)
     pendant_host = Graph(7, list(itertools.combinations(range(6), 2)) + [(0, 6)])
     with pytest.raises(ValueError, match="not free"):
         woven_recolor(
             pendant_host,
             EdgeColoring.monochromatic(pendant_host, BLUE),
             star(2),
-            k=1,
             a=1,
             b=2,
             t=6,
@@ -242,7 +244,7 @@ def test_woven_recolor_with_saturated_vertices():
     spokes = [(0, w) for w in range(t, t + 5)]
     f = Graph(t + 5, base + outside + spokes)
     phi1 = EdgeColoring(f, red=[], blue=base + outside + spokes)
-    phi3, trace = woven_recolor(f, phi1, star(2), k=1, a=2, b=3, t=t)
+    phi3, trace = woven_recolor(f, phi1, star(2), a=2, b=3, t=t)
     assert trace.U_K_sets == (frozenset({0}),)
     assert all(0 not in e for e in trace.matching_M)
     assert len(trace.matching_M) == 7
@@ -257,7 +259,7 @@ def test_woven_recolor_y_flips_needed():
     pend = [(0, 6), (2, 7), (4, 8)]
     f = Graph(9, base + pend)
     phi1 = EdgeColoring(f, red=pend, blue=base)
-    phi3, trace = woven_recolor(f, phi1, star(2), k=1, a=1, b=2, t=6)
+    phi3, trace = woven_recolor(f, phi1, star(2), a=1, b=2, t=6)
     assert any(trace.Y_sets)
     assert coloring_is_free(f, phi3, star(2), clique(6))
 
@@ -293,7 +295,7 @@ def test_woven_recolor_intersecting_family():
     )
     f = Graph(2 * t - 1, edges)
     phi1 = EdgeColoring(f, red=[], blue=edges)
-    phi3, trace = woven_recolor(f, phi1, star(2), k=1, a=2, b=3, t=t)
+    phi3, trace = woven_recolor(f, phi1, star(2), a=2, b=3, t=t)
     assert len(trace.family_B) == 2
     shared = t - 1
     assert all(shared in uk for uk in trace.U_K_sets)

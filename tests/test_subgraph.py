@@ -94,6 +94,25 @@ def test_embeddings_enumeration_counts():
     assert len(copies_as_edge_sets(clique(5), path(3))) == 30
 
 
+def test_clique_copies_match_embedding_images():
+    # A complete pattern's copies come from the clique search; they must be
+    # the distinct edge images of its embeddings, in the same order.
+    rng = random.Random(61)
+    for _ in range(60):
+        host = random_graph(rng, n_range=(1, 12), max_edges=40)
+        for k in range(7):
+            pattern = clique(k) if k else Graph(0)
+            images = {emb.edge_image() for emb in embeddings(host, pattern)}
+            assert copies_as_edge_sets(host, pattern) == sorted(images, key=sorted)
+    # In K_n every k-subset is a copy; checking that is cheaper than listing
+    # the n!/(n-k)! embeddings (665,280 for K6 in K12).
+    for n in range(1, 13):
+        for k in range(7):
+            pattern = clique(k) if k else Graph(0)
+            subsets = {frozenset(itertools.combinations(c, 2)) for c in itertools.combinations(range(n), k)}
+            assert copies_as_edge_sets(clique(n), pattern) == sorted(subsets, key=sorted)
+
+
 def test_clique_number_examples_and_oracle():
     assert clique_number(clique(5)) == 5
     assert clique_number(cycle(5)) == 2

@@ -6,7 +6,6 @@ from ramseylab.enumeration import trees_up_to_vertices
 from ramseylab.families import clique, cycle, path, star, suitable_caterpillar
 from ramseylab.graphs import Graph
 from ramseylab.trees import (
-    NotATreeError,
     greedy_min_degree_embed,
     longest_path_neighbors,
     tree_classify,
@@ -69,11 +68,11 @@ def test_suitable_caterpillars_are_classified():
 
 
 def test_non_tree_rejected():
-    with pytest.raises(NotATreeError):
+    with pytest.raises(ValueError):
         tree_classify(cycle(4))
-    with pytest.raises(NotATreeError):
+    with pytest.raises(ValueError):
         tree_classify(Graph(2))
-    with pytest.raises(NotATreeError):
+    with pytest.raises(ValueError):
         greedy_min_degree_embed(clique(4), cycle(3))
 
 

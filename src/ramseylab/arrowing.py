@@ -25,7 +25,6 @@ from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, edge
 from .subgraph import GraphTooLargeError, clique_number, contains_copy, copies_as_edge_sets
 from .enumeration import are_isomorphic, graphs_up_to_vertices
 from .families import clique
-from .formats import graph_to_graph6
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -205,11 +204,14 @@ def arrows(
 
     With `pinned`, only colorings extending the given edge->color assignment
     are considered: arrows=True then means every such extension is
-    monochromatic.  Raises ValueError when a pinned pair is not an edge of f,
-    its color is neither RED nor BLUE, or an edge is pinned to both colors
-    (as (u, v) and (v, u)).  Raises BudgetExhaustedError (indeterminate)
-    instead of ever returning a wrong verdict.
+    monochromatic.  Raises ValueError when the budget is negative, a pinned
+    pair is not an edge of f, its color is neither RED nor BLUE, or an edge is
+    pinned to both colors (as (u, v) and (v, u)).  A budget of 0 allows
+    propagation only.  Raises BudgetExhaustedError (indeterminate) instead of
+    ever returning a wrong verdict.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     pins: dict[Edge, int] = {}
     if pinned:
         edges = f.edge_set()
@@ -408,9 +410,7 @@ def equivalence_scan(
             ),
         )
     result = ScanResult("no-distinguisher-found")
-    for host in sorted(
-        graphs_up_to_vertices(max_vertices), key=lambda x: (x.n, x.m, graph_to_graph6(x))
-    ):
+    for host in graphs_up_to_vertices(max_vertices):
         try:
             v1 = arrows(host, g1, h1, budget)
             v2 = arrows(host, g2, h2, budget)

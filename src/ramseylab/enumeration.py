@@ -57,20 +57,23 @@ class IsoClassStore:
         """Insert g; returns True when its class was not present yet."""
         key = invariant_key(g)
         bucket = self._buckets.setdefault(key, [])
+        # The representative is the pattern, so its cached search plan is reused.
         for rep in bucket:
-            if contains_copy(rep, g) is not None:
+            if contains_copy(g, rep) is not None:
                 return False
         bucket.append(g)
         return True
 
 
-def _levels(n: int, children: Callable[[Graph], Iterable[Graph]]) -> Iterator[list[Graph]]:
-    """Yield the isomorph-free level on each of 1..n vertices, unsorted.
+def _levels(
+    n: int, children: Callable[[Graph], Iterable[Graph]], first: Graph = Graph(1)
+) -> Iterator[list[Graph]]:
+    """Yield the isomorph-free levels 1..n, unsorted; level 1 is `first` alone.
 
     Level k+1 keeps the first of each class among the children of level k, so
     one augmentation pass serves every size and a level never depends on n.
     """
-    level = [Graph(1)]
+    level = [first]
     for size in range(1, n + 1):
         if size > 1:
             store = IsoClassStore()
@@ -81,6 +84,19 @@ def _levels(n: int, children: Callable[[Graph], Iterable[Graph]]) -> Iterator[li
 def _new_vertex_children(g: Graph) -> Iterator[Graph]:
     for nbrs in range(1 << g.n):
         yield Graph(g.n + 1, list(g.edges) + [(w, g.n) for w in range(g.n) if nbrs >> w & 1])
+
+
+_K2 = Graph(2, [(0, 1)])
+
+
+def _edge_children(g: Graph) -> Iterator[Graph]:
+    """A new edge: between two non-adjacent vertices, to a new pendant vertex, or isolated."""
+    for u, v in itertools.combinations(range(g.n), 2):
+        if not g.has_edge(u, v):
+            yield g.with_edges([(u, v)])
+    for u in range(g.n):
+        yield Graph(g.n + 1, list(g.edges) + [(u, g.n)])
+    yield g.disjoint_union(_K2)
 
 
 def _graph_order(g: Graph):
@@ -103,28 +119,8 @@ def graphs_by_edge_count(max_edges: int) -> dict[int, list[Graph]]:
     """Graphs with 1..max_edges edges and no isolated vertices, up to iso."""
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
-    k2 = Graph(2, [(0, 1)])
-    levels: dict[int, list[Graph]] = {1: [k2]}
-    for m in range(2, max_edges + 1):
-        store = IsoClassStore()
-        nxt = []
-
-        def offer(candidate: Graph):
-            if store.add(candidate):
-                nxt.append(candidate)
-
-        for g in levels[m - 1]:
-            # New edge between existing non-adjacent vertices.
-            for u, v in itertools.combinations(range(g.n), 2):
-                if not g.has_edge(u, v):
-                    offer(g.with_edges([(u, v)]))
-            # New pendant vertex.
-            for u in range(g.n):
-                offer(Graph(g.n + 1, list(g.edges) + [(u, g.n)]))
-            # New isolated edge.
-            offer(g.disjoint_union(k2))
-        levels[m] = sorted(nxt, key=lambda g: (g.n, g.edges))
-    return levels
+    levels = _levels(max_edges, _edge_children, _K2)
+    return {m: sorted(level, key=lambda g: (g.n, g.edges)) for m, level in enumerate(levels, 1)}
 
 
 def _leaf_children(t: Graph) -> Iterator[Graph]:

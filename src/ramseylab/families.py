@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import SearchExhaustedError
 from .factors import BelckCertificate
-from .graphs import Edge, EdgeColoring, Graph
+from .graphs import Edge, EdgeColoring, Graph, edge
 from .subgraph import cliques_of_size
 from .trees import longest_path_neighbors, tree_classify
 
@@ -41,8 +41,7 @@ class DeterminerGadget:
     beta: Edge
 
     def __post_init__(self):
-        u, v = self.beta
-        if not self.graph.has_edge(u, v):
+        if edge(*self.beta) not in self.graph.edge_set():
             raise ValueError(f"beta {self.beta} is not an edge of the determiner")
 
 
@@ -299,7 +298,7 @@ def diameter_distinguisher(
         if t != 3:
             raise ValueError("no default Gamma available for t > 3; supply one")
         Gamma = T  # triangle-free, and arrows (T, K_2): color anything.
-    if cliques_of_size(Gamma, t):
+    if next(cliques_of_size(Gamma, t), None) is not None:
         raise ValueError("Gamma must not contain K_t")
 
     hub = clique(t)
@@ -330,13 +329,13 @@ def diameter_distinguisher(
             if t != 3:
                 raise ValueError("no default J available for t > 3; supply one")
             J = cycle(5)
-        if cliques_of_size(J, t):
+        if next(cliques_of_size(J, t), None) is not None:
             raise ValueError("J must not contain K_t")
         if not _vertex_folkman_check(J, t):
             raise ValueError("J fails its vertex-coloring property")
         if GammaPrime is None:
             raise ValueError("the even-diameter construction needs GammaPrime")
-        if cliques_of_size(GammaPrime, t):
+        if next(cliques_of_size(GammaPrime, t), None) is not None:
             raise ValueError("GammaPrime must not contain K_t")
         _, on_path = longest_path_neighbors(T)
         a = len(on_path) - 1

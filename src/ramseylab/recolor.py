@@ -78,7 +78,7 @@ class RecolorTrace:
 
 
 def _blue_cliques(c: EdgeColoring, t: int) -> list[tuple[int, ...]]:
-    return cliques_of_size(c.monochromatic_subgraph(BLUE), t)
+    return list(cliques_of_size(c.monochromatic_subgraph(BLUE), t))
 
 
 def _has_red_star(c: EdgeColoring, s: int) -> bool:
@@ -318,14 +318,16 @@ def woven_recolor(
 
     rho = r + (a - 1) * (b - 1)
     blue_graph = phi1.monochromatic_subgraph(BLUE)
-    blue_cliques = cliques_of_size(blue_graph, t)
+    blue_cliques = list(cliques_of_size(blue_graph, t))
 
     def saturated(members: tuple[int, ...]) -> frozenset[int]:
         inside = set(members)
         out = []
         for uu in members:
             candidates = [w for w in blue_graph.neighbors(uu) if w not in inside]
-            if len(candidates) >= rho and cliques_of_size(f.induced(candidates), rho):
+            if len(candidates) >= rho and (
+                next(cliques_of_size(f.induced(candidates), rho), None) is not None
+            ):
                 out.append(uu)
         return frozenset(out)
 
@@ -385,9 +387,9 @@ def woven_recolor(
         raise InvariantViolationError(
             f"red copy of G survived the pipeline: {sorted(offending.edge_image())}"
         )
-    blue_after = cliques_of_size(phi3.monochromatic_subgraph(BLUE), t)
-    if blue_after:
-        raise InvariantViolationError(f"blue clique survived the pipeline: {blue_after[0]}")
+    blue_after = next(cliques_of_size(phi3.monochromatic_subgraph(BLUE), t), None)
+    if blue_after is not None:
+        raise InvariantViolationError(f"blue clique survived the pipeline: {blue_after}")
 
     trace = RecolorTrace(
         U_K_sets=tuple(u_k[members] for members in family),

@@ -4,12 +4,20 @@ Containment is non-induced throughout: a copy of the pattern may sit inside a
 denser host region.  Red- or blue-restricted copies are found by searching the
 color's spanning subgraph (`EdgeColoring.monochromatic_subgraph`).
 
+Every embedding search walks a plan compiled once per pattern value: the
+order in which pattern vertices are placed, with each vertex's degree and its
+already-placed neighbours.  `contains_copy`, `copies_as_edge_sets`, the
+freeness checks and the isomorphism store all share these cached plans.  The
+cache is bounded because the isomorph-free enumeration searches with every
+representative it keeps as the pattern, so it compiles a plan for each of them.
+
 `cliques_of_size` is the package's one clique search: the clique number, the
 "contains K_k" checks and the copies of a complete pattern all go through it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -21,23 +29,31 @@ class GraphTooLargeError(RamseyLabError):
     """Raised when an exact solver is asked for an instance beyond its cap."""
 
 
-def _search_order(pattern: Graph, pinned: tuple[int, ...]) -> list[int]:
-    """Connected ordering, highest degree first, pinned vertices up front."""
-    order = list(pinned)
-    placed = set(order)
-    while len(order) < pattern.n:
-        best = None
-        best_key = None
-        for v in range(pattern.n):
-            if v in placed:
-                continue
-            anchored = sum(1 for w in pattern.neighbors(v) if w in placed)
-            key = (anchored, pattern.degree(v), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed.add(best)
-    return order
+# One step of an embedding search: (vertex, degree, earlier neighbours).
+_Step = tuple[int, int, tuple[int, ...]]
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(pattern: Graph, pinned: tuple[int, ...]) -> tuple[_Step, ...]:
+    """The embedding search steps for `pattern`, one per vertex.
+
+    Pinned vertices come first, in the given order.  Each later step places the
+    unplaced vertex with the most placed neighbours, then the highest degree,
+    then the lowest label, so the order stays connected where it can.
+    """
+    steps: list[_Step] = []
+    placed = 0
+    while len(steps) < pattern.n:
+        if len(steps) < len(pinned):
+            v = pinned[len(steps)]
+        else:
+            v = max(
+                (v for v in range(pattern.n) if not placed >> v & 1),
+                key=lambda v: ((pattern.adj[v] & placed).bit_count(), pattern.degree(v), -v),
+            )
+        steps.append((v, pattern.degree(v), tuple(bits(pattern.adj[v] & placed))))
+        placed |= 1 << v
+    return tuple(steps)
 
 
 def embeddings(
@@ -50,51 +66,34 @@ def embeddings(
     """
     if pattern.n > host.n:
         return
-    adj = host.adj
-    host_deg = [a.bit_count() for a in adj]
     pins = pins or {}
     for p, h in pins.items():
         if not (0 <= p < pattern.n and 0 <= h < host.n):
             raise ValueError(f"pin {p}->{h} out of range")
     if len(set(pins.values())) != len(pins):
         return
-    order = _search_order(pattern, tuple(pins))
-    position = {v: i for i, v in enumerate(order)}
-    # Pattern neighbors already placed when each vertex comes up in the order.
-    back_edges = [
-        [w for w in pattern.neighbors(v) if position[w] < position[v]] for v in order
-    ]
+    plan = _plan(pattern, tuple(pins))
+    # The first len(pins) steps place the pinned vertices, each on its one target.
+    allowed = [1 << h for h in pins.values()] + [(1 << host.n) - 1] * (pattern.n - len(pins))
+    adj = host.adj
+    host_deg = [a.bit_count() for a in adj]
     image = [-1] * pattern.n
-    used = 0
-    full_mask = (1 << host.n) - 1
 
-    def candidates(idx: int) -> int:
-        v = order[idx]
-        cand = full_mask
-        for w in back_edges[idx]:
-            cand &= adj[image[w]]
-        cand &= ~used
-        if idx < len(pins):
-            cand &= 1 << pins[v]
-        return cand
-
-    def extend(idx: int) -> Iterator[Embedding]:
-        nonlocal used
+    def extend(idx: int, used: int) -> Iterator[Embedding]:
         if idx == pattern.n:
             yield Embedding(pattern, host, tuple(image))
             return
-        v = order[idx]
-        need = pattern.degree(v)
-        for h in bits(candidates(idx)):
+        v, need, back = plan[idx]
+        cand = allowed[idx] & ~used
+        for w in back:
+            cand &= adj[image[w]]
+        for h in bits(cand):
             if host_deg[h] < need:
                 continue
             image[v] = h
-            used |= 1 << h
-            yield from extend(idx + 1)
-            used &= ~(1 << h)
-            image[v] = -1
+            yield from extend(idx + 1, used | 1 << h)
 
-    yield from extend(0)
+    yield from extend(0, 0)
 
 
 def contains_copy(
@@ -119,37 +118,36 @@ def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[frozenset[Edge]]:
     return sorted(seen, key=sorted)
 
 
-def cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
-    """All k-cliques of g as sorted vertex tuples, in lexicographic order."""
+def cliques_of_size(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """The k-cliques of g as sorted vertex tuples, in lexicographic order.
+
+    The search is lazy, so an existence question stops at the first clique.
+    """
     if k < 0:
         raise ValueError("clique size must be nonnegative")
-    if k == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
     clique: list[int] = []
 
-    def grow(cand: int):
+    def grow(cand: int) -> Iterator[tuple[int, ...]]:
         if len(clique) == k:
-            out.append(tuple(clique))
+            yield tuple(clique)
             return
         # Not enough candidates left to finish the clique.
         if len(clique) + cand.bit_count() < k:
             return
         for v in bits(cand):
             clique.append(v)
-            grow(cand & g.adj[v] & ~((1 << (v + 1)) - 1))
+            yield from grow(cand & g.adj[v] & ~((1 << (v + 1)) - 1))
             clique.pop()
 
-    grow((1 << g.n) - 1)
-    return out
+    return grow((1 << g.n) - 1)
 
 
 def clique_number(g: Graph) -> int:
     """Exact maximum clique size; 0 for the empty graph.
 
-    The largest k for which `cliques_of_size(g, k)` is non-empty.
+    The largest k for which `cliques_of_size(g, k)` yields a clique.
     """
     k = 0
-    while cliques_of_size(g, k + 1):
+    while next(cliques_of_size(g, k + 1), None) is not None:
         k += 1
     return k

@@ -123,6 +123,18 @@ def test_budget_exhaustion_is_loud():
         arrows(clique(6), K3, K3, budget=3)
 
 
+def test_budget_is_nonnegative():
+    with pytest.raises(ValueError):
+        arrows(clique(3), path(2), path(2), budget=-1)
+    with pytest.raises(ValueError):
+        ramsey_number(path(3), K3, cap=5, budget=-3)
+    # Budget 0 allows propagation only: single-edge copies decide K3 at once.
+    verdict = arrows(clique(3), path(2), path(2), budget=0)
+    assert verdict.arrows and verdict.nodes_explored == 0
+    with pytest.raises(BudgetExhaustedError):
+        arrows(clique(6), K3, K3, budget=0)
+
+
 def test_pinned_search():
     # K_4 with one edge pinned red: still has free colorings for (P_3, K_3).
     assert not arrows(clique(4), path(3), K3, pinned={(0, 1): RED}).arrows

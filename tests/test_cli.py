@@ -256,6 +256,13 @@ def test_exit_codes(files, capsys):
     assert main(["construct", "distinguisher", "--T", c5, "--t", "3"]) == EXIT_USAGE
     scan = ["equiv-scan", "--g1", k3, "--h1", k3, "--g2", k3, "--h2", k3]
     assert main(scan + ["--max-vertices", "0"]) == EXIT_USAGE
+    # beta must be an edge of the determiner; a budget must be nonnegative
+    p3 = write("p3.g6", path(3))
+    k4 = write("k4.g6", clique(4))
+    chain = ["construct", "determiner-chain", "--T", p3, "--determiner", k4]
+    assert main(chain + ["--beta=-1,0"]) == EXIT_USAGE
+    assert main(chain + ["--beta", "5,6"]) == EXIT_USAGE
+    assert main(["arrows", "--g", k3, "--h", k3, "--f", k3, "--budget", "-1"]) == EXIT_USAGE
     # malformed coloring lines: a non-integer vertex, a loop
     for line in ("x 2 B", "0 0 B"):
         cpath.write_text(f"3 3\n{line}\n0 2 B\n1 2 B\n")

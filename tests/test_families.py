@@ -282,6 +282,11 @@ def test_determiner_chain_counts_and_coverage():
         determiner_chain(cycle(3), d4)
     with pytest.raises(ValueError):
         DeterminerGadget(clique(4), (0, 5))
+    # beta must be an edge of the graph, not an index into its adjacency
+    for beta in ((-1, 0), (5, 6), (2, 2)):
+        with pytest.raises(ValueError):
+            DeterminerGadget(clique(4), beta)
+    assert DeterminerGadget(clique(4), (1, 0)).beta == (1, 0)
 
 
 def test_counts_match_closed_forms():

@@ -19,7 +19,7 @@ from conftest import random_graph
 
 
 def blue_triangles(f, c):
-    return cliques_of_size(c.monochromatic_subgraph(BLUE), 3)
+    return list(cliques_of_size(c.monochromatic_subgraph(BLUE), 3))
 
 
 def test_walk_spec_example_triangle_pendant():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,54 @@ def test_monotonicity_under_host_growth():
         assert contains_copy(bigger, pattern) is not None
 
 
+HOST6 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)])
+CATERPILLAR = Graph(6, [(0, 1), (1, 2), (0, 3), (1, 4), (2, 5)])  # spine 0-1-2, one leaf each
+
+# (host, pattern, pins) -> every embedding's map, in the order the search
+# yields them.  Copy lists, witnesses and node counts all follow this order.
+PINNED_ORDERS = [
+    (cycle(6), path(4), None, [
+        (5, 0, 1, 2), (1, 0, 5, 4), (2, 1, 0, 5), (0, 1, 2, 3), (3, 2, 1, 0), (1, 2, 3, 4),
+        (4, 3, 2, 1), (2, 3, 4, 5), (5, 4, 3, 2), (3, 4, 5, 0), (4, 5, 0, 1), (0, 5, 4, 3),
+    ]),
+    (HOST6, star(3), None, [
+        (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1),
+        (1, 0, 2, 4), (1, 0, 4, 2), (1, 2, 0, 4), (1, 2, 4, 0), (1, 4, 0, 2), (1, 4, 2, 0),
+        (2, 0, 1, 5), (2, 0, 5, 1), (2, 1, 0, 5), (2, 1, 5, 0), (2, 5, 0, 1), (2, 5, 1, 0),
+        (4, 1, 3, 5), (4, 1, 5, 3), (4, 3, 1, 5), (4, 3, 5, 1), (4, 5, 1, 3), (4, 5, 3, 1),
+    ]),
+    (HOST6, clique_with_pendants(3, 1, 2), None, [
+        (0, 1, 2, 3), (0, 2, 1, 3), (1, 0, 2, 4), (1, 2, 0, 4), (2, 0, 1, 5), (2, 1, 0, 5),
+    ]),
+    (cycle(5), Graph(4, [(1, 2), (2, 3)]), None, [  # vertex 0 is isolated
+        (2, 1, 0, 4), (3, 1, 0, 4), (2, 4, 0, 1), (3, 4, 0, 1), (3, 0, 1, 2), (4, 0, 1, 2),
+        (3, 2, 1, 0), (4, 2, 1, 0), (0, 1, 2, 3), (4, 1, 2, 3), (0, 3, 2, 1), (4, 3, 2, 1),
+        (0, 2, 3, 4), (1, 2, 3, 4), (0, 4, 3, 2), (1, 4, 3, 2), (1, 0, 4, 3), (2, 0, 4, 3),
+        (1, 3, 4, 0), (2, 3, 4, 0),
+    ]),
+
+]
+# The caterpillar in the Petersen graph with leaf 3 pinned to vertex 0.
+CATERPILLAR_ORDER = [
+    (1, 2, 3, 0, 7, 4), (1, 2, 3, 0, 7, 8), (1, 2, 7, 0, 3, 5), (1, 2, 7, 0, 3, 9),
+    (1, 6, 8, 0, 9, 3), (1, 6, 8, 0, 9, 5), (1, 6, 9, 0, 8, 4), (1, 6, 9, 0, 8, 7),
+    (4, 3, 2, 0, 8, 1), (4, 3, 2, 0, 8, 7), (4, 3, 8, 0, 2, 5), (4, 3, 8, 0, 2, 6),
+    (4, 9, 6, 0, 7, 1), (4, 9, 6, 0, 7, 8), (4, 9, 7, 0, 6, 2), (4, 9, 7, 0, 6, 5),
+    (5, 7, 2, 0, 9, 1), (5, 7, 2, 0, 9, 3), (5, 7, 9, 0, 2, 4), (5, 7, 9, 0, 2, 6),
+    (5, 8, 3, 0, 6, 2), (5, 8, 3, 0, 6, 4), (5, 8, 6, 0, 3, 1), (5, 8, 6, 0, 3, 9),
+]
+
+
+def test_embedding_order_is_pinned(petersen):
+    cases = PINNED_ORDERS + [(petersen, CATERPILLAR, {3: 0}, CATERPILLAR_ORDER)]
+    for host, pattern, pins, maps in cases:
+        assert [e.map for e in embeddings(host, pattern, pins)] == maps
+        # A distinct but equal pattern value walks the same search.
+        rebuilt = Graph(pattern.n, list(pattern.edges))
+        assert rebuilt is not pattern
+        assert [e.map for e in embeddings(host, rebuilt, pins)] == maps
+
+
 def test_embeddings_enumeration_counts():
     # labeled triangles in K_4: 4 triangles, 6 automorphic images each
     assert sum(1 for _ in embeddings(clique(4), clique(3))) == 24
@@ -119,6 +168,10 @@ def test_clique_number_examples_and_oracle():
     assert clique_number(clique_with_pendants(6, 2, 3)) == 6
     assert clique_number(Graph(0)) == 0
     assert clique_number(Graph(3)) == 1
+    # Existence stops at the first clique, so a large clique is quick.
+    start = time.perf_counter()
+    assert clique_number(clique(24)) == 24
+    assert time.perf_counter() - start < 2.0
     rng = random.Random(7)
     for _ in range(150):
         g = random_graph(rng, n_range=(1, 12), max_edges=30)
@@ -126,7 +179,7 @@ def test_clique_number_examples_and_oracle():
 
 
 def test_cliques_of_size():
-    assert len(cliques_of_size(clique(5), 3)) == 10
-    assert cliques_of_size(cycle(5), 3) == []
-    assert cliques_of_size(clique(3), 0) == [()]
-    assert cliques_of_size(Graph(4), 1) == [(0,), (1,), (2,), (3,)]
+    assert len(list(cliques_of_size(clique(5), 3))) == 10
+    assert list(cliques_of_size(cycle(5), 3)) == []
+    assert list(cliques_of_size(clique(3), 0)) == [()]
+    assert list(cliques_of_size(Graph(4), 1)) == [(0,), (1,), (2,), (3,)]

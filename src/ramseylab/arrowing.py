@@ -182,7 +182,13 @@ class _ArrowEngine:
                         return result
             return None
 
-        return search(0, *state), nodes
+        try:
+            return search(0, *state), nodes
+        finally:
+            # `search` reaches itself through its closure; breaking that cycle
+            # lets the clause lists it holds go with the engine, not at the
+            # next garbage collection.
+            del search
 
     def coloring_from_red(self, red: int) -> EdgeColoring:
         edges = self.f.edges

@@ -177,6 +177,20 @@ class Embedding:
             if not self.host.has_edge(self.map[u], self.map[v]):
                 raise ValueError(f"pattern edge ({u},{v}) not mapped onto a host edge")
 
+    @classmethod
+    def _trusted(cls, pattern: Graph, host: Graph, map: tuple[int, ...]) -> Embedding:
+        """An embedding whose map the caller's search has already checked.
+
+        Skips `__post_init__`, which would re-check every map the search yields.
+        """
+        emb = object.__new__(cls)
+        # Set the fields as the frozen dataclass's __init__ does; going through
+        # __dict__ would give every embedding its own dict.
+        object.__setattr__(emb, "pattern", pattern)
+        object.__setattr__(emb, "host", host)
+        object.__setattr__(emb, "map", map)
+        return emb
+
     def edge_image(self) -> frozenset[Edge]:
         return frozenset(edge(self.map[u], self.map[v]) for u, v in self.pattern.edges)
 

@@ -4,22 +4,26 @@ Containment is non-induced throughout: a copy of the pattern may sit inside a
 denser host region.  Red- or blue-restricted copies are found by searching the
 color's spanning subgraph (`EdgeColoring.monochromatic_subgraph`).
 
-Every embedding search walks a plan compiled once per pattern value: the
-order in which pattern vertices are placed, with each vertex's degree and its
-already-placed neighbours.  `contains_copy`, `copies_as_edge_sets`, the
-freeness checks and the isomorphism store all share these cached plans.  The
-cache is bounded because the isomorph-free enumeration searches with every
-representative it keeps as the pattern, so it compiles a plan for each of them.
+One walker, `_walk`, runs every search.  It follows a plan compiled once per
+pattern value: the order in which pattern vertices are placed, with each
+vertex's degree and its already-placed neighbours.  `embeddings` (and so
+`contains_copy`, the freeness checks and the isomorphism store) walks the
+plain plan and yields every map.  `copies_as_edge_sets` walks a plan that also
+carries the pattern's symmetry-breaking conditions, lower bounds on image
+labels that let through exactly one embedding of each copy, so it needs no
+dedupe.  The plan cache is bounded because the isomorph-free enumeration
+searches with every representative it keeps as the pattern.
 
-`cliques_of_size` is the package's one clique search: the clique number, the
-"contains K_k" checks and the copies of a complete pattern all go through it.
+`cliques_of_size` answers the clique questions: the clique number and the
+"contains K_k" checks.  Copies of a complete pattern take the walker like any
+other pattern; under its conditions it visits each clique once, in increasing
+order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import RamseyLabError
 from .graphs import Edge, Embedding, Graph, bits
@@ -29,31 +33,122 @@ class GraphTooLargeError(RamseyLabError):
     """Raised when an exact solver is asked for an instance beyond its cap."""
 
 
-# One step of an embedding search: (vertex, degree, earlier neighbours).
-_Step = tuple[int, int, tuple[int, ...]]
+class _Plan(NamedTuple):
+    """A compiled search: one entry per step in each field, in step order."""
+
+    verts: tuple[int, ...]  # the pattern vertex each step places
+    needs: tuple[int, ...]  # its degree, the least a host vertex needs
+    backs: tuple[tuple[int, ...], ...]  # its neighbours placed earlier
+    lows: tuple[tuple[int, ...], ...]  # earlier vertices whose images it must exceed
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(pattern: Graph, pinned: tuple[int, ...]) -> tuple[_Step, ...]:
-    """The embedding search steps for `pattern`, one per vertex.
+def _compile(
+    pattern: Graph, pinned: tuple[int, ...], breaks: tuple[tuple[int, int], ...]
+) -> _Plan:
+    """The search plan for `pattern`.
 
     Pinned vertices come first, in the given order.  Each later step places the
     unplaced vertex with the most placed neighbours, then the highest degree,
-    then the lowest label, so the order stays connected where it can.
+    then the lowest label, so the order stays connected where it can.  A
+    condition (a, b) of `breaks` asks for image[a] < image[b]; a must come
+    before b in the order, and the bound is checked at b's step.  A bound
+    that two others imply (a < c and c < b give a < b) is dropped.
     """
-    steps: list[_Step] = []
+    verts: list[int] = []
     placed = 0
-    while len(steps) < pattern.n:
-        if len(steps) < len(pinned):
-            v = pinned[len(steps)]
+    while len(verts) < pattern.n:
+        if len(verts) < len(pinned):
+            v = pinned[len(verts)]
         else:
             v = max(
                 (v for v in range(pattern.n) if not placed >> v & 1),
                 key=lambda v: ((pattern.adj[v] & placed).bit_count(), pattern.degree(v), -v),
             )
-        steps.append((v, pattern.degree(v), tuple(bits(pattern.adj[v] & placed))))
+        verts.append(v)
         placed |= 1 << v
-    return tuple(steps)
+    lows = []
+    for v in verts:
+        below = [a for a, b in breaks if b == v]
+        lows.append(tuple(a for a in below if not any((a, c) in breaks for c in below)))
+    return _Plan(
+        tuple(verts),
+        tuple(pattern.degree(v) for v in verts),
+        tuple(tuple(u for u in verts[:i] if pattern.has_edge(u, v)) for i, v in enumerate(verts)),
+        tuple(lows),
+    )
+
+
+_plan = functools.lru_cache(maxsize=256)(_compile)
+
+
+@functools.lru_cache(maxsize=256)
+def _orbit_breaks(pattern: Graph) -> tuple[tuple[int, int], ...]:
+    """Symmetry-breaking conditions (a, b), meaning image[a] < image[b].
+
+    Grochow & Kellis (RECOMB 2007): walk the vertices v in search order,
+    fixing each in turn; for every w in v's orbit under the automorphisms
+    that fix the earlier vertices, ask image[v] < image[w].  Exactly one
+    embedding of each copy meets all of them.  w is in that orbit iff a
+    self-embedding pins the earlier vertices and sends v to w, so the group
+    itself is never listed.  These pinned plans are compiled without the
+    cache: each is used once, and would push hot plans out.
+    """
+    order = _compile(pattern, (), ()).verts
+    breaks = []
+    for i, v in enumerate(order):
+        plan = _compile(pattern, (*order[:i], v), ())
+        for w in order[i + 1 :]:
+            if next(_walk(pattern, plan, (*order[:i], w)), None) is not None:
+                breaks.append((v, w))
+    return tuple(breaks)
+
+
+def _walk(host: Graph, plan: _Plan, targets: tuple[int, ...]) -> Iterator[list[int]]:
+    """Yield the image of every map of the plan's pattern into `host`.
+
+    The first len(targets) steps place pinned vertices, each on its target.
+    Maps come in search order: each step tries its candidates in increasing
+    label order.  The yielded list is indexed by pattern vertex and is
+    overwritten as the search goes on, so a caller copies what it keeps.
+    """
+    verts, needs, backs, lows = plan
+    n = len(verts)
+    image = [-1] * n
+    if n == 0:
+        yield image
+        return
+    adj = host.adj
+    degrees = [a.bit_count() for a in adj]
+    allowed = [1 << h for h in targets] + [(1 << host.n) - 1] * (n - len(targets))
+    saved = [0] * n
+    used = 0
+    i = 0
+    cand = allowed[0]
+    while True:
+        if cand:
+            low = cand & -cand
+            cand ^= low
+            h = low.bit_length() - 1
+            if degrees[h] < needs[i]:
+                continue
+            image[verts[i]] = h
+            if i + 1 == n:
+                yield image
+                continue
+            saved[i] = cand
+            used |= low
+            i += 1
+            cand = allowed[i] & ~used
+            for w in backs[i]:
+                cand &= adj[image[w]]
+            for a in lows[i]:
+                cand &= -(2 << image[a])  # labels above image[a]
+        else:
+            i -= 1
+            if i < 0:
+                return
+            used ^= 1 << image[verts[i]]
+            cand = saved[i]
 
 
 def embeddings(
@@ -72,28 +167,8 @@ def embeddings(
             raise ValueError(f"pin {p}->{h} out of range")
     if len(set(pins.values())) != len(pins):
         return
-    plan = _plan(pattern, tuple(pins))
-    # The first len(pins) steps place the pinned vertices, each on its one target.
-    allowed = [1 << h for h in pins.values()] + [(1 << host.n) - 1] * (pattern.n - len(pins))
-    adj = host.adj
-    host_deg = [a.bit_count() for a in adj]
-    image = [-1] * pattern.n
-
-    def extend(idx: int, used: int) -> Iterator[Embedding]:
-        if idx == pattern.n:
-            yield Embedding(pattern, host, tuple(image))
-            return
-        v, need, back = plan[idx]
-        cand = allowed[idx] & ~used
-        for w in back:
-            cand &= adj[image[w]]
-        for h in bits(cand):
-            if host_deg[h] < need:
-                continue
-            image[v] = h
-            yield from extend(idx + 1, used | 1 << h)
-
-    yield from extend(0, 0)
+    for image in _walk(host, _plan(pattern, tuple(pins), ()), tuple(pins.values())):
+        yield Embedding._trusted(pattern, host, tuple(image))
 
 
 def contains_copy(
@@ -107,15 +182,23 @@ def contains_copy(
 
 
 def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[frozenset[Edge]]:
-    """All distinct edge sets realized by copies of `pattern` in `host`, sorted."""
-    n = pattern.n
-    if 2 * pattern.m == n * (n - 1):
-        # A complete pattern has n! embeddings per copy, so list each clique
-        # once instead.  The set keeps one empty edge set for K1.
-        seen = {frozenset(itertools.combinations(c, 2)) for c in cliques_of_size(host, n)}
-        return sorted(seen, key=sorted)
-    seen = {emb.edge_image() for emb in embeddings(host, pattern)}
-    return sorted(seen, key=sorted)
+    """All distinct edge sets realized by copies of `pattern` in `host`, sorted.
+
+    Isolated pattern vertices only need room in the host, so the rest of the
+    pattern is searched under its symmetry-breaking conditions, which reach
+    each copy exactly once.
+    """
+    if pattern.n > host.n:
+        return []
+    if not all(pattern.adj):
+        pattern = pattern.induced(v for v in range(pattern.n) if pattern.adj[v])
+    edges = pattern.edges
+    copies = [
+        frozenset([(image[u], image[v]) if image[u] < image[v] else (image[v], image[u]) for u, v in edges])
+        for image in _walk(host, _plan(pattern, (), _orbit_breaks(pattern)), ())
+    ]
+    copies.sort(key=sorted)
+    return copies
 
 
 def cliques_of_size(g: Graph, k: int) -> Iterator[tuple[int, ...]]:

@@ -24,6 +24,15 @@ def injection_embeds(host: Graph, pattern: Graph) -> bool:
     return False
 
 
+def brute_copy_edge_sets(host: Graph, pattern: Graph) -> list[frozenset]:
+    """Distinct edge images of pattern over all injective vertex maps, sorted."""
+    found = set()
+    for perm in itertools.permutations(range(host.n), pattern.n):
+        if all(host.has_edge(perm[u], perm[v]) for u, v in pattern.edges):
+            found.add(frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in pattern.edges))
+    return sorted(found, key=sorted)
+
+
 def injection_embeds_colored(host: Graph, pattern: Graph, allowed: set) -> bool:
     allowed = {tuple(sorted(e)) for e in allowed}
     if pattern.n > host.n:

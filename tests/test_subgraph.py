@@ -2,12 +2,16 @@ import itertools
 import random
 import time
 
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseylab.families import clique, clique_with_pendants, cycle, path, star
 from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph
 from ramseylab.subgraph import (
+    _orbit_breaks,
+    _plan,
+    _walk,
     clique_number,
     cliques_of_size,
     contains_copy,
@@ -16,7 +20,7 @@ from ramseylab.subgraph import (
 )
 
 from conftest import random_graph
-from oracles import brute_clique_number, injection_embeds
+from oracles import brute_clique_number, brute_copy_edge_sets, injection_embeds
 
 
 def test_contains_copy_spec_examples():
@@ -61,7 +65,17 @@ def test_oracle_equivalence_random_corpus():
     for _ in range(300):
         host = random_graph(rng, n_range=(2, 9), max_edges=14)
         pattern = patterns[rng.randrange(len(patterns))]
-        assert (contains_copy(host, pattern) is not None) == injection_embeds(host, pattern)
+        # The search builds its embeddings without the constructor's checks,
+        # so every map it yields is checked here.
+        maps = []
+        for emb in embeddings(host, pattern):
+            assert emb.pattern is pattern and emb.host is host
+            assert len(emb.map) == pattern.n and len(set(emb.map)) == pattern.n
+            assert all(host.has_edge(emb.map[u], emb.map[v]) for u, v in pattern.edges)
+            maps.append(emb.map)
+        assert len(set(maps)) == len(maps)
+        assert bool(maps) == injection_embeds(host, pattern)
+        assert (contains_copy(host, pattern) is not None) == bool(maps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,7 +158,7 @@ def test_embeddings_enumeration_counts():
 
 
 def test_clique_copies_match_embedding_images():
-    # A complete pattern's copies come from the clique search; they must be
+    # A complete pattern has the most symmetry to break: its copies must be
     # the distinct edge images of its embeddings, in the same order.
     rng = random.Random(61)
     for _ in range(60):
@@ -160,6 +174,53 @@ def test_clique_copies_match_embedding_images():
             pattern = clique(k) if k else Graph(0)
             subsets = {frozenset(itertools.combinations(c, 2)) for c in itertools.combinations(range(n), k)}
             assert copies_as_edge_sets(clique(n), pattern) == sorted(subsets, key=sorted)
+
+
+def test_copies_match_brute_oracle():
+    # Every graph on at most 5 vertices (K0, K1 and patterns with isolated
+    # vertices among them), on seeded hosts and on hosts too small for it.
+    patterns = [Graph(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g()[:53]]
+    assert [p.n for p in patterns].count(5) == 34
+    rng = random.Random(83)
+    hosts = [Graph(0), Graph(1), path(2), clique(3), cycle(4)]
+    hosts += [random_graph(rng, n_range=(1, 8), max_edges=20) for _ in range(40)]
+    for host in hosts:
+        for pattern in patterns:
+            assert copies_as_edge_sets(host, pattern) == brute_copy_edge_sets(host, pattern)
+
+
+def _walk_count(host, pattern, breaks):
+    return sum(1 for _ in _walk(host, _plan(pattern, (), breaks), ()))
+
+
+def test_walk_visits_one_image_per_copy():
+    for host, pattern, copies, maps in [
+        (clique(12), star(4), 3960, 95040),
+        (clique(11), path(5), 27720, 55440),
+        (clique(17), clique(5), 6188, None),
+    ]:
+        assert _walk_count(host, pattern, _orbit_breaks(pattern)) == copies
+        if maps is not None:
+            assert _walk_count(host, pattern, ()) == maps
+    # Each surviving image stands for |Aut(p)| embeddings.
+    rng = random.Random(29)
+    patterns = [path(4), star(3), cycle(4), cycle(5), clique(3), clique_with_pendants(3, 1, 2), CATERPILLAR]
+    for _ in range(30):
+        host = random_graph(rng, n_range=(4, 9), max_edges=20)
+        for pattern in patterns:
+            automorphisms = sum(1 for _ in embeddings(pattern, pattern))
+            survivors = _walk_count(host, pattern, _orbit_breaks(pattern))
+            assert survivors * automorphisms == _walk_count(host, pattern, ())
+
+
+def test_orbit_breaks_leave_plan_cache_alone():
+    # The pinned self-searches behind the conditions are compiled uncached, so
+    # they cannot push the plans of hot patterns out of the bounded cache.
+    before = _plan.cache_info()
+    breaks = _orbit_breaks.__wrapped__(star(9))
+    assert len(breaks) == 36  # one per pair of leaves
+    after = _plan.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
 
 
 def test_clique_number_examples_and_oracle():

@@ -304,11 +304,19 @@ def exhaustive_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingVerdict:
 
 def ramsey_number(g: Graph, h: Graph, cap: int, budget: int = DEFAULT_BUDGET) -> int:
     """Least n <= cap with K_n -> (g, h)."""
+    return _ramsey_number(g, h, cap, budget)[0]
+
+
+def _ramsey_number(g: Graph, h: Graph, cap: int, budget: int) -> tuple[int, int]:
+    """ramsey_number and the nodes its searches explored, summed."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    nodes = 0
     for n in range(1, cap + 1):
-        if arrows(clique(n), g, h, budget).arrows:
-            return n
+        verdict = arrows(clique(n), g, h, budget)
+        nodes += verdict.nodes_explored
+        if verdict.arrows:
+            return n, nodes
     raise CapExceededError(f"no complete graph up to K_{cap} arrows the pair")
 
 
@@ -318,15 +326,25 @@ def minimal_ramsey_check(f: Graph, g: Graph, h: Graph, budget: int = DEFAULT_BUD
     Every proper subgraph sits inside some f-e or f-v, so by monotonicity the
     two deletion families are enough.
     """
-    if not arrows(f, g, h, budget).arrows:
-        return False
-    for e in f.edges:
-        if arrows(f.without_edge(e), g, h, budget).arrows:
-            return False
-    for v in range(f.n):
-        if arrows(f.without_vertex(v), g, h, budget).arrows:
-            return False
-    return True
+    return _minimal_ramsey_check(f, g, h, budget)[0]
+
+
+def _minimal_ramsey_check(f: Graph, g: Graph, h: Graph, budget: int) -> tuple[bool, int]:
+    """minimal_ramsey_check and the nodes its searches explored, summed."""
+    nodes = 0
+
+    def arrows_pair(host: Graph) -> bool:
+        nonlocal nodes
+        verdict = arrows(host, g, h, budget)
+        nodes += verdict.nodes_explored
+        return verdict.arrows
+
+    if not arrows_pair(f):
+        return False, nodes
+    minimal = not any(arrows_pair(f.without_edge(e)) for e in f.edges) and not any(
+        arrows_pair(f.without_vertex(v)) for v in range(f.n)
+    )
+    return minimal, nodes
 
 
 def verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int = DEFAULT_BUDGET) -> dict:
@@ -380,6 +398,7 @@ class ScanResult:
     verdict_second: ArrowingVerdict | None = None
     reason: str | None = None
     skipped: list[Graph] = field(default_factory=list)
+    nodes_explored: int = 0  # summed over every search, skipped hosts included
 
 
 def equivalence_scan(
@@ -419,10 +438,13 @@ def equivalence_scan(
     for host in graphs_up_to_vertices(max_vertices):
         try:
             v1 = arrows(host, g1, h1, budget)
+            result.nodes_explored += v1.nodes_explored
             v2 = arrows(host, g2, h2, budget)
-        except BudgetExhaustedError:
+            result.nodes_explored += v2.nodes_explored
+        except BudgetExhaustedError as exc:
+            result.nodes_explored += exc.nodes_explored
             result.skipped.append(host)
             continue
         if v1.arrows != v2.arrows:
-            return ScanResult("distinguisher", host, v1, v2)
+            return ScanResult("distinguisher", host, v1, v2, nodes_explored=result.nodes_explored)
     return result

@@ -195,8 +195,8 @@ def _cmd_ramsey_number(args, seed, t0) -> int:
     inputs = {}
     g = _load_graph(args.g, inputs)
     h = _load_graph(args.h, inputs)
-    value = arrowing.ramsey_number(g, h, cap=args.cap, budget=args.budget)
-    _emit("ramsey-number", inputs, {"ramsey_number": value}, 0, t0, seed)
+    value, nodes = arrowing._ramsey_number(g, h, args.cap, args.budget)
+    _emit("ramsey-number", inputs, {"ramsey_number": value}, nodes, t0, seed)
     return EXIT_OK
 
 
@@ -205,8 +205,8 @@ def _cmd_minimal(args, seed, t0) -> int:
     f = _load_graph(args.f, inputs)
     g = _load_graph(args.g, inputs)
     h = _load_graph(args.h, inputs)
-    value = arrowing.minimal_ramsey_check(f, g, h, budget=args.budget)
-    _emit("minimal", inputs, {"minimal": value}, 0, t0, seed)
+    value, nodes = arrowing._minimal_ramsey_check(f, g, h, args.budget)
+    _emit("minimal", inputs, {"minimal": value}, nodes, t0, seed)
     return EXIT_OK
 
 
@@ -223,7 +223,7 @@ def _cmd_equiv_scan(args, seed, t0) -> int:
         verdict["second_pair_arrows"] = result.verdict_second.arrows
     if result.skipped:
         verdict["skipped"] = [graph_to_graph6(s) for s in result.skipped]
-    _emit("equiv-scan", inputs, verdict, 0, t0, seed)
+    _emit("equiv-scan", inputs, verdict, result.nodes_explored, t0, seed)
     return EXIT_OK
 
 

@@ -1,9 +1,19 @@
 """Isomorph-free enumeration of small graphs and trees.
 
-Graphs are generated by augmentation (a new vertex with every possible
-neighborhood, or a new edge) and deduplicated behind cheap invariant buckets
-with exact isomorphism tests inside each bucket.  Counts are pinned against
-published sequences in the tests.
+Graphs are generated level by level by augmentation (a new vertex, or a new
+edge) and deduplicated behind cheap invariant buckets with exact isomorphism
+tests inside each bucket.  Counts are pinned against published sequences in
+the tests.
+
+Augmentation offers only children whose new piece is least under a cheap
+invariant, after McKay's canonical deletion (1998): a new vertex only when it
+has minimum degree in the child, and a new edge only when its key, the
+(min, max) of its end degrees in the child, is no larger than any other
+edge's.  The rule loses no class.  Every graph H of the next level has such
+a least piece; deleting it (for an edge, together with any end it leaves
+isolated) gives a graph isomorphic to some representative R of the current
+level, and the matching augmentation of R is a copy of H whose new piece is
+still least, so it is offered.  The store removes the duplicates that remain.
 """
 
 from __future__ import annotations
@@ -82,20 +92,54 @@ def _levels(
 
 
 def _new_vertex_children(g: Graph) -> Iterator[Graph]:
-    for nbrs in range(1 << g.n):
-        yield Graph(g.n + 1, list(g.edges) + [(w, g.n) for w in range(g.n) if nbrs >> w & 1])
+    """g plus a new vertex of minimum degree in the child, with each such neighborhood.
+
+    A neighborhood of size k qualifies when every old vertex keeps degree k
+    or more: those of degree k-1 must join it, those of degree k or more may.
+    """
+    deg = [a.bit_count() for a in g.adj]
+    low = min(deg, default=0)
+    for k in range(min(low + 1, g.n) + 1):
+        forced = [w for w in range(g.n) if deg[w] == k - 1]
+        free = [w for w in range(g.n) if deg[w] >= k]
+        if len(forced) > k:
+            continue
+        for extra in itertools.combinations(free, k - len(forced)):
+            yield Graph(g.n + 1, list(g.edges) + [(w, g.n) for w in forced + list(extra)])
 
 
 _K2 = Graph(2, [(0, 1)])
 
 
 def _edge_children(g: Graph) -> Iterator[Graph]:
-    """A new edge: between two non-adjacent vertices, to a new pendant vertex, or isolated."""
+    """A new edge whose key is least in the child: between two non-adjacent
+    vertices, to a new pendant vertex, or isolated (key (1, 1), always least).
+
+    An edge's key is the (min, max) of its end degrees.  The new edge only
+    raises the keys of the edges it touches, so only old edges whose key was
+    below the new one need a second look.
+    """
+    # A pendant edge's new end, vertex g.n, has degree 0 before the edge.
+    deg = [a.bit_count() for a in g.adj] + [0]
+    ranked = sorted((min(deg[a], deg[b]), max(deg[a], deg[b]), a, b) for a, b in g.edges)
+
+    def least(u: int, v: int) -> bool:
+        key = (min(deg[u], deg[v]) + 1, max(deg[u], deg[v]) + 1)
+        for lo, hi, a, b in ranked:
+            if (lo, hi) >= key:
+                return True
+            da = deg[a] + (a == u or a == v)
+            db = deg[b] + (b == u or b == v)
+            if (min(da, db), max(da, db)) < key:
+                return False
+        return True
+
     for u, v in itertools.combinations(range(g.n), 2):
-        if not g.has_edge(u, v):
+        if not g.has_edge(u, v) and least(u, v):
             yield g.with_edges([(u, v)])
     for u in range(g.n):
-        yield Graph(g.n + 1, list(g.edges) + [(u, g.n)])
+        if least(u, g.n):
+            yield Graph(g.n + 1, list(g.edges) + [(u, g.n)])
     yield g.disjoint_union(_K2)
 
 

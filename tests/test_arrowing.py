@@ -256,6 +256,22 @@ def test_equivalence_scan_symbolic_filters():
     assert not res2.verdict_first.arrows and res2.verdict_second.arrows
 
 
+def test_equivalence_scan_returns_first_differing_host():
+    # The scan visits graphs_up_to_vertices in order and stops at the first
+    # host whose verdicts differ; its node count covers every search it ran.
+    hosts = graphs_up_to_vertices(5)
+    nodes = 0
+    for host in hosts:
+        v1, v2 = arrows(host, K3, K3), arrows(host, path(3), K3)
+        nodes += v1.nodes_explored + v2.nodes_explored
+        if v1.arrows != v2.arrows:
+            break
+    res = equivalence_scan(K3, K3, path(3), K3, max_vertices=5)
+    assert res.kind == "distinguisher" and res.distinguisher == host
+    assert (res.verdict_first, res.verdict_second) == (v1, v2)
+    assert res.nodes_explored == nodes > 0
+
+
 def test_equivalence_scan_finds_odd_regular_distinguisher():
     # The smallest 2-regular odd-order host is C_3 = K_3; C_5 is the same
     # family one size up.  Both arrow (K_{1,2}, K_{1,2}) and miss

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ramseylab
-from ramseylab.arrowing import verify_determiner
+from ramseylab.arrowing import arrows, verify_determiner
 from ramseylab.cli import (
     EXIT_BAD_INPUT,
     EXIT_INDETERMINATE,
@@ -53,6 +53,17 @@ def test_ramsey_number_cli(files, capsys):
     assert report["schema"] == 1
     assert report["verdict"]["ramsey_number"] == 7
     assert set(report["inputs"]) == {g, h}
+
+
+def test_ramsey_number_cli_reports_nodes_of_every_search(files, capsys):
+    _, write = files
+    g = write("p3.g6", path(3))
+    h = write("k3.g6", clique(3))
+    code, report = run(capsys, ["ramsey-number", "--g", g, "--h", h, "--cap", "6"])
+    assert code == EXIT_OK
+    r = report["verdict"]["ramsey_number"]
+    nodes = sum(arrows(clique(n), path(3), clique(3)).nodes_explored for n in range(1, r + 1))
+    assert report["nodes_explored"] == nodes > 0
 
 
 def test_construct_cli(files, capsys):

@@ -1,3 +1,7 @@
+from collections import defaultdict
+from itertools import combinations
+
+import networkx as nx
 import pytest
 
 from ramseylab.enumeration import (
@@ -14,8 +18,8 @@ from ramseylab.graphs import Graph
 
 # Published counts: graphs up to isomorphism by vertex count (A000088),
 # by edge count without isolated vertices (A000664), and trees (A000055).
-GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-EDGE_COUNTS = {1: 1, 2: 2, 3: 5, 4: 11, 5: 26, 6: 68, 7: 177, 8: 497, 9: 1476}
+GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+EDGE_COUNTS = {1: 1, 2: 2, 3: 5, 4: 11, 5: 26, 6: 68, 7: 177, 8: 497, 9: 1476, 10: 4613}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
 
 
@@ -26,12 +30,51 @@ def test_graph_counts_by_vertices(n, count):
     assert all(g.n == n for g in graphs)
 
 
+def _nx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def _bucket(graphs: list[nx.Graph]) -> dict[tuple, list[nx.Graph]]:
+    """Graphs by edge count and degree sequence, both read through networkx."""
+    buckets = defaultdict(list)
+    for g in graphs:
+        buckets[g.number_of_edges(), tuple(sorted(d for _, d in g.degree()))].append(g)
+    return buckets
+
+
+def test_graphs_on_vertices_match_networkx_atlas():
+    # The atlas lists every graph on at most 7 nodes once up to isomorphism.
+    atlas = nx.graph_atlas_g()
+    for n in range(1, 8):
+        ours = _bucket([_nx(g) for g in graphs_on_vertices(n)])
+        theirs = _bucket([a for a in atlas if a.number_of_nodes() == n])
+        assert ours.keys() == theirs.keys()
+        for key, bucket in ours.items():
+            assert len(bucket) == len(theirs[key]), (n, key)
+            matched = set()
+            for g in bucket:
+                hits = [i for i, a in enumerate(theirs[key]) if nx.is_isomorphic(g, a)]
+                assert len(hits) == 1, (n, key, sorted(g.edges()))
+                matched.add(hits[0])
+            assert len(matched) == len(bucket)
+
+
+def test_edge_levels_are_pairwise_non_isomorphic():
+    for m, graphs in graphs_by_edge_count(7).items():
+        for key, bucket in _bucket([_nx(g) for g in graphs]).items():
+            for a, b in combinations(bucket, 2):
+                assert not nx.is_isomorphic(a, b), (m, key, sorted(a.edges()), sorted(b.edges()))
+
+
 def test_graphs_up_to_vertices():
     assert len(graphs_up_to_vertices(5)) == 1 + 2 + 4 + 11 + 34
 
 
 def test_graph_counts_by_edges():
-    levels = graphs_by_edge_count(9)
+    levels = graphs_by_edge_count(max(EDGE_COUNTS))
     assert {m: len(gs) for m, gs in levels.items()} == EDGE_COUNTS
     for m, graphs in levels.items():
         for g in graphs:

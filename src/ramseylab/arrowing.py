@@ -357,17 +357,27 @@ def verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int = DEFAULT_BU
     an exhausted budget leaves that axiom as None.  Raises ValueError when
     beta is not an edge of d.
     """
+    return _verify_determiner(d, beta, T, t, budget)[0]
+
+
+def _verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int) -> tuple[dict, int]:
+    """verify_determiner and the nodes its searches explored, summed."""
     beta = edge(*beta)
     if beta not in d.edge_set():
         raise ValueError(f"beta {beta} is not an edge of the determiner graph")
     target = clique(t)
     results: dict[str, bool | None] = {}
+    nodes = 0
 
     def run(pinned):
+        nonlocal nodes
         try:
-            return arrows(d, T, target, budget=budget, pinned=pinned)
-        except BudgetExhaustedError:
+            verdict = arrows(d, T, target, budget=budget, pinned=pinned)
+        except BudgetExhaustedError as exc:
+            nodes += exc.nodes_explored
             return None
+        nodes += verdict.nodes_explored
+        return verdict
 
     base = run(None)
     results["free_coloring_exists"] = None if base is None else not base.arrows
@@ -387,7 +397,7 @@ def verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int = DEFAULT_BU
     induced = d.induced(closure)
     # A simple graph on t vertices with t(t-1)/2 edges is K_t.
     results["beta_closure_is_clique"] = induced.n == t and induced.m == t * (t - 1) // 2
-    return results
+    return results, nodes
 
 
 @dataclass
@@ -399,6 +409,40 @@ class ScanResult:
     reason: str | None = None
     skipped: list[Graph] = field(default_factory=list)
     nodes_explored: int = 0  # summed over every search, skipped hosts included
+
+
+def _monotone_arrows(
+    host: Graph, g: Graph, h: Graph, budget: int, known: dict[Graph, frozenset[Edge] | None]
+) -> tuple[frozenset[Edge] | None, int]:
+    """Decide host -> (g, h) from its parent's result where that settles it.
+
+    Returns the red edges of a free coloring, or None when host arrows,
+    together with the nodes searched.  `known` maps graphs already decided for
+    (g, h) to that same result.  The parent is host less its last vertex.  If
+    the parent arrows, so does host (subgraph monotonicity).  Otherwise the
+    parent's witness is extended by coloring the new vertex's edges all blue,
+    all red, then each one alone red; the first extension that
+    coloring_is_free accepts is host's witness.  Failing that, `arrows`
+    searches, and may raise BudgetExhaustedError.
+    """
+    parent = host.without_vertex(host.n - 1)
+    if parent in known:
+        red = known[parent]
+        if red is None:
+            return None, 0
+        new = tuple(e for e in host.edges if e[1] == host.n - 1)
+        extensions: list[tuple[Edge, ...]] = [()]
+        if new:
+            extensions.append(new)
+        if len(new) > 1:
+            extensions += [(e,) for e in new]
+        edges = host.edge_set()
+        for extra in extensions:
+            ext_red = red.union(extra)
+            if coloring_is_free(host, EdgeColoring(host, ext_red, edges - ext_red), g, h):
+                return ext_red, 0
+    verdict = arrows(host, g, h, budget)
+    return (None if verdict.arrows else verdict.witness.red), verdict.nodes_explored
 
 
 def equivalence_scan(
@@ -416,6 +460,15 @@ def equivalence_scan(
     clique number have an edge.  Otherwise every graph on up to max_vertices
     vertices (up to isomorphism) is tested.  Finding nothing is NOT a proof of
     equivalence.
+
+    Each host is first decided for each pair from its parent on the level
+    before (see `_monotone_arrows`): a host inherits a positive verdict by
+    subgraph monotonicity, F ⊆ F′ and F → (G, H) give F′ → (G, H), and a
+    negative one only with an extended witness that coloring_is_free has
+    re-checked.  Hosts on which the two pairs agree need no further search.
+    A host whose verdicts differ is re-decided by `arrows` for both pairs, so
+    a reported distinguisher, its verdicts and its budget behaviour are those
+    of a plain search on that host.
     """
     if not 1 <= max_vertices <= 8:
         raise ValueError("enumeration bound: max_vertices must be between 1 and 8")
@@ -435,8 +488,24 @@ def equivalence_scan(
             ),
         )
     result = ScanResult("no-distinguisher-found")
+    pairs = ((g1, h1), (g2, h2))
+    # Per-pair results of the previous level and of the current one; a
+    # host's parent is always on the level just before it.
+    previous: tuple[dict, dict] = ({}, {})
+    current: tuple[dict, dict] = ({}, {})
+    level = 0
     for host in graphs_up_to_vertices(max_vertices):
+        if host.n != level:
+            level, previous, current = host.n, current, ({}, {})
         try:
+            decided = []
+            for (g, h), known, found in zip(pairs, previous, current):
+                red, nodes = _monotone_arrows(host, g, h, budget, known)
+                result.nodes_explored += nodes
+                found[host] = red
+                decided.append(red is None)
+            if decided[0] == decided[1]:
+                continue
             v1 = arrows(host, g1, h1, budget)
             result.nodes_explored += v1.nodes_explored
             v2 = arrows(host, g2, h2, budget)
@@ -445,6 +514,9 @@ def equivalence_scan(
             result.nodes_explored += exc.nodes_explored
             result.skipped.append(host)
             continue
-        if v1.arrows != v2.arrows:
-            return ScanResult("distinguisher", host, v1, v2, nodes_explored=result.nodes_explored)
+        if [v1.arrows, v2.arrows] != decided:
+            raise InvariantViolationError("an inherited verdict disagrees with the search")
+        result.kind = "distinguisher"
+        result.distinguisher, result.verdict_first, result.verdict_second = host, v1, v2
+        return result
     return result

@@ -285,8 +285,8 @@ def _cmd_verify_determiner(args, seed, t0) -> int:
     inputs = {}
     d = _load_graph(args.d, inputs)
     T = _load_graph(args.T, inputs)
-    results = arrowing.verify_determiner(d, _parse_edge(args.beta), T, args.t, budget=args.budget)
-    _emit("verify-determiner", inputs, results, 0, t0, seed)
+    results, nodes = arrowing._verify_determiner(d, _parse_edge(args.beta), T, args.t, args.budget)
+    _emit("verify-determiner", inputs, results, nodes, t0, seed)
     if any(v is None for v in results.values()):
         return EXIT_INDETERMINATE
     return EXIT_OK

@@ -14,6 +14,13 @@ a least piece; deleting it (for an edge, together with any end it leaves
 isolated) gives a graph isomorphic to some representative R of the current
 level, and the matching augmentation of R is a copy of H whose new piece is
 still least, so it is offered.  The store removes the duplicates that remain.
+
+Each graph that `graphs_up_to_vertices` lists on n > 1 vertices is a child
+of a representative one level down, and the new vertex is always the last,
+so deleting its last vertex gives a graph equal (==) to a listed
+representative on n - 1 vertices: its parent.
+`arrowing.equivalence_scan` decides a host from its parent for speed; a
+missing parent would only cost it a search.
 """
 
 from __future__ import annotations

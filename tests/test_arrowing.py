@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+import ramseylab.arrowing
 from ramseylab.arrowing import (
+    DEFAULT_BUDGET,
     ArrowingVerdict,
+    _monotone_arrows,
     arrows,
     coloring_is_free,
     equivalence_scan,
@@ -256,20 +259,25 @@ def test_equivalence_scan_symbolic_filters():
     assert not res2.verdict_first.arrows and res2.verdict_second.arrows
 
 
-def test_equivalence_scan_returns_first_differing_host():
+def test_equivalence_scan_returns_first_differing_host(monkeypatch):
     # The scan visits graphs_up_to_vertices in order and stops at the first
-    # host whose verdicts differ; its node count covers every search it ran.
-    hosts = graphs_up_to_vertices(5)
-    nodes = 0
-    for host in hosts:
-        v1, v2 = arrows(host, K3, K3), arrows(host, path(3), K3)
-        nodes += v1.nodes_explored + v2.nodes_explored
-        if v1.arrows != v2.arrows:
-            break
+    # host whose verdicts differ.
+    _, host, v1, v2 = _plain_scan(K3, K3, path(3), K3, 5)
+    # The scan searches only the hosts and pairs it cannot infer, so its node
+    # count is the sum over the `arrows` calls it actually makes.
+    searched = 0
+
+    def counting_arrows(*args, **kwargs):
+        nonlocal searched
+        verdict = arrows(*args, **kwargs)
+        searched += verdict.nodes_explored
+        return verdict
+
+    monkeypatch.setattr(ramseylab.arrowing, "arrows", counting_arrows)
     res = equivalence_scan(K3, K3, path(3), K3, max_vertices=5)
     assert res.kind == "distinguisher" and res.distinguisher == host
     assert (res.verdict_first, res.verdict_second) == (v1, v2)
-    assert res.nodes_explored == nodes > 0
+    assert res.nodes_explored == searched > 0
 
 
 def test_equivalence_scan_finds_odd_regular_distinguisher():
@@ -350,6 +358,79 @@ def test_equivalence_scan_reports_skipped_on_budget():
     res = equivalence_scan(path(4), K3, path(4), K3, max_vertices=4, budget=1)
     assert res.kind == "no-distinguisher-found"
     assert len(res.skipped) > 0
+
+
+def test_equivalence_scan_distinguisher_keeps_skipped_hosts():
+    g1, h1, g2, h2 = path(3), K3, cycle(4), K3
+    res = equivalence_scan(g1, h1, g2, h2, max_vertices=5, budget=5)
+    assert res.kind == "distinguisher"
+    hosts = graphs_up_to_vertices(5)
+    [skipped] = res.skipped
+    assert hosts.index(skipped) < hosts.index(res.distinguisher)
+    exhausted = 0
+    for g, h in ((g1, h1), (g2, h2)):
+        try:
+            arrows(skipped, g, h, budget=5)
+        except BudgetExhaustedError:
+            exhausted += 1
+    assert exhausted
+    # Inheriting from parents decides K4, the host this pair skips on a
+    # budget of 4 when every host is searched; the distinguisher stays.
+    assert equivalence_scan(K3, K3, path(3), K3, max_vertices=4, budget=4).skipped == []
+    res = equivalence_scan(K3, K3, path(3), K3, max_vertices=5, budget=4)
+    assert res.kind == "distinguisher" and res.distinguisher.n == 5
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (star(2), K3),
+        (path(4), clique_with_pendants(3, 1, 2)),
+        (K3, K3),
+        (star(1), star(3)),
+        (path(3), K3),
+        (cycle(4), K3),
+    ],
+)
+def test_monotone_verdicts_match_search(g, h, monkeypatch):
+    searches = []
+    monkeypatch.setattr(
+        ramseylab.arrowing, "arrows", lambda *args: searches.append(args) or arrows(*args)
+    )
+    known = {}
+    hosts = graphs_up_to_vertices(6)
+    for host in hosts:
+        red, _ = _monotone_arrows(host, g, h, DEFAULT_BUDGET, known)
+        known[host] = red
+        assert (red is None) == arrows(host, g, h).arrows, host.edges
+        if red is not None:
+            assert coloring_is_free(host, EdgeColoring(host, red, host.edge_set() - red), g, h)
+    assert len(searches) < len(hosts)
+
+
+def _plain_scan(g1, h1, g2, h2, max_vertices):
+    for host in graphs_up_to_vertices(max_vertices):
+        v1, v2 = arrows(host, g1, h1), arrows(host, g2, h2)
+        if v1.arrows != v2.arrows:
+            return "distinguisher", host, v1, v2
+    return "no-distinguisher-found", None, None, None
+
+
+@pytest.mark.parametrize(
+    "pairs, max_vertices",
+    [
+        ((K3, K3, path(3), K3), 5),
+        ((star(2), star(2), star(1), star(3)), 5),
+        ((star(1), star(3), star(3), star(1)), 6),
+        ((path(4), K3, path(4), K3), 4),
+        ((clique(1), clique(5), clique(1), clique(2)), 4),
+        ((clique(1), cycle(5), clique(1), clique(2)), 4),
+    ],
+)
+def test_equivalence_scan_matches_plain_search(pairs, max_vertices):
+    res = equivalence_scan(*pairs, max_vertices=max_vertices)
+    plain = _plain_scan(*pairs, max_vertices)
+    assert (res.kind, res.distinguisher, res.verdict_first, res.verdict_second) == plain
 
 
 def test_degenerate_pattern_corners():

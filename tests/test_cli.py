@@ -212,6 +212,15 @@ def test_verify_determiner_cli(files, capsys):
     assert v["beta_closure_is_clique"] is True
 
 
+def test_verify_determiner_cli_reports_nodes(files, capsys):
+    _, write = files
+    d = write("k4.g6", clique(4))
+    T = write("p3.g6", path(3))
+    code, report = run(capsys, ["verify-determiner", "--d", d, "--beta", "0,1", "--T", T, "--t", "3"])
+    assert code == EXIT_OK
+    assert report["nodes_explored"] > 0
+
+
 def test_verify_determiner_library_direct():
     results = verify_determiner(clique(3), (0, 1), path(4), 3)
     assert results["beta_forced_red"] is False

@@ -73,6 +73,14 @@ def test_graphs_up_to_vertices():
     assert len(graphs_up_to_vertices(5)) == 1 + 2 + 4 + 11 + 34
 
 
+def test_each_graph_minus_its_last_vertex_is_listed():
+    graphs = graphs_up_to_vertices(7)
+    listed = set(graphs)
+    for g in graphs:
+        if g.n > 1:
+            assert g.without_vertex(g.n - 1) in listed, g.edges
+
+
 def test_graph_counts_by_edges():
     levels = graphs_by_edge_count(max(EDGE_COUNTS))
     assert {m: len(gs) for m, gs in levels.items()} == EDGE_COUNTS

@@ -4,7 +4,8 @@ A host F arrows a pair (G, H) when every red/blue edge coloring of F shows a
 red G or a blue H.  The pruned decider enumerates the copies of G and H in F
 once, then runs a DFS over partial colorings: a copy is a clause, the bitmask
 of its edges, which may not all take the copy's forbidden color.  A partial
-coloring is two edge bitmasks, red and blue.  Conflicts prune, and a copy
+coloring is two edge bitmasks, red and blue, and the DFS loops over an
+explicit stack of them, with no recursion limit.  Conflicts prune, and a copy
 with one uncolored edge left and no edge of its allowed color forces that
 edge (unit propagation).  A completed conflict-free coloring is a witness
 that F does not arrow; an exhausted search proves that it does.
@@ -64,8 +65,8 @@ class _ArrowEngine:
     may not all take the copy's forbidden color (red for g, blue for h).
     `forbid[c][e]` holds the clauses through edge e that forbid color c; they
     are the only clauses that assigning c to e can make unit or violate.  The
-    search state is two edge bitmasks, `red` and `blue`, passed down the DFS,
-    so backtracking returns to the parent's masks and nothing is undone.
+    DFS loops over an explicit stack of (position, red mask, blue mask)
+    states: no recursion limit applies, and backtracking undoes nothing.
     """
 
     def __init__(self, f: Graph, g: Graph, h: Graph):
@@ -156,39 +157,27 @@ class _ArrowEngine:
 
         # With identical patterns and no pinned prefix, the color swap is a
         # free-coloring bijection, so the first branched edge may be fixed red.
-        first_branch_colors = (
-            (_RED_BIT,) if self.symmetric and not prefix else (_RED_BIT, _BLUE_BIT)
-        )
-
-        def search(pos: int, red: int, blue: int) -> int | None:
-            nonlocal nodes
+        fix_first = self.symmetric and not prefix
+        stack = [(0, *state)]
+        while stack:
+            pos, red, blue = stack.pop()
             assigned = red | blue
             while pos < m and assigned >> order[pos] & 1:
                 pos += 1
             if pos == m:
-                return red
-            first = nodes == 0
+                return red, nodes
             nodes += 1
             if nodes > budget:
                 raise BudgetExhaustedError(
                     f"arrowing search exceeded {budget} nodes", nodes_explored=nodes
                 )
             e = order[pos]
-            for c in first_branch_colors if first else (_RED_BIT, _BLUE_BIT):
+            # The red child goes on top, so it is searched first.
+            for c in (_RED_BIT,) if fix_first and nodes == 1 else (_BLUE_BIT, _RED_BIT):
                 child = assign(red, blue, e, c)
                 if child is not None:
-                    result = search(pos + 1, *child)
-                    if result is not None:
-                        return result
-            return None
-
-        try:
-            return search(0, *state), nodes
-        finally:
-            # `search` reaches itself through its closure; breaking that cycle
-            # lets the clause lists it holds go with the engine, not at the
-            # next garbage collection.
-            del search
+                    stack.append((pos + 1, *child))
+        return None, nodes
 
     def coloring_from_red(self, red: int) -> EdgeColoring:
         edges = self.f.edges
@@ -470,8 +459,8 @@ def equivalence_scan(
     a reported distinguisher, its verdicts and its budget behaviour are those
     of a plain search on that host.
     """
-    if not 1 <= max_vertices <= 8:
-        raise ValueError("enumeration bound: max_vertices must be between 1 and 8")
+    if not 1 <= max_vertices <= 9:
+        raise ValueError("enumeration bound: max_vertices must be between 1 and 9")
     omega1 = max(clique_number(g1), clique_number(h1))
     omega2 = max(clique_number(g2), clique_number(h2))
     g_big, h_big = (g1, h1) if omega1 > omega2 else (g2, h2)

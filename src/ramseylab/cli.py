@@ -244,15 +244,9 @@ def _cmd_belck(args, seed, t0) -> int:
     g = _load_graph(args.graph, inputs)
     D = [int(x) for x in args.d.split(",")] if args.d else []
     cert = factors.belck_check(g, D, args.p)
-    if cert is None:
-        verdict = {"p": args.p, "D": sorted(D), "certificate": False}
-    else:
-        verdict = {
-            "p": args.p,
-            "D": sorted(cert.D),
-            "certificate": True,
-            "odd_components": cert.odd_component_count,
-        }
+    verdict = {"p": args.p, "D": sorted(set(D)), "certificate": cert is not None}
+    if cert is not None:
+        verdict["odd_components"] = cert.odd_component_count
     _emit("belck", inputs, verdict, 0, t0, seed)
     return EXIT_OK
 
@@ -381,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h1", required=True)
     p.add_argument("--g2", required=True)
     p.add_argument("--h2", required=True)
-    p.add_argument("--max-vertices", dest="max_vertices", type=int, required=True)
+    p.add_argument("--max-vertices", dest="max_vertices", type=int, required=True, help="1 to 9")
     p.add_argument("--budget", type=int, default=arrowing.DEFAULT_BUDGET)
 
     p = sub.add_parser("factor")

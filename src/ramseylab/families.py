@@ -534,14 +534,16 @@ def hypergraph_blowup(
 
     Samples random t-sets, rejecting any that closes a cycle of length <= g,
     until every vertex lies in at least `min_degree` hyperedges.  Raises
-    SearchExhaustedError with the best partial result after `trials` samples;
-    existence is only guaranteed asymptotically.  The blow-up graph places a
-    K_t on each hyperedge.
+    SearchExhaustedError with the best partial result after `trials` samples
+    (ValueError when `trials` is negative); existence is only guaranteed
+    asymptotically.  The blow-up graph places a K_t on each hyperedge.
     """
     if t < 3 or g < 3:
         raise ValueError("need t >= 3 and g >= 3")
     if n < t:
         raise ValueError("need at least t vertices")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     rng = random.Random(seed)
     chosen: list[set[int]] = []
     chosen_keys: set[frozenset[int]] = set()

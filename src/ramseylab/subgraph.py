@@ -15,9 +15,9 @@ dedupe.  The plan cache is bounded because the isomorph-free enumeration
 searches with every representative it keeps as the pattern.
 
 `cliques_of_size` answers the clique questions: the clique number and the
-"contains K_k" checks.  Copies of a complete pattern take the walker like any
-other pattern; under its conditions it visits each clique once, in increasing
-order.
+"contains K_k" checks.  It is the walker on K_k, whose conditions are the
+chain image[0] < ... < image[k-1] written down directly, so each clique is
+visited once, in increasing order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import functools
 from typing import Iterator, NamedTuple
 
 from .errors import RamseyLabError
-from .graphs import Edge, Embedding, Graph, bits
+from .graphs import Edge, Embedding, Graph
 
 
 class GraphTooLargeError(RamseyLabError):
@@ -201,6 +201,21 @@ def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[frozenset[Edge]]:
     return copies
 
 
+@functools.lru_cache(maxsize=256)
+def _clique_plan(k: int) -> _Plan:
+    """The plan of K_k, in closed form.
+
+    Search order 0..k-1, and the Grochow–Kellis conditions as the chain
+    image[0] < ... < image[k-1], which `_orbit_breaks` takes O(k^4) to derive.
+    """
+    return _Plan(
+        tuple(range(k)),
+        (k - 1,) * k,
+        tuple(tuple(range(i)) for i in range(k)),
+        tuple((i - 1,) if i else () for i in range(k)),
+    )
+
+
 def cliques_of_size(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """The k-cliques of g as sorted vertex tuples, in lexicographic order.
 
@@ -208,21 +223,7 @@ def cliques_of_size(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """
     if k < 0:
         raise ValueError("clique size must be nonnegative")
-    clique: list[int] = []
-
-    def grow(cand: int) -> Iterator[tuple[int, ...]]:
-        if len(clique) == k:
-            yield tuple(clique)
-            return
-        # Not enough candidates left to finish the clique.
-        if len(clique) + cand.bit_count() < k:
-            return
-        for v in bits(cand):
-            clique.append(v)
-            yield from grow(cand & g.adj[v] & ~((1 << (v + 1)) - 1))
-            clique.pop()
-
-    return grow((1 << g.n) - 1)
+    return (tuple(image) for image in _walk(g, _clique_plan(k), ()))
 
 
 def clique_number(g: Graph) -> int:

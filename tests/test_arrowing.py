@@ -299,9 +299,21 @@ def test_equivalence_scan_no_distinguisher():
 
 
 def test_equivalence_scan_bound():
-    for max_vertices in (0, 9):
+    for max_vertices in (0, 10):
         with pytest.raises(ValueError):
             equivalence_scan(K3, K3, K3, K3, max_vertices=max_vertices)
+    # 9 is accepted; the clique-number filter settles this pair before any
+    # host is enumerated.
+    res = equivalence_scan(star(2), K3, star(2), clique(4), max_vertices=9)
+    assert res.kind == "symbolic-distinguisher"
+
+
+def test_deep_search_needs_no_recursion():
+    # On a path host the DFS nests about one branch per two edges.
+    for n, nodes in ((1000, 499), (2000, 999)):
+        verdict = arrows(path(n), path(3), K3)
+        assert not verdict.arrows and verdict.nodes_explored == nodes
+        assert coloring_is_free(path(n), verdict.witness, path(3), K3)
 
 
 def test_star_pair_ramsey_numbers_match_closed_form():

@@ -154,6 +154,25 @@ def test_factor_and_belck_cli(files, capsys):
     code, report = run(capsys, ["belck", "--p", "1", "--d", "0", s3])
     assert code == EXIT_OK and report["verdict"]["certificate"] is True
     assert report["verdict"]["odd_components"] == 3
+    # both branches report the set checked, repeats dropped
+    k3 = write("k3.g6", clique(3))
+    for graph, certified in ((k3, False), (s3, True)):
+        code, report = run(capsys, ["belck", graph, "--p", "1", "--d", "0,0"])
+        assert code == EXIT_OK and report["verdict"]["certificate"] is certified
+        assert report["verdict"]["D"] == [0]
+
+
+def test_arrows_cli_decides_a_deep_search(files, capsys):
+    tmp_path, write = files
+    p3, k3 = write("p3.g6", path(3)), write("k3.g6", clique(3))
+    f = write("p2000.g6", path(2000))
+    out = tmp_path / "witness.txt"
+    argv = ["arrows", "--g", p3, "--h", k3, "--f", f, "--witness-out", str(out)]
+    code, report = run(capsys, argv)
+    assert code == EXIT_OK and report["schema"] == 1
+    assert report["verdict"]["arrows"] is False and report["nodes_explored"] == 999
+    assert report["verdict"]["witness"] == {"format": "file", "path": str(out)}
+    assert out.exists()
 
 
 def test_recolor_cli(files, capsys):
@@ -276,6 +295,9 @@ def test_exit_codes(files, capsys):
     assert main(["construct", "distinguisher", "--T", c5, "--t", "3"]) == EXIT_USAGE
     scan = ["equiv-scan", "--g1", k3, "--h1", k3, "--g2", k3, "--h2", k3]
     assert main(scan + ["--max-vertices", "0"]) == EXIT_USAGE
+    # a negative trial count is a usage error, not an exhausted search
+    blowup = ["construct", "hypergraph-blowup", "--t", "3", "--girth", "3", "--min-degree", "2"]
+    assert main(blowup + ["--n", "9", "--trials", "-5"]) == EXIT_USAGE
     # beta must be an edge of the determiner; a budget must be nonnegative
     p3 = write("p3.g6", path(3))
     k4 = write("k4.g6", clique(4))

@@ -263,6 +263,14 @@ def test_hypergraph_blowup_exhaustion():
     assert exc.value.best_min_degree < 5
 
 
+def test_hypergraph_blowup_rejects_negative_trials():
+    with pytest.raises(ValueError):
+        hypergraph_blowup(3, 3, 2, 9, trials=-5)
+    # No trials is a valid, immediately exhausted search.
+    with pytest.raises(SearchExhaustedError):
+        hypergraph_blowup(3, 3, 2, 9, trials=0)
+
+
 def test_hypergraph_blowup_deterministic():
     a = hypergraph_blowup(3, 3, 2, 15, trials=30000, seed=11)
     b = hypergraph_blowup(3, 3, 2, 15, trials=30000, seed=11)

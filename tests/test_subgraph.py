@@ -3,12 +3,15 @@ import random
 import time
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseylab.families import clique, clique_with_pendants, cycle, path, star
 from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph
 from ramseylab.subgraph import (
+    _clique_plan,
+    _compile,
     _orbit_breaks,
     _plan,
     _walk,
@@ -244,3 +247,26 @@ def test_cliques_of_size():
     assert list(cliques_of_size(cycle(5), 3)) == []
     assert list(cliques_of_size(clique(3), 0)) == [()]
     assert list(cliques_of_size(Graph(4), 1)) == [(0,), (1,), (2,), (3,)]
+
+
+def test_cliques_of_size_matches_subset_oracle():
+    rng = random.Random(23)
+    hosts = [random_graph(rng, n_range=(1, 12), max_edges=40) for _ in range(60)]
+    hosts += [clique(n) for n in range(1, 11)]
+    for g in hosts:
+        for k in range(7):
+            want = [
+                s
+                for s in itertools.combinations(range(g.n), k)
+                if all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+            ]
+            assert list(cliques_of_size(g, k)) == want, (g, k)
+    assert list(cliques_of_size(clique(3), 5)) == []
+    with pytest.raises(ValueError):
+        cliques_of_size(clique(3), -1)
+
+
+def test_clique_plan_is_the_general_rule_on_k_k():
+    # The closed-form chain is what orbit breaking derives for K_k.
+    for k in range(1, 11):
+        assert _clique_plan(k) == _compile(clique(k), (), _orbit_breaks(clique(k))), k

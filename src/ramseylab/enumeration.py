@@ -43,15 +43,22 @@ def _triangle_counts(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(per_vertex))
 
 
-def invariant_key(g: Graph):
-    """A cheap isomorphism-invariant bucket key."""
+def invariant_key(g: Graph) -> int:
+    """A cheap isomorphism-invariant bucket key: the hash of a tuple of ints.
+
+    The tuple is (n, m, sorted triangle counts, and the sorted profile of each
+    vertex's degree with its neighbours' degrees), which implies the degree
+    sequence.  Ints and their tuples hash the same under every
+    PYTHONHASHSEED, so buckets, and runs, are reproducible.  Two classes
+    whose keys collide only share a bucket, where the exact test decides.
+    """
     profile = tuple(
         sorted(
             (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbors(v))))
             for v in range(g.n)
         )
     )
-    return (g.n, g.m, g.degree_sequence(), _triangle_counts(g), profile)
+    return hash((g.n, g.m, _triangle_counts(g), profile))
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
@@ -68,7 +75,7 @@ class IsoClassStore:
     """A set of graphs up to isomorphism."""
 
     def __init__(self):
-        self._buckets: dict[tuple, list[Graph]] = {}
+        self._buckets: dict[int, list[Graph]] = {}
 
     def add(self, g: Graph) -> bool:
         """Insert g; returns True when its class was not present yet."""
@@ -154,14 +161,6 @@ def _graph_order(g: Graph):
     return (g.m, g.edges)
 
 
-def graphs_on_vertices(n: int) -> list[Graph]:
-    """All graphs on exactly n vertices up to isomorphism (isolates included)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    *_, level = _levels(n, _new_vertex_children)
-    return sorted(level, key=_graph_order)
-
-
 def graphs_up_to_vertices(n: int) -> list[Graph]:
     return [g for level in _levels(n, _new_vertex_children) for g in sorted(level, key=_graph_order)]
 
@@ -183,53 +182,5 @@ def _tree_order(t: Graph):
     return t.edges
 
 
-def trees_on_vertices(n: int) -> list[Graph]:
-    """All trees on exactly n vertices up to isomorphism, by leaf augmentation."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    *_, level = _levels(n, _leaf_children)
-    return sorted(level, key=_tree_order)
-
-
 def trees_up_to_vertices(n: int) -> list[Graph]:
     return [t for level in _levels(n, _leaf_children) for t in sorted(level, key=_tree_order)]
-
-
-def regular_graphs(n: int, r: int) -> list[Graph]:
-    """All r-regular graphs on n vertices up to isomorphism.
-
-    Augments vertex by vertex under a degree cap, pruning partial graphs whose
-    remaining degree demand cannot be met by the vertices still to come, then
-    keeps the exactly-regular results.  Practical for n*r/2 up to ~14 edges.
-    """
-    if r < 0 or n < 1:
-        raise ValueError("need n >= 1 and r >= 0")
-    if r >= n or (n * r) % 2 == 1:
-        return []
-    if r == 0:
-        return [Graph(n)]
-
-    def feasible(g: Graph, size: int) -> bool:
-        remaining = n - size
-        for v in range(size):
-            need = r - g.degree(v)
-            if need < 0 or need > remaining:
-                return False
-        # Handshake on the missing degree: each future vertex supplies <= r.
-        deficit = sum(r - g.degree(v) for v in range(size))
-        return deficit <= remaining * r
-
-    def children(g: Graph) -> Iterator[Graph]:
-        open_slots = [v for v in range(g.n) if g.degree(v) < r]
-        for count in range(min(r, len(open_slots)) + 1):
-            for combo in itertools.combinations(open_slots, count):
-                candidate = Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in combo])
-                if feasible(candidate, g.n + 1):
-                    yield candidate
-
-    *_, level = _levels(n, children)
-    return sorted(
-        (g for g in level if all(g.degree(v) == r for v in range(n))),
-        key=lambda g: g.edges,
-    )
-

@@ -512,16 +512,6 @@ def _creates_short_cycle(edges: list[set[int]], new: set[int], cap: int) -> bool
     return dfs(new, set(), set(), 1)
 
 
-def _partial_min_degree(edges: list[set[int]], n: int) -> int:
-    if not edges:
-        return 0
-    degree = [0] * n
-    for e in edges:
-        for v in e:
-            degree[v] += 1
-    return min(degree)
-
-
 def hypergraph_blowup(
     t: int,
     g: int,
@@ -547,7 +537,9 @@ def hypergraph_blowup(
     rng = random.Random(seed)
     chosen: list[set[int]] = []
     chosen_keys: set[frozenset[int]] = set()
+    degree = [0] * n
     best: list[set[int]] = []
+    best_min = 0
     rejects = 0
     # A greedy run can reach a maximal system below the degree target; restart
     # after a long rejection streak rather than burning the whole budget.
@@ -558,28 +550,30 @@ def hypergraph_blowup(
         if key in chosen_keys or _creates_short_cycle(chosen, cand, g):
             rejects += 1
             if rejects >= streak_limit:
-                if _partial_min_degree(chosen, n) > _partial_min_degree(best, n):
-                    best = chosen
-                chosen, chosen_keys, rejects = [], set(), 0
+                if min(degree) > best_min:
+                    best, best_min = chosen, min(degree)
+                chosen, chosen_keys, degree, rejects = [], set(), [0] * n, 0
             continue
         rejects = 0
         chosen.append(cand)
         chosen_keys.add(key)
-        hyper = Hypergraph(n, tuple(frozenset(e) for e in chosen))
-        if hyper.min_degree() >= min_degree:
+        for v in cand:
+            degree[v] += 1
+        if min(degree) >= min_degree:
+            hyper = Hypergraph(n, tuple(frozenset(e) for e in chosen))
             blow_edges = [
                 pair for e in hyper.hyperedges for pair in itertools.combinations(sorted(e), 2)
             ]
             return hyper, Graph(n, blow_edges)
-    if _partial_min_degree(chosen, n) > _partial_min_degree(best, n):
-        best = chosen
+    if min(degree) > best_min:
+        best, best_min = chosen, min(degree)
     partial = Hypergraph(n, tuple(frozenset(e) for e in best))
     raise SearchExhaustedError(
         f"no girth>{g} hypergraph of min degree {min_degree} found in {trials} trials "
-        f"(best min degree {partial.min_degree()})",
+        f"(best min degree {best_min})",
         best=partial,
         best_girth=hypergraph_girth(partial, g + 1),
-        best_min_degree=partial.min_degree(),
+        best_min_degree=best_min,
     )
 
 

@@ -17,7 +17,8 @@ searches with every representative it keeps as the pattern.
 `cliques_of_size` answers the clique questions: the clique number and the
 "contains K_k" checks.  It is the walker on K_k, whose conditions are the
 chain image[0] < ... < image[k-1] written down directly, so each clique is
-visited once, in increasing order.
+visited once, in increasing order, and a branch stops once too few candidates
+are left to finish the clique.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ class _Plan(NamedTuple):
     needs: tuple[int, ...]  # its degree, the least a host vertex needs
     backs: tuple[tuple[int, ...], ...]  # its neighbours placed earlier
     lows: tuple[tuple[int, ...], ...]  # earlier vertices whose images it must exceed
+    rooms: tuple[int, ...]  # the fewest candidates it needs left, see `_compile`
 
 
 def _compile(
@@ -53,6 +55,12 @@ def _compile(
     condition (a, b) of `breaks` asks for image[a] < image[b]; a must come
     before b in the order, and the bound is checked at b's step.  A bound
     that two others imply (a < c and c < b give a < b) is dropped.
+
+    A step's room counts itself and the later steps it reaches through chains
+    of such bounds whose placed neighbours include all of its own.  Each of
+    those needs a distinct image above its image that is also one of its
+    candidates, so a step with fewer candidates left than its room fails.
+    A pinned step has one candidate, its target, and room 1.
     """
     verts: list[int] = []
     placed = 0
@@ -70,11 +78,22 @@ def _compile(
     for v in verts:
         below = [a for a, b in breaks if b == v]
         lows.append(tuple(a for a in below if not any((a, c) in breaks for c in below)))
+    backs = [tuple(u for u in verts[:i] if pattern.has_edge(u, v)) for i, v in enumerate(verts)]
+    rooms = [1] * len(verts)
+    if breaks:  # most plans have none: one per representative the store searches with
+        under: list[set[int]] = []  # the steps that reach each step through chains of bounds
+        for j in range(len(verts)):
+            steps = [verts.index(a) for a in lows[j]]
+            under.append(set(steps).union(*(under[i] for i in steps)))
+            for i in under[j]:
+                if i >= len(pinned) and set(backs[i]) <= set(backs[j]):
+                    rooms[i] += 1
     return _Plan(
         tuple(verts),
         tuple(pattern.degree(v) for v in verts),
-        tuple(tuple(u for u in verts[:i] if pattern.has_edge(u, v)) for i, v in enumerate(verts)),
+        tuple(backs),
         tuple(lows),
+        tuple(rooms),
     )
 
 
@@ -111,7 +130,7 @@ def _walk(host: Graph, plan: _Plan, targets: tuple[int, ...]) -> Iterator[list[i
     label order.  The yielded list is indexed by pattern vertex and is
     overwritten as the search goes on, so a caller copies what it keeps.
     """
-    verts, needs, backs, lows = plan
+    verts, needs, backs, lows, rooms = plan
     n = len(verts)
     image = [-1] * n
     if n == 0:
@@ -125,7 +144,7 @@ def _walk(host: Graph, plan: _Plan, targets: tuple[int, ...]) -> Iterator[list[i
     i = 0
     cand = allowed[0]
     while True:
-        if cand:
+        if cand.bit_count() >= rooms[i]:
             low = cand & -cand
             cand ^= low
             h = low.bit_length() - 1
@@ -197,6 +216,11 @@ def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[frozenset[Edge]]:
         frozenset([(image[u], image[v]) if image[u] < image[v] else (image[v], image[u]) for u, v in edges])
         for image in _walk(host, _plan(pattern, (), _orbit_breaks(pattern)), ())
     ]
+    # The arrowing engine's clauses follow this order.  Unit propagation reaches
+    # the same result in any order, and no pinned node count or witness changes
+    # without the sort, but the order sets how soon the search meets a
+    # conflict: K11 vs (P5, K4) took 0.92-1.0 s with the copies in ascending
+    # bitmask order and 0.6-0.8 s sorted (CPU time, best of 7, three runs each).
     copies.sort(key=sorted)
     return copies
 
@@ -207,12 +231,14 @@ def _clique_plan(k: int) -> _Plan:
 
     Search order 0..k-1, and the Grochow–Kellis conditions as the chain
     image[0] < ... < image[k-1], which `_orbit_breaks` takes O(k^4) to derive.
+    Step i's room is k - i: it and every later step draw from its candidates.
     """
     return _Plan(
         tuple(range(k)),
         (k - 1,) * k,
         tuple(tuple(range(i)) for i in range(k)),
         tuple((i - 1,) if i else () for i in range(k)),
+        tuple(range(k, 0, -1)),
     )
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import defaultdict
 from itertools import combinations
 
@@ -7,10 +8,7 @@ import pytest
 from ramseylab.enumeration import (
     are_isomorphic,
     graphs_by_edge_count,
-    graphs_on_vertices,
     graphs_up_to_vertices,
-    regular_graphs,
-    trees_on_vertices,
     trees_up_to_vertices,
 )
 from ramseylab.families import cycle, path, star
@@ -25,9 +23,8 @@ TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
 
 @pytest.mark.parametrize("n,count", sorted(GRAPH_COUNTS.items()))
 def test_graph_counts_by_vertices(n, count):
-    graphs = graphs_on_vertices(n)
+    graphs = [g for g in graphs_up_to_vertices(n) if g.n == n]
     assert len(graphs) == count
-    assert all(g.n == n for g in graphs)
 
 
 def _nx(g: Graph) -> nx.Graph:
@@ -48,8 +45,9 @@ def _bucket(graphs: list[nx.Graph]) -> dict[tuple, list[nx.Graph]]:
 def test_graphs_on_vertices_match_networkx_atlas():
     # The atlas lists every graph on at most 7 nodes once up to isomorphism.
     atlas = nx.graph_atlas_g()
+    graphs = graphs_up_to_vertices(7)
     for n in range(1, 8):
-        ours = _bucket([_nx(g) for g in graphs_on_vertices(n)])
+        ours = _bucket([_nx(g) for g in graphs if g.n == n])
         theirs = _bucket([a for a in atlas if a.number_of_nodes() == n])
         assert ours.keys() == theirs.keys()
         for key, bucket in ours.items():
@@ -73,6 +71,18 @@ def test_graphs_up_to_vertices():
     assert len(graphs_up_to_vertices(5)) == 1 + 2 + 4 + 11 + 34
 
 
+def test_vertex_levels_peak_memory():
+    # The store keeps one int key per bucket; with the nested invariant tuple
+    # as the key this peaked at 2.4-2.9 MB.
+    tracemalloc.start()
+    try:
+        graphs_up_to_vertices(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2e6, peak
+
+
 def test_each_graph_minus_its_last_vertex_is_listed():
     graphs = graphs_up_to_vertices(7)
     listed = set(graphs)
@@ -92,7 +102,7 @@ def test_graph_counts_by_edges():
 
 @pytest.mark.parametrize("n,count", sorted(TREE_COUNTS.items()))
 def test_tree_counts(n, count):
-    trees = trees_on_vertices(n)
+    trees = [t for t in trees_up_to_vertices(n) if t.n == n]
     assert len(trees) == count
     assert all(t.is_tree() for t in trees)
 
@@ -106,16 +116,3 @@ def test_are_isomorphic():
     assert not are_isomorphic(path(4), star(3))
     assert not are_isomorphic(cycle(6), Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
     assert are_isomorphic(Graph(0), Graph(0))
-
-
-def test_regular_graph_counts():
-    assert len(regular_graphs(4, 3)) == 1
-    assert len(regular_graphs(6, 3)) == 2
-    cubic8 = regular_graphs(8, 3)
-    assert len(cubic8) == 6  # five connected cubic graphs plus 2K_4
-    assert sum(1 for g in cubic8 if g.is_connected()) == 5
-    assert len(regular_graphs(6, 4)) == 1
-    assert len(regular_graphs(9, 2)) == 4  # C9, C3+C6, C4+C5, 3C3
-    assert regular_graphs(3, 4) == []
-    assert regular_graphs(5, 1) == []  # parity
-    assert regular_graphs(4, 0) == [Graph(4)]

@@ -1,9 +1,11 @@
+import functools
 import random
+from collections import Counter
 
 import pytest
 
 from ramseylab.arrowing import arrows
-from ramseylab.enumeration import graphs_by_edge_count, regular_graphs
+from ramseylab.enumeration import graphs_by_edge_count, graphs_up_to_vertices
 from ramseylab.factors import (
     BelckCertificate,
     FactorWitness,
@@ -14,6 +16,7 @@ from ramseylab.factors import (
     star_pair_regular_arrows,
 )
 from ramseylab.families import clique, cycle, factor_extremal_graph, path, star
+from ramseylab.graphs import Graph
 from conftest import random_graph
 from oracles import brute_has_k_factor
 
@@ -98,16 +101,42 @@ def test_star_pair_regular_arrows_examples():
         star_pair_regular_arrows(path(4), 2, 2)
 
 
+def _cycle_partitions(n: int, least: int = 3):
+    """Partitions of n into parts >= 3, each as a non-decreasing tuple."""
+    if n == 0:
+        yield ()
+    for part in range(least, n + 1):
+        for rest in _cycle_partitions(n - part, part):
+            yield (part, *rest)
+
+
+# The regular hosts on at most 12 vertices with 1 to 12 edges, one per class, by (n, r).
+REGULAR_HOST_COUNTS = {
+    (2, 1): 1, (4, 1): 1, (6, 1): 1, (8, 1): 1, (10, 1): 1, (12, 1): 1,
+    (3, 2): 1, (4, 2): 1, (5, 2): 1, (6, 2): 2, (7, 2): 2, (8, 2): 3,
+    (9, 2): 4, (10, 2): 5, (11, 2): 6, (12, 2): 9,
+    (4, 3): 1, (6, 3): 2, (8, 3): 6, (5, 4): 1, (6, 4): 1,
+}
+
+
 def test_star_pair_agrees_with_arrowing_on_regular_graphs():
-    shapes = [(n, r) for r in range(1, 5) for n in range(r + 1, 13) if n * r <= 24]
-    for n, r in shapes:
-        for f in regular_graphs(n, r):
-            if f.m > 12:
-                continue
-            for a in range(1, r + 2):
-                b = r + 2 - a
-                want = arrows(f, star(a), star(b)).arrows
-                assert star_pair_regular_arrows(f, a, b) == want, (f.edges, a, b)
+    # On 9 to 12 vertices, 12 edges leave room only for degree 1 (a perfect
+    # matching) or 2 (a union of cycles, one per partition of n into parts >= 3).
+    small = [g for g in graphs_up_to_vertices(8) if 1 <= g.m <= 12 and len(set(g.degree_sequence())) == 1]
+    matchings = [Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]) for n in (10, 12)]
+    cycles = [
+        functools.reduce(Graph.disjoint_union, map(cycle, parts))
+        for n in range(9, 13)
+        for parts in _cycle_partitions(n)
+    ]
+    hosts = small + matchings + cycles
+    assert Counter((f.n, f.degree(0)) for f in hosts) == REGULAR_HOST_COUNTS
+    for f in hosts:
+        r = f.degree(0)
+        for a in range(1, r + 2):
+            b = r + 2 - a
+            want = arrows(f, star(a), star(b)).arrows
+            assert star_pair_regular_arrows(f, a, b) == want, (f.edges, a, b)
 
 
 def test_extremal_graph_separates_star_pairs():

@@ -275,6 +275,10 @@ def test_hypergraph_blowup_deterministic():
     a = hypergraph_blowup(3, 3, 2, 15, trials=30000, seed=11)
     b = hypergraph_blowup(3, 3, 2, 15, trials=30000, seed=11)
     assert a[0] == b[0] and a[1] == b[1]
+    assert sorted(sorted(e) for e in a[0].hyperedges) == [
+        [0, 4, 12], [0, 6, 14], [1, 3, 12], [1, 5, 9], [2, 6, 13], [2, 7, 12],
+        [3, 11, 14], [4, 8, 10], [5, 7, 14], [6, 9, 10], [8, 11, 13],
+    ]
 
 
 def test_determiner_chain_counts_and_coverage():

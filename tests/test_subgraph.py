@@ -242,6 +242,15 @@ def test_clique_number_examples_and_oracle():
         assert clique_number(g) == brute_clique_number(g)
 
 
+def test_clique_number_cuts_branches_too_narrow_to_finish():
+    # K_28 less a perfect matching: omega = 14.  Without the pigeonhole cut the
+    # search for a 15-clique extends every partial clique as far as it goes (~5 s).
+    g = Graph(28, [(u, v) for u, v in itertools.combinations(range(28), 2) if v != u + 14])
+    start = time.perf_counter()
+    assert clique_number(g) == 14
+    assert time.perf_counter() - start < 1.0
+
+
 def test_cliques_of_size():
     assert len(list(cliques_of_size(clique(5), 3))) == 10
     assert list(cliques_of_size(cycle(5), 3)) == []

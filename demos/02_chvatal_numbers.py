@@ -1,10 +1,12 @@
-"""Tree-versus-triangle Ramsey numbers follow the linear formula 2(n-1)+1.
+"""Tree-versus-clique Ramsey numbers follow Chvátal's R(T, K_t) = (t-1)(|T|-1)+1.
 
 The pruned decider proves both directions: K_{2n-1} arrows (T, K_3), and the
-search hands back an explicit free coloring of K_{2n-2}.
+search hands back an explicit free coloring of K_{2n-2}.  One step up, K_13
+arrows (P_5, K_4): ramsey_number splits each K_n on the red degree of vertex 0
+and skips the degrees that R(P_5, K_3) = 9 already settles.
 """
 
-from ramseylab import arrows, clique, coloring_is_free, ramsey_number
+from ramseylab import arrows, clique, coloring_is_free, path, ramsey_number
 from ramseylab.enumeration import trees_up_to_vertices
 
 K3 = clique(3)
@@ -19,3 +21,7 @@ for t in trees_up_to_vertices(5):
         reds = len(verdict.witness.red)
         print(f"  K_{r - 1} witness: {reds} red / {verdict.witness.host.m - reds} blue edges, "
               f"free: {coloring_is_free(clique(r - 1), verdict.witness, t, K3)}")
+
+r = ramsey_number(path(5), clique(4), cap=13)
+print(f"R(P5, K4) = {r} (formula {3 * (5 - 1) + 1})")
+assert r == 3 * (5 - 1) + 1

@@ -274,14 +274,20 @@ def exhaustive_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingVerdict:
     gmasks = _copies_by_injection(f, g, edge_index)
     hmasks = _copies_by_injection(f, h, edge_index)
     total = 1 << m
-    colorings = np.arange(total, dtype=np.uint32)
-    bad = np.zeros(total, dtype=bool)
-    for mask in gmasks:  # bit set = red; a fully red g-copy is bad
-        mask_u = np.uint32(mask)
-        bad |= (colorings & mask_u) == mask_u
-    for mask in hmasks:  # a fully blue h-copy has no red bit on its edges
-        bad |= (colorings & np.uint32(mask)) == 0
-    free = np.nonzero(~bad)[0]
+    # Coloring c (bit set = red) shows a red g iff c contains a g-copy mask,
+    # and a blue h iff c lies inside the complement of an h-copy mask.  Mark
+    # those masks, then close upward (red) or downward (blue) one edge at a
+    # time, so the scan costs m passes whatever the number of copies.
+    red_g = np.zeros(total, dtype=bool)
+    red_g[gmasks] = True
+    blue_h = np.zeros(total, dtype=bool)
+    blue_h[[(total - 1) ^ mask for mask in hmasks]] = True
+    for i in range(m):
+        up = red_g.reshape(-1, 2, 1 << i)
+        up[:, 1] |= up[:, 0]
+        down = blue_h.reshape(-1, 2, 1 << i)
+        down[:, 0] |= down[:, 1]
+    free = np.nonzero(~(red_g | blue_h))[0]
     if free.size == 0:
         return ArrowingVerdict(True, None, total, "exhaustive")
     first = int(free[0])
@@ -292,21 +298,85 @@ def exhaustive_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingVerdict:
 
 
 def ramsey_number(g: Graph, h: Graph, cap: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Least n <= cap with K_n -> (g, h)."""
+    """Least n <= cap with K_n -> (g, h).
+
+    Each K_n is decided by splitting on the red degree of vertex 0 (see
+    `_clique_arrows`).  The budget caps the nodes summed over one K_n's cases.
+    """
     return _ramsey_number(g, h, cap, budget)[0]
 
 
 def _ramsey_number(g: Graph, h: Graph, cap: int, budget: int) -> tuple[int, int]:
     """ramsey_number and the nodes its searches explored, summed."""
+    value, nodes = _least_arrowing_clique(g, h, cap, budget)
+    if value is None:
+        raise CapExceededError(f"no complete graph up to K_{cap} arrows the pair")
+    return value, nodes
+
+
+def _least_arrowing_clique(g: Graph, h: Graph, cap: int, budget: int) -> tuple[int | None, int]:
+    """The least n <= cap with K_n -> (g, h), or None, and the nodes searched.
+
+    When h = K_t with t >= 2, rho = R(g, K_{t-1}) is computed first by this
+    same routine with cap - 1, under the same per-K_n budget; its nodes count
+    toward the sum.  A rho past cap - 1 could not skip any case below cap, so
+    none is skipped.
+    """
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     nodes = 0
+    rho = None
+    t = h.n
+    if t >= 2 and h.m == t * (t - 1) // 2 and cap >= 2:
+        rho, nodes = _least_arrowing_clique(g, clique(t - 1), cap - 1, budget)
     for n in range(1, cap + 1):
-        verdict = arrows(clique(n), g, h, budget)
-        nodes += verdict.nodes_explored
-        if verdict.arrows:
+        decided, spent = _clique_arrows(n, g, h, budget, rho)
+        nodes += spent
+        if decided:
             return n, nodes
-    raise CapExceededError(f"no complete graph up to K_{cap} arrows the pair")
+    return None, nodes
+
+
+def _clique_arrows(n: int, g: Graph, h: Graph, budget: int, rho: int | None) -> tuple[bool, int]:
+    """Decide K_n -> (g, h) on one engine, case by case; returns (arrows, nodes).
+
+    Case d pins the edges (0, i) red for i <= d and blue for i > d.  K_n is
+    vertex-transitive, so relabelling 1..n-1 maps every coloring into the case
+    of vertex 0's red degree.  `rho` is R(g, K_{t-1}) when h = K_t, else None.
+    A case with n-1-d >= rho is skipped: its blue neighbourhood holds a red g
+    or a blue K_{t-1}, which vertex 0 makes a blue K_t (Greenwood & Gleason
+    1955).  When g and h are isomorphic the color swap maps case d onto case
+    n-1-d, so only d >= (n-1)/2 is searched.  Cases run in ascending d; a free
+    coloring from any of them is re-checked and refutes K_n.  The budget caps
+    the nodes summed over the cases, and BudgetExhaustedError carries that sum.
+    """
+    f = clique(n)
+    engine = _ArrowEngine(f, g, h)
+    if engine.trivial_arrows:
+        return True, 0
+    first = n // 2 if engine.symmetric else 0
+    if rho is not None:
+        first = max(first, n - rho)
+    nodes = 0
+    for d in range(first, n):
+        prefix = tuple(
+            (engine.edge_index[(0, i)], _RED_BIT if i <= d else _BLUE_BIT) for i in range(1, n)
+        )
+        try:
+            red, spent = engine.solve(budget - nodes, prefix)
+        except BudgetExhaustedError as exc:
+            raise BudgetExhaustedError(
+                f"K_{n} search exceeded {budget} nodes", nodes_explored=nodes + exc.nodes_explored
+            ) from None
+        nodes += spent
+        if red is not None:
+            witness = engine.coloring_from_red(red)
+            if not coloring_is_free(f, witness, g, h):
+                raise InvariantViolationError("search produced a non-free witness coloring")
+            return False, nodes
+    return True, nodes
 
 
 def minimal_ramsey_check(f: Graph, g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> bool:
@@ -401,20 +471,24 @@ class ScanResult:
 
 
 def _monotone_arrows(
-    host: Graph, g: Graph, h: Graph, budget: int, known: dict[Graph, frozenset[Edge] | None]
+    host: Graph,
+    parent: Graph,
+    g: Graph,
+    h: Graph,
+    budget: int,
+    known: dict[Graph, frozenset[Edge] | None],
 ) -> tuple[frozenset[Edge] | None, int]:
     """Decide host -> (g, h) from its parent's result where that settles it.
 
     Returns the red edges of a free coloring, or None when host arrows,
     together with the nodes searched.  `known` maps graphs already decided for
-    (g, h) to that same result.  The parent is host less its last vertex.  If
+    (g, h) to that same result.  `parent` is host less its last vertex.  If
     the parent arrows, so does host (subgraph monotonicity).  Otherwise the
     parent's witness is extended by coloring the new vertex's edges all blue,
     all red, then each one alone red; the first extension that
     coloring_is_free accepts is host's witness.  Failing that, `arrows`
     searches, and may raise BudgetExhaustedError.
     """
-    parent = host.without_vertex(host.n - 1)
     if parent in known:
         red = known[parent]
         if red is None:
@@ -486,10 +560,11 @@ def equivalence_scan(
     for host in graphs_up_to_vertices(max_vertices):
         if host.n != level:
             level, previous, current = host.n, current, ({}, {})
+        parent = host.without_vertex(host.n - 1)
         try:
             decided = []
             for (g, h), known, found in zip(pairs, previous, current):
-                red, nodes = _monotone_arrows(host, g, h, budget, known)
+                red, nodes = _monotone_arrows(host, parent, g, h, budget, known)
                 result.nodes_explored += nodes
                 found[host] = red
                 decided.append(red is None)

@@ -7,6 +7,7 @@ import ramseylab.arrowing
 from ramseylab.arrowing import (
     DEFAULT_BUDGET,
     ArrowingVerdict,
+    _clique_arrows,
     _monotone_arrows,
     arrows,
     coloring_is_free,
@@ -27,7 +28,7 @@ from ramseylab.families import (
 )
 from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph
 
-from conftest import random_graph
+from conftest import case_nodes, random_graph
 
 K3 = clique(3)
 
@@ -114,6 +115,57 @@ def test_ramsey_number_spec_examples():
         ramsey_number(K3, K3, cap=5)
     with pytest.raises(ValueError):
         ramsey_number(K3, K3, cap=0)
+
+
+def test_chvatal_p5_k4():
+    # R(T, K_t) = (t-1)(|T|-1)+1 past the 24-edge oracle: K_13 has 78 edges.
+    assert ramsey_number(path(5), clique(4), cap=13) == 13
+
+
+def test_ramsey_number_budget_caps_the_cases_of_one_clique():
+    # Budget 0 allows propagation only, which settles every K_n for (P3, K3).
+    assert ramsey_number(path(3), K3, cap=6, budget=0) == 5
+    # R(K3, K3): the swap keeps d >= (n-1)/2 and rho = R(K3, K2) = 3 keeps
+    # d >= n-3.  K_3 searches d = 1 first, which needs one node.
+    with pytest.raises(BudgetExhaustedError) as exc:
+        ramsey_number(K3, K3, cap=6, budget=0)
+    assert exc.value.nodes_explored == sum(case_nodes(3, K3, K3, [1, 2])) == 1
+    # R(C4, K3) = 7 with rho = R(C4, K2) = 4: K_7 searches d = 3..6, every
+    # case arrows, and the budget caps their sum.
+    spent = sum(case_nodes(7, cycle(4), K3, [3, 4, 5, 6]))
+    below = [sum(case_nodes(n, cycle(4), K3, range(max(0, n - 4), n))) for n in range(1, 7)]
+    assert spent > max(below)
+    assert ramsey_number(cycle(4), K3, cap=7, budget=spent) == 7
+    with pytest.raises(BudgetExhaustedError) as exc:
+        ramsey_number(cycle(4), K3, cap=7, budget=spent - 1)
+    assert exc.value.nodes_explored == spent
+
+
+def test_clique_split_matches_exhaustive_oracle():
+    # Every pair of connected patterns on <= 4 vertices: K3 and K4 as h fire
+    # the Greenwood-Gleason skip, and the pairs with g = h fire the swap.
+    patterns = [p for p in graphs_up_to_vertices(4) if p.is_connected()]
+    assert {clique(3), clique(4)} <= set(patterns)
+    # truth[g, h][n - 1] is exhaustive_arrows on K_n; above the least arrowing
+    # n it holds by monotonicity (K_n is a subgraph of K_{n+1}).
+    truth = {}
+    for g in patterns:
+        for h in patterns:
+            row = []
+            for n in range(1, 8):
+                row.append(bool(row and row[-1]) or exhaustive_arrows(clique(n), g, h).arrows)
+            truth[g, h] = row
+    least = {pair: row.index(True) + 1 if True in row else None for pair, row in truth.items()}
+    for (g, h), row in truth.items():
+        t = h.n
+        rho = least[g, clique(t - 1)] if t >= 2 and h.m == t * (t - 1) // 2 else None
+        for n in range(1, 8):
+            assert _clique_arrows(n, g, h, DEFAULT_BUDGET, rho)[0] == row[n - 1], (n, g, h)
+        if least[g, h] is None:
+            with pytest.raises(CapExceededError):
+                ramsey_number(g, h, cap=7)
+        else:
+            assert ramsey_number(g, h, cap=7) == least[g, h], (g, h)
 
 
 def test_chvatal_small_trees():
@@ -412,7 +464,8 @@ def test_monotone_verdicts_match_search(g, h, monkeypatch):
     known = {}
     hosts = graphs_up_to_vertices(6)
     for host in hosts:
-        red, _ = _monotone_arrows(host, g, h, DEFAULT_BUDGET, known)
+        parent = host.without_vertex(host.n - 1)
+        red, _ = _monotone_arrows(host, parent, g, h, DEFAULT_BUDGET, known)
         known[host] = red
         assert (red is None) == arrows(host, g, h).arrows, host.edges
         if red is not None:

@@ -25,6 +25,8 @@ from ramseylab.families import clique, cycle, path, star
 from ramseylab.formats import coloring_to_text, graph_to_graph6
 from ramseylab.graphs import BLUE, EdgeColoring, Graph
 
+from conftest import case_nodes
+
 
 @pytest.fixture
 def files(tmp_path, monkeypatch):
@@ -57,12 +59,20 @@ def test_ramsey_number_cli(files, capsys):
 
 def test_ramsey_number_cli_reports_nodes_of_every_search(files, capsys):
     _, write = files
-    g = write("p3.g6", path(3))
+    g = write("p5.g6", path(5))
     h = write("k3.g6", clique(3))
-    code, report = run(capsys, ["ramsey-number", "--g", g, "--h", h, "--cap", "6"])
+    code, report = run(capsys, ["ramsey-number", "--g", g, "--h", h, "--cap", "10"])
     assert code == EXIT_OK
-    r = report["verdict"]["ramsey_number"]
-    nodes = sum(arrows(clique(n), path(3), clique(3)).nodes_explored for n in range(1, r + 1))
+    assert report["verdict"]["ramsey_number"] == 9
+    # On each K_n the split searches the red degrees d of vertex 0 with
+    # n - 1 - d < rho: rho = R(P5, K2) = 5 for (P5, K3) and R(P5, K1) = 1 for
+    # (P5, K2), both searched first.  (P5, K1) skips nothing; on its one
+    # clique, K_1, rho = 1 says the same.
+    nodes = sum(
+        sum(case_nodes(n, path(5), clique(t), range(max(0, n - rho), n)))
+        for t, r, rho in ((3, 9, 5), (2, 5, 1), (1, 1, 1))
+        for n in range(1, r + 1)
+    )
     assert report["nodes_explored"] == nodes > 0
 
 

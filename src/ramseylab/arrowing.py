@@ -2,13 +2,16 @@
 
 A host F arrows a pair (G, H) when every red/blue edge coloring of F shows a
 red G or a blue H.  The pruned decider enumerates the copies of G and H in F
-once, then runs a DFS over partial colorings: a copy is a clause, the bitmask
-of its edges, which may not all take the copy's forbidden color.  A partial
-coloring is two edge bitmasks, red and blue, and the DFS loops over an
-explicit stack of them, with no recursion limit.  Conflicts prune, and a copy
-with one uncolored edge left and no edge of its allowed color forces that
-edge (unit propagation).  A completed conflict-free coloring is a witness
-that F does not arrow; an exhausted search proves that it does.
+once, then runs a DFS over partial colorings: a copy is a clause, whose edges
+may not all take the copy's forbidden color.  The clauses of one pattern are
+bit positions: each edge keeps the set of copies through it as one int, and
+each copy a counter of its forbidden-colored edges, stored bit-sliced across
+a few ints, so coloring an edge updates all its copies at once (see
+`_ArrowEngine`).  Conflicts prune, and a copy with one uncolored edge left and
+no edge of its allowed color forces that edge (unit propagation).  The DFS
+loops over an explicit stack, with no recursion limit.  A completed
+conflict-free coloring is a witness that F does not arrow; an exhausted search
+proves that it does.
 
 The exhaustive decider rebuilds the copies by brute-force injection
 enumeration and scans all 2^m colorings vectorized; it exists to cross-check
@@ -59,46 +62,88 @@ class ArrowingVerdict:
 
 
 class _ArrowEngine:
-    """Clause DFS with unit propagation over one (f, g, h) instance.
+    """Bit-sliced clause DFS with unit propagation over one (f, g, h) instance.
 
-    Each copy of g or h is a clause: the bitmask of its edge indices, which
-    may not all take the copy's forbidden color (red for g, blue for h).
-    `forbid[c][e]` holds the clauses through edge e that forbid color c; they
-    are the only clauses that assigning c to e can make unit or violate.  The
-    DFS loops over an explicit stack of (position, red mask, blue mask)
-    states: no recursion limit applies, and backtracking undoes nothing.
+    Each copy of g or h is a clause: its k edges may not all take the copy's
+    forbidden color (red for g, blue for h).  The copies of one pattern form a
+    side, indexed by that forbidden color, numbered 0..N-1, so a set of copies
+    is an N-bit int.  Per side, `inc[e]` is the set of copies through edge e,
+    `near[e]` the edge mask of their union and `copy_edges[i]` the edge mask
+    of copy i.  All copies of a pattern have the same k edges.
+
+    A state is an immutable tuple: the red and blue edge masks, the satisfied
+    copies of each side (those with an edge of the allowed color), then each
+    side's w = k.bit_length() counter planes.  Bit i of plane b is bit b of
+    copy i's counter, which starts at 2^w - k and counts the copy's edges of
+    the forbidden color.  Coloring e with c satisfies the other side's copies
+    through e, and adds 1 at once to the counter of every unsatisfied copy of
+    side c through e.  A carry out of the top plane is a copy all of its
+    forbidden color, a conflict.  A counter of all ones is a copy with k - 1
+    forbidden edges and no allowed one, so its last edge is forced to the
+    allowed color (unit propagation).  The fixpoint, and whether a conflict
+    is met, do not depend on the order copies or forced edges are visited in,
+    so neither does the search.
+
+    The DFS loops over an explicit stack of (position, state, edge, color)
+    entries, whose assignment is propagated when the entry is popped: no
+    recursion limit applies, backtracking undoes nothing, and a branch that is
+    never reached costs nothing.
     """
 
     def __init__(self, f: Graph, g: Graph, h: Graph):
         self.f = f
-        self.m = f.m
-        self.edge_index = {e: i for i, e in enumerate(f.edges)}
+        self.m = m = f.m
+        self.edge_index = edge_index = {e: i for i, e in enumerate(f.edges)}
         self.trivial_arrows = False
 
-        forbid: tuple[list[list[int]], list[list[int]]] = (
-            [[] for _ in range(self.m)],
-            [[] for _ in range(self.m)],
-        )
+        inc: list[tuple[int, ...]] = []
+        near: list[tuple[int, ...]] = []
+        copy_edges: list[list[int]] = []
+        planes: list[range] = []  # per side, where its counter planes sit in a state
+        start = [0, 0, 0, 0]
+        weight = [0] * m
         # Single-edge clauses force their edge to the other color up front.
         units: list[tuple[int, int]] = []
         for pattern, bad in ((g, _RED_BIT), (h, _BLUE_BIT)):
-            for copy in copies_as_edge_sets(f, pattern):
-                if not copy:
-                    # An edgeless copy is monochromatic under every coloring.
-                    self.trivial_arrows = True
-                    return
-                indices = [self.edge_index[e] for e in copy]
-                mask = sum(1 << i for i in indices)
-                for i in indices:
-                    forbid[bad][i].append(mask)
-                if len(indices) == 1:
-                    units.append((indices[0], 1 - bad))
-        self.forbid = tuple([tuple(x) for x in per_edge] for per_edge in forbid)
+            copies = copies_as_edge_sets(f, pattern)
+            if copies and not copies[0]:
+                # An edgeless copy is monochromatic under every coloring.
+                self.trivial_arrows = True
+                return
+            # Bit i of rows[e] is copy i, little-endian, read as an int below.
+            rows = [bytearray((len(copies) + 7) >> 3) for _ in range(m)]
+            spans = [0] * m
+            masks = []
+            for i, copy in enumerate(copies):
+                indices = [edge_index[e] for e in copy]
+                mask = 0
+                for j in indices:
+                    mask |= 1 << j
+                masks.append(mask)
+                byte, bit = i >> 3, 1 << (i & 7)
+                for j in indices:
+                    rows[j][byte] |= bit
+                    spans[j] |= mask
+            k = len(copies[0]) if copies else 0
+            if k == 1:
+                units += [(mask.bit_length() - 1, 1 - bad) for mask in masks]
+            inc.append(tuple(int.from_bytes(row, "little") for row in rows))
+            near.append(tuple(spans))
+            copy_edges.append(masks)
+            for j, row in enumerate(inc[-1]):
+                weight[j] += row.bit_count()
+            w = k.bit_length()
+            full = (1 << len(copies)) - 1
+            planes.append(range(len(start), len(start) + w))
+            start += [full if (1 << w) - k >> b & 1 else 0 for b in range(w)]
+        self.inc = tuple(inc)
+        self.near = tuple(near)
+        self.copy_edges = tuple(copy_edges)
+        self.planes = tuple(planes)
+        self.start = tuple(start)
         self.units = tuple(units)
         # Branch on the most constrained edges first.
-        self.order = sorted(
-            range(self.m), key=lambda e: (-len(forbid[0][e]) - len(forbid[1][e]), e)
-        )
+        self.order = sorted(range(m), key=lambda e: (-weight[e], e))
         # Swapping the two colors maps free colorings onto free colorings
         # exactly when the two patterns coincide.
         self.symmetric = are_isomorphic(g, h)
@@ -114,58 +159,88 @@ class _ArrowEngine:
         if self.trivial_arrows:
             return None, 0
         m = self.m
-        forbid = self.forbid
+        inc = self.inc
+        near = self.near
+        copy_edges = self.copy_edges
+        planes = self.planes
         order = self.order
         nodes = 0
 
-        def assign(red: int, blue: int, e: int, c: int) -> tuple[int, int] | None:
-            """Assign c to e and propagate; returns the new masks or None on conflict."""
+        def assign(state: tuple, e: int, c: int) -> tuple | None:
+            """Assign c to e and propagate; returns the new state or None on conflict."""
+            cur = list(state)
             stack = [(e, c)]
             while stack:
                 e, c = stack.pop()
                 bit = 1 << e
-                if c == _RED_BIT:
-                    if red & bit:
-                        continue
-                    if blue & bit:
-                        return None
-                    red |= bit
-                    own, other = red, blue
+                if cur[c] & bit:
+                    continue
+                o = 1 - c
+                if cur[o] & bit:
+                    return None
+                cur[c] |= bit
+                cur[2 + o] |= inc[o][e]
+                unit = carry = inc[c][e] & ~cur[2 + c]
+                if not carry:
+                    continue
+                # Ripple-add; planes above the last carry keep their ints.
+                side = planes[c]
+                for b in side:
+                    plane = cur[b]
+                    cur[b] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
                 else:
-                    if blue & bit:
-                        continue
-                    if red & bit:
-                        return None
-                    blue |= bit
-                    own, other = blue, red
-                not_own = ~own
-                for clause in forbid[c][e]:
-                    if clause & other:
-                        continue  # already has an edge of the allowed color
-                    rest = clause & not_own
-                    if not rest:
-                        return None
-                    if not rest & (rest - 1):
-                        stack.append((rest.bit_length() - 1, 1 - c))
-            return red, blue
+                    return None  # a copy all of its forbidden color
+                for b in side:
+                    unit &= cur[b]
+                if not unit:
+                    continue
+                # Each unit copy forces its one uncolored edge.  A few unit
+                # copies are walked one by one; many are matched against the
+                # free edges of near[e], one AND each, because every step of
+                # the walk costs a pass over an N-bit int.
+                if unit.bit_count() <= 8:
+                    uncolored = ~cur[c]
+                    masks = copy_edges[c]
+                    while unit:
+                        low = unit & -unit
+                        unit ^= low
+                        j = (masks[low.bit_length() - 1] & uncolored).bit_length() - 1
+                        stack.append((j, o))
+                else:
+                    free = near[c][e] & ~(cur[0] | cur[1])
+                    rows = inc[c]
+                    while free:
+                        low = free & -free
+                        free ^= low
+                        j = low.bit_length() - 1
+                        if unit & rows[j]:
+                            stack.append((j, o))
+            return tuple(cur)
 
-        state: tuple[int, int] | None = (0, 0)
+        state: tuple | None = self.start
         for e, c in prefix + self.units:
-            state = assign(*state, e, c)
+            state = assign(state, e, c)
             if state is None:
                 return None, 0
 
         # With identical patterns and no pinned prefix, the color swap is a
         # free-coloring bijection, so the first branched edge may be fixed red.
         fix_first = self.symmetric and not prefix
-        stack = [(0, *state)]
+        stack = [(0, state, -1, 0)]
         while stack:
-            pos, red, blue = stack.pop()
-            assigned = red | blue
+            pos, state, e, c = stack.pop()
+            if e >= 0:
+                state = assign(state, e, c)
+                if state is None:
+                    continue
+            assigned = state[0] | state[1]
             while pos < m and assigned >> order[pos] & 1:
                 pos += 1
             if pos == m:
-                return red, nodes
+                return state[0], nodes
             nodes += 1
             if nodes > budget:
                 raise BudgetExhaustedError(
@@ -173,10 +248,9 @@ class _ArrowEngine:
                 )
             e = order[pos]
             # The red child goes on top, so it is searched first.
-            for c in (_RED_BIT,) if fix_first and nodes == 1 else (_BLUE_BIT, _RED_BIT):
-                child = assign(red, blue, e, c)
-                if child is not None:
-                    stack.append((pos + 1, *child))
+            if not (fix_first and nodes == 1):
+                stack.append((pos + 1, state, e, _BLUE_BIT))
+            stack.append((pos + 1, state, e, _RED_BIT))
         return None, nodes
 
     def coloring_from_red(self, red: int) -> EdgeColoring:

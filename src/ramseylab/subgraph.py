@@ -216,11 +216,11 @@ def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[frozenset[Edge]]:
         frozenset([(image[u], image[v]) if image[u] < image[v] else (image[v], image[u]) for u, v in edges])
         for image in _walk(host, _plan(pattern, (), _orbit_breaks(pattern)), ())
     ]
-    # The arrowing engine's clauses follow this order.  Unit propagation reaches
-    # the same result in any order, and no pinned node count or witness changes
-    # without the sort, but the order sets how soon the search meets a
-    # conflict: K11 vs (P5, K4) took 0.92-1.0 s with the copies in ascending
-    # bitmask order and 0.6-0.8 s sorted (CPU time, best of 7, three runs each).
+    # The arrowing engine numbers its clauses in this order.  Its verdicts,
+    # node counts and witnesses do not depend on the order, but its time
+    # does, through the lengths of its ints: the K11 vs (P5, K4) search took
+    # 0.15-0.24 s sorted, 0.20-0.26 s reversed and 0.24-0.35 s shuffled (CPU
+    # time, best of 9, two runs).
     copies.sort(key=sorted)
     return copies
 

@@ -9,6 +9,7 @@ from ramseylab.arrowing import (
     ArrowingVerdict,
     _clique_arrows,
     _monotone_arrows,
+    _ramsey_number,
     arrows,
     coloring_is_free,
     equivalence_scan,
@@ -273,6 +274,72 @@ def test_engine_node_counts_and_witnesses_are_pinned(make, nodes, red):
         assert verdict.arrows
     else:
         assert not verdict.arrows and verdict.witness.red == frozenset(red)
+
+
+def test_clause_order_does_not_change_the_search(monkeypatch):
+    # The engine numbers copies in the order copies_as_edge_sets lists them.
+    # Propagation reaches one fixpoint whatever that order, so reversing or
+    # shuffling the list must leave every verdict, node count and witness.
+    def run():
+        outcomes = []
+        for make, _, _ in ENGINE_PINS:
+            f, g, h, pinned = make()
+            verdict = arrows(f, g, h, pinned=pinned)
+            outcomes.append((verdict.arrows, verdict.nodes_explored, verdict.witness))
+        return outcomes, _ramsey_number(K3, clique(4), 9, DEFAULT_BUDGET)
+
+    expected = run()
+    assert expected[1][0] == 9
+    listed = ramseylab.arrowing.copies_as_edge_sets
+    rng = random.Random(1409)
+    for reorder in (list.reverse, rng.shuffle):
+
+        def reordered(host, pattern):
+            copies = listed(host, pattern)
+            reorder(copies)
+            return copies
+
+        monkeypatch.setattr(ramseylab.arrowing, "copies_as_edge_sets", reordered)
+        assert run() == expected, reorder
+
+
+def test_counter_widths_match_exhaustive_oracle():
+    # Clause sizes k = 1..6 give counter planes 1, 2 and 3 bits wide; the
+    # isolated vertex of K3 + K1 is stripped before its copies are counted.
+    from oracles import brute_pinned_arrows
+
+    patterns = [
+        clique(2),
+        path(3),
+        K3,
+        path(4),
+        star(3),
+        cycle(4),
+        Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+        clique(4),
+        Graph(4, K3.edges),
+    ]
+    assert sorted({p.m for p in patterns}) == [1, 2, 3, 4, 5, 6]
+    rng = random.Random(1414)
+    for trial in range(400):
+        # Every other host is dense, so that positive verdicts are common.
+        n = rng.randint(2, 7)
+        pool = list(itertools.combinations(range(n), 2))
+        low = min(len(pool), 10) if trial % 2 else 0
+        host = Graph(n, rng.sample(pool, rng.randint(low, min(16, len(pool)))))
+        g, h = rng.choice(patterns), rng.choice(patterns)
+        pinned = None
+        if trial % 3 == 0 and 0 < host.m <= 11:
+            pinned = {rng.choice(host.edges): rng.choice((RED, BLUE))}
+            expected = brute_pinned_arrows(host, g, h, pinned)
+        else:
+            expected = exhaustive_arrows(host, g, h).arrows
+        verdict = arrows(host, g, h, pinned=pinned)
+        assert verdict.arrows == expected, (host.n, host.edges, g.edges, h.edges, pinned)
+        if not verdict.arrows:
+            assert coloring_is_free(host, verdict.witness, g, h)
+            for e, c in (pinned or {}).items():
+                assert verdict.witness.color(e) == c
 
 
 def test_minimal_ramsey_spec_examples():

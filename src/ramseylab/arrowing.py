@@ -2,16 +2,16 @@
 
 A host F arrows a pair (G, H) when every red/blue edge coloring of F shows a
 red G or a blue H.  The pruned decider enumerates the copies of G and H in F
-once, then runs a DFS over partial colorings: a copy is a clause, whose edges
-may not all take the copy's forbidden color.  The clauses of one pattern are
-bit positions: each edge keeps the set of copies through it as one int, and
-each copy a counter of its forbidden-colored edges, stored bit-sliced across
-a few ints, so coloring an edge updates all its copies at once (see
-`_ArrowEngine`).  Conflicts prune, and a copy with one uncolored edge left and
-no edge of its allowed color forces that edge (unit propagation).  The DFS
-loops over an explicit stack, with no recursion limit.  A completed
-conflict-free coloring is a witness that F does not arrow; an exhausted search
-proves that it does.
+once, each as a mask over F's edge list, then runs a DFS over partial
+colorings: a copy is a clause, whose edges may not all take the copy's
+forbidden color.  The clauses of one pattern are bit positions: each edge
+keeps the set of copies through it as one int, and each copy a counter of its
+forbidden-colored edges, stored bit-sliced across a few ints, so coloring an
+edge updates all its copies at once (see `_ArrowEngine`).  Conflicts prune,
+and a copy with one uncolored edge left and no edge of its allowed color
+forces that edge (unit propagation).  The DFS loops over an explicit stack,
+with no recursion limit.  A completed conflict-free coloring is a witness
+that F does not arrow; an exhausted search proves that it does.
 
 The exhaustive decider rebuilds the copies by brute-force injection
 enumeration and scans all 2^m colorings vectorized; it exists to cross-check
@@ -66,10 +66,12 @@ class _ArrowEngine:
 
     Each copy of g or h is a clause: its k edges may not all take the copy's
     forbidden color (red for g, blue for h).  The copies of one pattern form a
-    side, indexed by that forbidden color, numbered 0..N-1, so a set of copies
-    is an N-bit int.  Per side, `inc[e]` is the set of copies through edge e,
-    `near[e]` the edge mask of their union and `copy_edges[i]` the edge mask
-    of copy i.  All copies of a pattern have the same k edges.
+    side, indexed by that forbidden color, numbered 0..N-1 in the order
+    `copies_as_edge_sets` lists them, so a set of copies is an N-bit int.
+    Per side, `copy_edges[i]` is copy i's edge mask as that listing gives it
+    (bit j for f.edges[j]), `inc[e]` the set of copies through edge e and
+    `near[e]` the edge mask of their union.  All copies of a pattern have the
+    same k edges.
 
     A state is an immutable tuple: the red and blue edge masks, the satisfied
     copies of each side (those with an edge of the allowed color), then each
@@ -93,7 +95,7 @@ class _ArrowEngine:
     def __init__(self, f: Graph, g: Graph, h: Graph):
         self.f = f
         self.m = m = f.m
-        self.edge_index = edge_index = {e: i for i, e in enumerate(f.edges)}
+        self.edge_index = {e: i for i, e in enumerate(f.edges)}
         self.trivial_arrows = False
 
         inc: list[tuple[int, ...]] = []
@@ -113,23 +115,20 @@ class _ArrowEngine:
             # Bit i of rows[e] is copy i, little-endian, read as an int below.
             rows = [bytearray((len(copies) + 7) >> 3) for _ in range(m)]
             spans = [0] * m
-            masks = []
-            for i, copy in enumerate(copies):
-                indices = [edge_index[e] for e in copy]
-                mask = 0
-                for j in indices:
-                    mask |= 1 << j
-                masks.append(mask)
+            for i, mask in enumerate(copies):
                 byte, bit = i >> 3, 1 << (i & 7)
-                for j in indices:
+                rest = mask
+                while rest:
+                    j = rest.bit_length() - 1
+                    rest ^= 1 << j
                     rows[j][byte] |= bit
                     spans[j] |= mask
-            k = len(copies[0]) if copies else 0
+            k = copies[0].bit_count() if copies else 0
             if k == 1:
-                units += [(mask.bit_length() - 1, 1 - bad) for mask in masks]
+                units += [(mask.bit_length() - 1, 1 - bad) for mask in copies]
             inc.append(tuple(int.from_bytes(row, "little") for row in rows))
             near.append(tuple(spans))
-            copy_edges.append(masks)
+            copy_edges.append(copies)
             for j, row in enumerate(inc[-1]):
                 weight[j] += row.bit_count()
             w = k.bit_length()

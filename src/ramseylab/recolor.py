@@ -357,27 +357,29 @@ def woven_recolor(
     matching.sort()
     phi2 = phi1.flipped(matching)
 
-    red_copies = copies_as_edge_sets(phi2.monochromatic_subgraph(RED), G)
+    # Red copies, the matching and the Y sets as masks over the red edges.
+    red = phi2.monochromatic_subgraph(RED)
+    bit = {e: 1 << i for i, e in enumerate(red.edges)}
+    red_copies = copies_as_edge_sets(red, G)
     matching_set = set(matching)
+    later = sum(bit[e] for e in matching_set)
+    hit = 0  # the union of the Y sets so far
     y_sets: list[frozenset[Edge]] = []
-    for i, ei in enumerate(matching):
-        later = matching_set - set(matching[: i + 1])
-        chosen = [
-            copy
-            for copy in red_copies
-            if ei in copy
-            and not any(copy & yj for yj in y_sets)
-            and not (copy & later)
-        ]
+    for ei in matching:
+        later ^= bit[ei]
+        chosen = 0
+        for copy in red_copies:
+            if copy & bit[ei] and not copy & (hit | later):
+                chosen |= copy
         if not chosen:
             y_sets.append(frozenset())
             continue
-        sub_edges = set().union(*chosen)
-        sub = Graph(f.n, sub_edges)
+        sub = Graph(f.n, (e for i, e in enumerate(red.edges) if chosen >> i & 1))
         cert = yuv_certificate(sub, ei, G)
         if cert.Y & matching_set:
             raise InvariantViolationError("hitting set touched a matching edge")
         y_sets.append(cert.Y)
+        hit |= sum(bit[e] for e in cert.Y)
 
     all_y = frozenset().union(*y_sets) if y_sets else frozenset()
     phi3 = phi2.flipped(all_y)

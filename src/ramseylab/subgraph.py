@@ -11,8 +11,9 @@ vertex's degree and its already-placed neighbours.  `embeddings` (and so
 plain plan and yields every map.  `copies_as_edge_sets` walks a plan that also
 carries the pattern's symmetry-breaking conditions, lower bounds on image
 labels that let through exactly one embedding of each copy, so it needs no
-dedupe.  The plan cache is bounded because the isomorph-free enumeration
-searches with every representative it keeps as the pattern.
+dedupe; each image becomes one int, a mask over the host's edge list, with no
+edge tuples built.  The plan cache is bounded because the isomorph-free
+enumeration searches with every representative it keeps as the pattern.
 
 `cliques_of_size` answers the clique questions: the clique number and the
 "contains K_k" checks.  It is the walker on K_k, whose conditions are the
@@ -27,7 +28,7 @@ import functools
 from typing import Iterator, NamedTuple
 
 from .errors import RamseyLabError
-from .graphs import Edge, Embedding, Graph
+from .graphs import Embedding, Graph
 
 
 class GraphTooLargeError(RamseyLabError):
@@ -200,28 +201,38 @@ def contains_copy(
     return next(embeddings(host, pattern, pins), None)
 
 
-def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[frozenset[Edge]]:
-    """All distinct edge sets realized by copies of `pattern` in `host`, sorted.
+def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[int]:
+    """All distinct edge sets realized by copies of `pattern` in `host`.
 
-    Isolated pattern vertices only need room in the host, so the rest of the
-    pattern is searched under its symmetry-breaking conditions, which reach
-    each copy exactly once.
+    Each copy is an int mask over `host.edges`: bit i stands for
+    `host.edges[i]`.  The masks come ordered by their lowest set bit, and
+    copies that share it in the order the walker reached them.  Isolated
+    pattern vertices only need room in the host, so the rest of the pattern
+    is searched under its symmetry-breaking conditions, which reach each copy
+    exactly once.
     """
     if pattern.n > host.n:
         return []
     if not all(pattern.adj):
         pattern = pattern.induced(v for v in range(pattern.n) if pattern.adj[v])
+    index: list[dict[int, int]] = [{} for _ in range(host.n)]  # index[a][b]: edge ab's bit
+    for i, (a, b) in enumerate(host.edges):
+        index[a][b] = index[b][a] = i
     edges = pattern.edges
-    copies = [
-        frozenset([(image[u], image[v]) if image[u] < image[v] else (image[v], image[u]) for u, v in edges])
-        for image in _walk(host, _plan(pattern, (), _orbit_breaks(pattern)), ())
-    ]
+    copies = []
+    for image in _walk(host, _plan(pattern, (), _orbit_breaks(pattern)), ()):
+        mask = 0
+        for u, v in edges:
+            mask |= 1 << index[image[u]][image[v]]
+        copies.append(mask)
     # The arrowing engine numbers its clauses in this order.  Its verdicts,
     # node counts and witnesses do not depend on the order, but its time
-    # does, through the lengths of its ints: the K11 vs (P5, K4) search took
-    # 0.15-0.24 s sorted, 0.20-0.26 s reversed and 0.24-0.35 s shuffled (CPU
-    # time, best of 9, two runs).
-    copies.sort(key=sorted)
+    # does, through the lengths of its ints.  On the decide benchmarks'
+    # instances (seed 41; CPU time with enumeration, min of 3) this order
+    # took 263 ms to refute and 97 ms to prove, against 363 and 147 ms
+    # sorted as ints and 407 and 153 ms in walker order.  The key is a small
+    # int, so a sparse host's long masks are not copied to sort them.
+    copies.sort(key=lambda mask: (mask & -mask).bit_length())
     return copies
 
 

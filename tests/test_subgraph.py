@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramseylab.arrowing import _ArrowEngine
 from ramseylab.families import clique, clique_with_pendants, cycle, path, star
-from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph
+from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph, bits, edge
 from ramseylab.subgraph import (
     _clique_plan,
     _compile,
@@ -160,23 +161,55 @@ def test_embeddings_enumeration_counts():
     assert len(copies_as_edge_sets(clique(5), path(3))) == 30
 
 
+def assert_copies_are(host, pattern, edge_sets):
+    """copies_as_edge_sets lists exactly `edge_sets`, once each, as masks over
+    host.edges, ordered by lowest set bit."""
+    copies = copies_as_edge_sets(host, pattern)
+    index = {e: i for i, e in enumerate(host.edges)}
+    expected = {sum(1 << index[e] for e in s) for s in edge_sets}
+    assert len(expected) == len(set(edge_sets))
+    assert len(copies) == len(set(copies))
+    assert set(copies) == expected
+    lows = [(c & -c).bit_length() for c in copies]
+    assert lows == sorted(lows)
+
+
 def test_clique_copies_match_embedding_images():
     # A complete pattern has the most symmetry to break: its copies must be
-    # the distinct edge images of its embeddings, in the same order.
+    # the distinct edge images of its embeddings.
     rng = random.Random(61)
     for _ in range(60):
         host = random_graph(rng, n_range=(1, 12), max_edges=40)
         for k in range(7):
             pattern = clique(k) if k else Graph(0)
             images = {emb.edge_image() for emb in embeddings(host, pattern)}
-            assert copies_as_edge_sets(host, pattern) == sorted(images, key=sorted)
+            assert_copies_are(host, pattern, images)
     # In K_n every k-subset is a copy; checking that is cheaper than listing
     # the n!/(n-k)! embeddings (665,280 for K6 in K12).
     for n in range(1, 13):
         for k in range(7):
             pattern = clique(k) if k else Graph(0)
             subsets = {frozenset(itertools.combinations(c, 2)) for c in itertools.combinations(range(n), k)}
-            assert copies_as_edge_sets(clique(n), pattern) == sorted(subsets, key=sorted)
+            assert_copies_are(clique(n), pattern, subsets)
+
+
+def test_p5_copies_in_k11_at_scale():
+    # The engine's largest decide-refute host: every P5 of K11 once, each mask
+    # decoding through host.edges to the edges of one path a-b-c-d-e.
+    host = clique(11)
+    copies = copies_as_edge_sets(host, path(5))
+    assert len(copies) == len(set(copies)) == 27_720
+    assert all(c.bit_count() == 4 for c in copies)
+    decoded = {frozenset(host.edges[i] for i in bits(c)) for c in copies}
+    paths = {
+        frozenset(edge(*pair) for pair in zip(walk, walk[1:]))
+        for walk in itertools.permutations(range(11), 5)
+        if walk[0] < walk[-1]
+    }
+    assert decoded == paths
+    lows = [(c & -c).bit_length() for c in copies]
+    assert lows == sorted(lows)
+    assert _ArrowEngine(host, path(5), clique(4)).copy_edges[0] == copies
 
 
 def test_copies_match_brute_oracle():
@@ -189,7 +222,7 @@ def test_copies_match_brute_oracle():
     hosts += [random_graph(rng, n_range=(1, 8), max_edges=20) for _ in range(40)]
     for host in hosts:
         for pattern in patterns:
-            assert copies_as_edge_sets(host, pattern) == brute_copy_edge_sets(host, pattern)
+            assert_copies_are(host, pattern, brute_copy_edge_sets(host, pattern))
 
 
 def _walk_count(host, pattern, breaks):

@@ -15,13 +15,11 @@ from .errors import (
     CapExceededError,
     InvariantViolationError,
     RamseyLabError,
-    SearchExhaustedError,
 )
 from .factors import (
     BelckCertificate,
     FactorWitness,
     belck_check,
-    find_belck,
     has_k_factor,
     odd_components,
     star_pair_regular_arrows,
@@ -29,7 +27,6 @@ from .factors import (
 from .families import (
     ConstructionTrace,
     DeterminerGadget,
-    Hypergraph,
     RootedGadget,
     basic_family,
     c_gadget,
@@ -39,8 +36,6 @@ from .families import (
     determiner_chain,
     diameter_distinguisher,
     factor_extremal_graph,
-    hypergraph_blowup,
-    hypergraph_girth,
     lambda_gadget,
     path,
     star,
@@ -60,7 +55,7 @@ from .recolor import (
     yuv_certificate,
 )
 from .subgraph import clique_number, cliques_of_size, contains_copy
-from .trees import TreeProfile, greedy_min_degree_embed, tree_classify
+from .trees import TreeProfile, tree_classify
 
 __version__ = "0.1.0"
 

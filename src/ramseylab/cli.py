@@ -10,8 +10,8 @@ Reports are deterministic given identical inputs and seed, except for the
 62 vertices and written to a file otherwise.
 
 Exit codes: 0 success; 2 usage error (bad arguments, unknown subcommand);
-3 indeterminate (budget or trial limit hit); 4 internal invariant violation;
-5 malformed input file; 6 graph/coloring mismatch.
+3 indeterminate (budget exhausted or cap reached); 4 internal invariant
+violation; 5 malformed input file; 6 graph/coloring mismatch.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     CapExceededError,
     InvariantViolationError,
     RamseyLabError,
-    SearchExhaustedError,
 )
 from .formats import (
     FormatError,
@@ -156,13 +155,6 @@ def _cmd_construct(args, seed, t0) -> int:
             "hub": list(trace.hub),
             "odd_components": cert.odd_component_count,
         }
-    elif kind == "hypergraph-blowup":
-        if seed is None:
-            seed = 0  # the construction is randomized; the report names the seed it used
-        hyper, graph = families.hypergraph_blowup(
-            args.t, args.girth, args.min_degree, args.n, trials=args.trials, seed=seed
-        )
-        extra = {"hyperedges": sorted(sorted(e) for e in hyper.hyperedges)}
     elif kind == "determiner-chain":
         T = _load_graph(args.T, inputs)
         d_graph = _load_graph(args.determiner, inputs)
@@ -296,7 +288,9 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ramseylab", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="echoed as the report's seed field; no command is randomized"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     con = sub.add_parser("construct", help="build a named graph or gadget")
@@ -337,13 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    _add_output_args(p)
-    p = csub.add_parser("hypergraph-blowup")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--girth", type=int, required=True)
-    p.add_argument("--min-degree", dest="min_degree", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20_000)
     _add_output_args(p)
     p = csub.add_parser("determiner-chain")
     p.add_argument("--T", required=True)
@@ -442,7 +429,7 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExhaustedError, SearchExhaustedError, CapExceededError) as exc:
+    except (BudgetExhaustedError, CapExceededError) as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except InvariantViolationError as exc:

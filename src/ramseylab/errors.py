@@ -6,7 +6,7 @@ class RamseyLabError(Exception):
 
 
 class BudgetExhaustedError(RamseyLabError):
-    """A bounded search ran out of its node/trial budget; the answer is unknown."""
+    """A bounded search ran out of its node budget; the answer is unknown."""
 
     def __init__(self, message: str, nodes_explored: int = 0):
         super().__init__(message)
@@ -19,13 +19,3 @@ class CapExceededError(RamseyLabError):
 
 class InvariantViolationError(RamseyLabError):
     """An internal postcondition failed; indicates a bug or a bad instance."""
-
-
-class SearchExhaustedError(RamseyLabError):
-    """A randomized search gave up; carries the best partial result found."""
-
-    def __init__(self, message: str, best=None, best_girth=None, best_min_degree=None):
-        super().__init__(message)
-        self.best = best
-        self.best_girth = best_girth
-        self.best_min_degree = best_min_degree

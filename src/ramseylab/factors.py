@@ -9,14 +9,10 @@ correspond exactly to k-factors of G.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph
 from .matching import maximum_matching
-
-_BELCK_GREEDY_STEPS = 8
-
 
 @dataclass(frozen=True)
 class FactorWitness:
@@ -116,41 +112,6 @@ def belck_check(g: Graph, D, p: int) -> BelckCertificate | None:
     count = odd_components(g, D)
     if p * len(D) < count:
         return BelckCertificate(g, p, D, count)
-    return None
-
-
-def find_belck(g: Graph, p: int) -> BelckCertificate | None:
-    """Heuristic search for a Belck certificate.
-
-    Exhausts |D| <= 3, then greedily extends the best seed by the vertex that
-    creates the most odd components.  Not complete: a None result proves
-    nothing.
-    """
-    if p < 1 or p % 2 == 0:
-        raise ValueError("p must be a positive odd integer")
-    best: tuple[int, frozenset[int]] | None = None
-    for size in range(min(3, g.n) + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            D = frozenset(combo)
-            count = odd_components(g, D)
-            if p * len(D) < count:
-                return BelckCertificate(g, p, D, count)
-            score = count - p * len(D)
-            if best is None or score > best[0]:
-                best = (score, D)
-    if best is None:
-        return None
-    D = set(best[1])
-    for _ in range(_BELCK_GREEDY_STEPS):
-        gain = [
-            (odd_components(g, D | {v}), v) for v in range(g.n) if v not in D
-        ]
-        if not gain:
-            break
-        count, v = max(gain)
-        D.add(v)
-        if p * len(D) < count:
-            return BelckCertificate(g, p, frozenset(D), count)
     return None
 
 

@@ -8,10 +8,8 @@ in graph6.  Witness colorings come paired with the gadgets that have one.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
-from .errors import SearchExhaustedError
 from .factors import BelckCertificate
 from .graphs import Edge, EdgeColoring, Graph, edge
 from .subgraph import cliques_of_size
@@ -43,26 +41,6 @@ class DeterminerGadget:
     def __post_init__(self):
         if edge(*self.beta) not in self.graph.edge_set():
             raise ValueError(f"beta {self.beta} is not an edge of the determiner")
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    n: int
-    hyperedges: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        sizes = {len(e) for e in self.hyperedges}
-        if len(sizes) > 1:
-            raise ValueError(f"hyperedges must be uniform, sizes seen: {sorted(sizes)}")
-        for e in self.hyperedges:
-            if any(not 0 <= v < self.n for v in e):
-                raise ValueError(f"hyperedge {sorted(e)} out of range")
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.hyperedges if v in e)
-
-    def min_degree(self) -> int:
-        return min((self.degree(v) for v in range(self.n)), default=0)
 
 
 @dataclass(frozen=True)
@@ -468,113 +446,6 @@ def factor_extremal_graph(p: int, q: int, r: int):
         q_factor=tuple(sorted(tuple(sorted(e)) for e in qf_edges)),
     )
     return f, trace, certificate
-
-
-# -- hypergraph blow-up -------------------------------------------------------
-
-
-def hypergraph_girth(h: Hypergraph, cap: int) -> int | None:
-    """Length of the shortest hypergraph cycle of length <= cap, else None.
-
-    A cycle alternates distinct hyperedges and distinct vertices, consecutive
-    pairs incident, wrapping around; length counts the hyperedges.  The girth
-    is the least length at which some hyperedge closes a cycle against the
-    others.
-    """
-    edges = [set(e) for e in h.hyperedges]
-    for length in range(2, cap + 1):
-        for i, e in enumerate(edges):
-            if _creates_short_cycle(edges[:i] + edges[i + 1 :], e, length):
-                return length
-    return None
-
-
-def _creates_short_cycle(edges: list[set[int]], new: set[int], cap: int) -> bool:
-    """Would appending `new` create a cycle of length <= cap?
-
-    Searches for an alternating edge/vertex path leaving and re-entering `new`
-    on distinct vertices.
-    """
-
-    def dfs(current: set[int], used_edges: set[int], used_vertices: set[int], length: int) -> bool:
-        if length >= 2 and (current & new) - used_vertices:
-            return True
-        if length >= cap:
-            return False
-        for v in current - used_vertices:
-            for idx, e in enumerate(edges):
-                if idx in used_edges or v not in e:
-                    continue
-                if dfs(e, used_edges | {idx}, used_vertices | {v}, length + 1):
-                    return True
-        return False
-
-    return dfs(new, set(), set(), 1)
-
-
-def hypergraph_blowup(
-    t: int,
-    g: int,
-    min_degree: int,
-    n: int,
-    trials: int = 20_000,
-    seed: int = 0,
-) -> tuple[Hypergraph, Graph]:
-    """Randomized search for a t-uniform hypergraph of girth > g, then its blow-up.
-
-    Samples random t-sets, rejecting any that closes a cycle of length <= g,
-    until every vertex lies in at least `min_degree` hyperedges.  Raises
-    SearchExhaustedError with the best partial result after `trials` samples
-    (ValueError when `trials` is negative); existence is only guaranteed
-    asymptotically.  The blow-up graph places a K_t on each hyperedge.
-    """
-    if t < 3 or g < 3:
-        raise ValueError("need t >= 3 and g >= 3")
-    if n < t:
-        raise ValueError("need at least t vertices")
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
-    rng = random.Random(seed)
-    chosen: list[set[int]] = []
-    chosen_keys: set[frozenset[int]] = set()
-    degree = [0] * n
-    best: list[set[int]] = []
-    best_min = 0
-    rejects = 0
-    # A greedy run can reach a maximal system below the degree target; restart
-    # after a long rejection streak rather than burning the whole budget.
-    streak_limit = max(500, 5 * n)
-    for _ in range(trials):
-        cand = set(rng.sample(range(n), t))
-        key = frozenset(cand)
-        if key in chosen_keys or _creates_short_cycle(chosen, cand, g):
-            rejects += 1
-            if rejects >= streak_limit:
-                if min(degree) > best_min:
-                    best, best_min = chosen, min(degree)
-                chosen, chosen_keys, degree, rejects = [], set(), [0] * n, 0
-            continue
-        rejects = 0
-        chosen.append(cand)
-        chosen_keys.add(key)
-        for v in cand:
-            degree[v] += 1
-        if min(degree) >= min_degree:
-            hyper = Hypergraph(n, tuple(frozenset(e) for e in chosen))
-            blow_edges = [
-                pair for e in hyper.hyperedges for pair in itertools.combinations(sorted(e), 2)
-            ]
-            return hyper, Graph(n, blow_edges)
-    if min(degree) > best_min:
-        best, best_min = chosen, min(degree)
-    partial = Hypergraph(n, tuple(frozenset(e) for e in best))
-    raise SearchExhaustedError(
-        f"no girth>{g} hypergraph of min degree {min_degree} found in {trials} trials "
-        f"(best min degree {best_min})",
-        best=partial,
-        best_girth=hypergraph_girth(partial, g + 1),
-        best_min_degree=best_min,
-    )
 
 
 # -- determiner chains --------------------------------------------------------

@@ -171,6 +171,8 @@ class Embedding:
     def __post_init__(self):
         if len(self.map) != self.pattern.n:
             raise ValueError("map length must equal pattern vertex count")
+        if any(not 0 <= x < self.host.n for x in self.map):
+            raise ValueError(f"map value out of range for host n={self.host.n}")
         if len(set(self.map)) != len(self.map):
             raise ValueError("map is not injective")
         for u, v in self.pattern.edges:

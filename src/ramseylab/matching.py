@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import Edge, Graph
+from .graphs import Graph
 
 
 def maximum_matching(g: Graph) -> dict[int, int]:
@@ -88,11 +88,3 @@ def maximum_matching(g: Graph) -> dict[int, int]:
         if match[v] == -1:
             find_and_augment(v)
     return {v: match[v] for v in range(n) if match[v] != -1}
-
-
-def matching_edges(match: dict[int, int]) -> list[Edge]:
-    return sorted((v, w) for v, w in match.items() if v < w)
-
-
-def has_perfect_matching(g: Graph) -> bool:
-    return 2 * len(matching_edges(maximum_matching(g))) == g.n

@@ -1,4 +1,4 @@
-"""Tree diameter/center analysis, the two tree classes, and greedy embedding.
+"""Tree diameter/center analysis and the two tree classes.
 
 The two classes of trees gate the non-equivalence gadgets: membership is
 decided purely from the diameter, the central vertex, and the degrees of its
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Embedding, Graph
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -103,51 +103,3 @@ def tree_classify(t: Graph) -> TreeProfile:
     _, on_path = longest_path_neighbors(t)
     in_tprime = diam4_ok and sum(1 for y in on_path if t.degree(y) >= 3) <= 1
     return TreeProfile(diam, center, in_t, in_tprime, max_deg)
-
-
-def greedy_min_degree_embed(host: Graph, t: Graph) -> Embedding | None:
-    """Peel `host` to min degree >= |E(t)| and greedily embed the tree there.
-
-    Returns None exactly when the peeling empties the host.  A tree with k
-    edges always embeds greedily once minimum degree k is available.
-    """
-    _require_tree(t)
-    k = t.m
-    alive = set(range(host.n))
-    # Iteratively delete vertices of degree < k.
-    changed = True
-    while changed and alive:
-        changed = False
-        for v in sorted(alive):
-            deg = sum(1 for w in host.neighbors(v) if w in alive)
-            if deg < k:
-                alive.discard(v)
-                changed = True
-    if not alive:
-        return None
-
-    # BFS order of the tree from vertex 0: parents precede children.
-    order = [0]
-    parent = {0: None}
-    q = deque([0])
-    while q:
-        v = q.popleft()
-        for w in t.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-                q.append(w)
-
-    image: dict[int, int] = {order[0]: min(alive)}
-    used = {image[order[0]]}
-    for v in order[1:]:
-        anchor = image[parent[v]]
-        pick = next(
-            (w for w in sorted(host.neighbors(anchor)) if w in alive and w not in used),
-            None,
-        )
-        # Min degree >= k guarantees a free neighbor while < k+1 vertices are placed.
-        assert pick is not None
-        image[v] = pick
-        used.add(pick)
-    return Embedding(t, host, tuple(image[v] for v in range(t.n)))

@@ -89,29 +89,6 @@ def brute_has_k_factor(g: Graph, k: int) -> bool:
     return bool(ok.any())
 
 
-def brute_hypergraph_cycles(hyperedges, max_len: int) -> list[int]:
-    """All hypergraph cycle lengths up to max_len, by direct sequence enumeration.
-
-    A cycle of length s is a sequence of s distinct hyperedges and s distinct
-    vertices with v_i in e_i and e_{i+1} (cyclically).
-    """
-    edges = [set(e) for e in hyperedges]
-    found = []
-    for s in range(2, max_len + 1):
-        for combo in itertools.permutations(range(len(edges)), s):
-            if combo[0] != min(combo):
-                continue
-            link_sets = [edges[combo[i]] & edges[combo[(i + 1) % s]] for i in range(s)]
-            for vs in itertools.product(*[sorted(ls) for ls in link_sets]):
-                if len(set(vs)) == s:
-                    found.append(s)
-                    break
-            else:
-                continue
-            break
-    return found
-
-
 def brute_pinned_arrows(host: Graph, g: Graph, h: Graph, pinned: dict) -> bool:
     """Does every coloring that extends `pinned` show a red g or a blue h?
 

@@ -1,0 +1,32 @@
+"""Every public name must be used by the library or a demo, not only by tests."""
+
+import inspect
+import re
+from pathlib import Path
+
+import ramseylab
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The exhaustive oracle is public so that any verdict can be re-checked by brute
+# force; by design no library path calls it, and the tests compare against it.
+EXEMPT = {"exhaustive_arrows"}
+
+
+def _referencing_text() -> str:
+    sources = [p for p in sorted((ROOT / "src" / "ramseylab").glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted((ROOT / "demos").glob("*.py"))
+    return "\n".join(p.read_text(encoding="utf-8") for p in sources)
+
+
+def test_every_export_is_referenced():
+    text = _referencing_text()
+    unreferenced = []
+    for name in ramseylab.__all__:
+        if name in EXEMPT or inspect.ismodule(getattr(ramseylab, name)):
+            continue
+        # The name's own definition line is not a reference to it.
+        definition = re.compile(rf"^\s*(?:def|class)\s+{name}\b.*$", re.MULTILINE)
+        if not re.search(rf"\b{name}\b", definition.sub("", text)):
+            unreferenced.append(name)
+    assert unreferenced == []

@@ -10,7 +10,6 @@ from ramseylab.factors import (
     BelckCertificate,
     FactorWitness,
     belck_check,
-    find_belck,
     has_k_factor,
     odd_components,
     star_pair_regular_arrows,
@@ -80,16 +79,6 @@ def test_soundness_link_certificate_implies_no_factor():
                 assert has_k_factor(g, p) is None
                 tested += 1
     assert tested > 20
-
-
-def test_find_belck():
-    assert find_belck(cycle(5), 1) is not None  # D = {} works: one odd component
-    cert = find_belck(star(3), 1)
-    assert cert is not None and cert.D == frozenset({0})
-    f, _, _ = factor_extremal_graph(1, 3, 3)
-    cert = find_belck(f, 1)
-    assert cert is not None and cert.odd_component_count > len(cert.D)
-    assert find_belck(cycle(6), 1) is None  # has a 1-factor, so no certificate exists
 
 
 def test_star_pair_regular_arrows_examples():

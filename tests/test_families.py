@@ -4,11 +4,9 @@ import math
 import pytest
 
 from ramseylab.arrowing import coloring_is_free
-from ramseylab.errors import SearchExhaustedError
 from ramseylab.factors import belck_check, has_k_factor, odd_components
 from ramseylab.families import (
     DeterminerGadget,
-    Hypergraph,
     basic_family,
     c_gadget,
     clique,
@@ -17,8 +15,6 @@ from ramseylab.families import (
     determiner_chain,
     diameter_distinguisher,
     factor_extremal_graph,
-    hypergraph_blowup,
-    hypergraph_girth,
     lambda_gadget,
     path,
     star,
@@ -27,8 +23,6 @@ from ramseylab.families import (
 )
 from ramseylab.graphs import BLUE, RED, Graph
 from ramseylab.subgraph import clique_number, contains_copy
-
-from oracles import brute_hypergraph_cycles
 
 SPIDER_3x2 = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
 
@@ -218,67 +212,6 @@ def test_factor_extremal_preconditions():
         factor_extremal_graph(1, 5, 6)  # even r needs q <= r/2
     with pytest.raises(ValueError):
         factor_extremal_graph(1, 5, 3)
-
-
-def test_hypergraph_type_validation():
-    with pytest.raises(ValueError):
-        Hypergraph(4, (frozenset({0, 1, 2}), frozenset({0, 1})))
-    with pytest.raises(ValueError):
-        Hypergraph(3, (frozenset({0, 1, 5}),))
-
-
-def test_hypergraph_girth_against_bruteforce():
-    cases = [
-        [(0, 1, 2), (3, 4, 5), (6, 7, 8)],  # disjoint: no cycle
-        [(0, 1, 2), (1, 2, 3)],  # two edges sharing two vertices: 2-cycle
-        [(0, 1, 2), (2, 3, 4), (4, 5, 0)],  # 3-cycle
-        [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)],  # 4-cycle
-        [(0, 1, 2), (2, 3, 4), (3, 4, 5)],
-    ]
-    for edges in cases:
-        h = Hypergraph(9, tuple(frozenset(e) for e in edges))
-        got = hypergraph_girth(h, 5)
-        brute = brute_hypergraph_cycles(edges, 5)
-        assert got == (min(brute) if brute else None), edges
-
-
-def test_hypergraph_blowup_examples():
-    hy, blow = hypergraph_blowup(3, 3, 1, 9, trials=5000, seed=3)
-    assert hypergraph_girth(hy, 3) is None
-    assert hy.min_degree() >= 1
-    # girth > 3 means no two triangles of the blow-up share an edge
-    hy2, blow2 = hypergraph_blowup(3, 3, 2, 15, trials=30000, seed=4)
-    assert hy2.min_degree() >= 2
-    assert hypergraph_girth(hy2, 3) is None
-    for e1, e2 in itertools.combinations(hy2.hyperedges, 2):
-        assert len(e1 & e2) <= 1
-    assert brute_hypergraph_cycles(hy2.hyperedges, 3) == []
-    assert blow2.m == sum(3 for _ in hy2.hyperedges) - 0  # linear: no shared pairs
-
-
-def test_hypergraph_blowup_exhaustion():
-    with pytest.raises(SearchExhaustedError) as exc:
-        hypergraph_blowup(3, 3, 5, 7, trials=300, seed=5)
-    assert exc.value.best is not None
-    assert exc.value.best_min_degree < 5
-
-
-def test_hypergraph_blowup_rejects_negative_trials():
-    with pytest.raises(ValueError):
-        hypergraph_blowup(3, 3, 2, 9, trials=-5)
-    # No trials is a valid, immediately exhausted search.
-    with pytest.raises(SearchExhaustedError):
-        hypergraph_blowup(3, 3, 2, 9, trials=0)
-
-
-def test_hypergraph_blowup_deterministic():
-    a = hypergraph_blowup(3, 3, 2, 15, trials=30000, seed=11)
-    b = hypergraph_blowup(3, 3, 2, 15, trials=30000, seed=11)
-    assert a[0] == b[0] and a[1] == b[1]
-    assert sorted(sorted(e) for e in a[0].hyperedges) == [
-        [0, 4, 12], [0, 6, 14], [1, 3, 12], [1, 5, 9], [2, 6, 13], [2, 7, 12],
-        [3, 11, 14], [4, 8, 10], [5, 7, 14], [6, 9, 10], [8, 11, 13],
-    ]
 
 
 def test_determiner_chain_counts_and_coverage():

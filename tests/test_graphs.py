@@ -61,6 +61,11 @@ def test_embedding_validation():
         Embedding(path(3), clique(3), (0, 0, 1))
     with pytest.raises(ValueError):
         Embedding(clique(3), path(3), (0, 1, 2))
+    # map values must be host vertices; a negative one must not wrap around
+    with pytest.raises(ValueError):
+        Embedding(Graph(1), Graph(1), (5,))
+    with pytest.raises(ValueError):
+        Embedding(path(2), Graph(3, [(0, 2)]), (-1, 0))
     emb = Embedding(path(3), clique(3), (2, 0, 1))
     assert emb.edge_image() == frozenset({(0, 2), (0, 1)})
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ramseylab.families import clique, cycle
 from ramseylab.graphs import Graph
-from ramseylab.matching import has_perfect_matching, matching_edges, maximum_matching
+from ramseylab.matching import maximum_matching
 
 from conftest import random_graph
 from oracles import brute_max_matching_size
@@ -20,11 +20,11 @@ def matching_is_valid(g: Graph, match: dict[int, int]) -> bool:
 
 
 def test_basic_instances(petersen):
-    assert len(matching_edges(maximum_matching(cycle(6)))) == 3
-    assert len(matching_edges(maximum_matching(cycle(5)))) == 2
-    assert len(matching_edges(maximum_matching(petersen))) == 5
-    assert has_perfect_matching(petersen)
-    assert not has_perfect_matching(cycle(7))
+    assert len(maximum_matching(cycle(6))) // 2 == 3
+    assert len(maximum_matching(cycle(5))) // 2 == 2
+    assert len(maximum_matching(petersen)) // 2 == 5
+    assert len(maximum_matching(petersen)) == petersen.n  # perfect
+    assert len(maximum_matching(cycle(7))) < 7
     assert maximum_matching(Graph(3)) == {}
 
 
@@ -32,10 +32,10 @@ def test_blossom_heavy_instances():
     # Odd cliques and flowers force contractions.
     for n in (3, 5, 7, 9):
         g = clique(n)
-        assert len(matching_edges(maximum_matching(g))) == n // 2
+        assert len(maximum_matching(g)) // 2 == n // 2
     # Two triangles joined by a path: maximum matching is 3.
     g = Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6), (6, 7)])
-    assert len(matching_edges(maximum_matching(g))) == 4
+    assert len(maximum_matching(g)) // 2 == 4
 
 
 def test_against_bruteforce_random():
@@ -44,7 +44,7 @@ def test_against_bruteforce_random():
         g = random_graph(rng, n_range=(2, 9), max_edges=12)
         match = maximum_matching(g)
         assert matching_is_valid(g, match)
-        assert len(matching_edges(match)) == brute_max_matching_size(g)
+        assert len(match) // 2 == brute_max_matching_size(g)
 
 
 @settings(max_examples=80, deadline=None)
@@ -55,4 +55,4 @@ def test_against_bruteforce_hypothesis(data):
     g = Graph(n, data.draw(st.sets(st.sampled_from(pool), max_size=11)))
     match = maximum_matching(g)
     assert matching_is_valid(g, match)
-    assert len(matching_edges(match)) == brute_max_matching_size(g) if g.m else match == {}
+    assert len(match) // 2 == brute_max_matching_size(g) if g.m else match == {}

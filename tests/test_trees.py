@@ -1,18 +1,13 @@
-import random
-
 import pytest
 
 from ramseylab.enumeration import trees_up_to_vertices
-from ramseylab.families import clique, cycle, path, star, suitable_caterpillar
+from ramseylab.families import cycle, path, star, suitable_caterpillar
 from ramseylab.graphs import Graph
 from ramseylab.trees import (
-    greedy_min_degree_embed,
     longest_path_neighbors,
     tree_classify,
     tree_diameter_and_center,
 )
-
-from conftest import random_graph
 
 SPIDER_3x2 = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
 
@@ -72,8 +67,6 @@ def test_non_tree_rejected():
         tree_classify(cycle(4))
     with pytest.raises(ValueError):
         tree_classify(Graph(2))
-    with pytest.raises(ValueError):
-        greedy_min_degree_embed(clique(4), cycle(3))
 
 
 def test_diameter_and_center_ground_truth():
@@ -88,32 +81,3 @@ def test_longest_path_neighbors():
     assert center == 0 and sorted(on_path) == [1, 3, 5]
     center, on_path = longest_path_neighbors(path(5))
     assert center == 2 and sorted(on_path) == [1, 3]
-
-
-def test_greedy_embed_spec_examples(petersen):
-    assert greedy_min_degree_embed(clique(5), path(4)) is not None
-    assert greedy_min_degree_embed(cycle(8), star(3)) is None
-    emb = greedy_min_degree_embed(petersen, star(3))
-    assert emb is not None
-    assert emb.pattern == star(3)
-
-
-def test_greedy_embed_succeeds_iff_core_nonempty():
-    rng = random.Random(17)
-    trees = [t for t in trees_up_to_vertices(5) if t.m >= 1]
-    for _ in range(120):
-        host = random_graph(rng, n_range=(2, 10), max_edges=20)
-        t = trees[rng.randrange(len(trees))]
-        k = t.m
-        alive = set(range(host.n))
-        changed = True
-        while changed:
-            changed = False
-            for v in list(alive):
-                if sum(1 for w in host.neighbors(v) if w in alive) < k:
-                    alive.discard(v)
-                    changed = True
-        emb = greedy_min_degree_embed(host, t)
-        assert (emb is not None) == bool(alive)
-        if emb is not None:
-            assert set(emb.map) <= alive

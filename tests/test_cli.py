@@ -340,6 +340,18 @@ def test_report_determinism(files, capsys):
     assert unseeded["seed"] is None
 
 
+def test_construct_reports_the_seed_it_used(files, capsys):
+    argv = ["construct", "factor-extremal", "--p", "1", "--q", "3", "--r", "3"]
+    _, implicit = run(capsys, argv)
+    _, explicit = run(capsys, ["--seed", "0", *argv])
+    implicit.pop("elapsed")
+    explicit.pop("elapsed")
+    # no construction is randomized: the seed changes only its own echo
+    assert implicit.pop("seed") is None
+    assert explicit.pop("seed") == 0
+    assert implicit == explicit
+
+
 def test_verify_determiner_bad_beta(files, capsys):
     _, write = files
     d = write("k3.g6", clique(3))

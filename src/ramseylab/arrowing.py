@@ -25,8 +25,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import BudgetExhaustedError, CapExceededError, InvariantViolationError
-from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, edge
-from .subgraph import GraphTooLargeError, clique_number, contains_copy, copies_as_edge_sets
+from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, edge
+from .subgraph import GraphTooLargeError, clique_number, contains_copy
+from .subgraph import copies_as_edge_sets, copy_through
 from .enumeration import are_isomorphic, graphs_up_to_vertices
 from .families import clique
 
@@ -555,28 +556,32 @@ def _monotone_arrows(
 
     Returns the red edges of a free coloring, or None when host arrows,
     together with the nodes searched.  `known` maps graphs already decided for
-    (g, h) to that same result.  `parent` is host less its last vertex.  If
+    (g, h) to that same result.  `parent` is host less its last vertex v.  If
     the parent arrows, so does host (subgraph monotonicity).  Otherwise the
-    parent's witness is extended by coloring the new vertex's edges all blue,
-    all red, then each one alone red; the first extension that
-    coloring_is_free accepts is host's witness.  Failing that, `arrows`
+    parent's witness is extended by coloring v's edges all blue, all red,
+    then each one alone red.  The parent's witness is free, so an extension
+    is free iff no red g and no blue h has v among its vertices, which
+    `copy_through` checks on the red and blue adjacency masks; the first
+    extension that passes is host's witness.  Failing that, `arrows`
     searches, and may raise BudgetExhaustedError.
     """
     if parent in known:
         red = known[parent]
         if red is None:
             return None, 0
-        new = tuple(e for e in host.edges if e[1] == host.n - 1)
-        extensions: list[tuple[Edge, ...]] = [()]
-        if new:
-            extensions.append(new)
-        if len(new) > 1:
-            extensions += [(e,) for e in new]
-        edges = host.edge_set()
-        for extra in extensions:
-            ext_red = red.union(extra)
-            if coloring_is_free(host, EdgeColoring(host, ext_red, edges - ext_red), g, h):
-                return ext_red, 0
+        v = host.n - 1
+        new = host.adj[v]
+        base = [0] * host.n
+        for a, b in red:
+            base[a] |= 1 << b
+            base[b] |= 1 << a
+        # All blue, all red, then each edge alone red; repeats dropped.
+        for extra in dict.fromkeys([0, new, *(1 << w for w in bits(new))]):
+            red_adj = [row | (extra >> w & 1) << v for w, row in enumerate(base)]
+            red_adj[v] = extra
+            blue_adj = [a ^ r for a, r in zip(host.adj, red_adj)]
+            if not (copy_through(red_adj, g, v) or copy_through(blue_adj, h, v)):
+                return red.union((w, v) for w in bits(extra)), 0
     verdict = arrows(host, g, h, budget)
     return (None if verdict.arrows else verdict.witness.red), verdict.nodes_explored
 
@@ -600,14 +605,18 @@ def equivalence_scan(
     Each host is first decided for each pair from its parent on the level
     before (see `_monotone_arrows`): a host inherits a positive verdict by
     subgraph monotonicity, F ⊆ F′ and F → (G, H) give F′ → (G, H), and a
-    negative one only with an extended witness that coloring_is_free has
-    re-checked.  Hosts on which the two pairs agree need no further search.
-    A host whose verdicts differ is re-decided by `arrows` for both pairs, so
-    a reported distinguisher, its verdicts and its budget behaviour are those
-    of a plain search on that host.
+    negative one as the parent's witness extended to the new vertex v's
+    edges, when no monochromatic copy has v among its vertices.  That check
+    is exact by induction, because the parent's witness was free.  Hosts on
+    which the two pairs agree need no further search.  A host whose verdicts
+    differ is re-decided by `arrows` for both pairs, so a reported
+    distinguisher, its verdicts and its budget behaviour are those of a plain
+    search on that host.  Raises ValueError for a negative budget.
     """
     if not 1 <= max_vertices <= 9:
         raise ValueError("enumeration bound: max_vertices must be between 1 and 9")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     omega1 = max(clique_number(g1), clique_number(h1))
     omega2 = max(clique_number(g2), clique_number(h2))
     g_big, h_big = (g1, h1) if omega1 > omega2 else (g2, h2)

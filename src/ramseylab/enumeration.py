@@ -2,8 +2,9 @@
 
 Graphs are generated level by level by augmentation (a new vertex, or a new
 edge) and deduplicated behind cheap invariant buckets with exact isomorphism
-tests inside each bucket.  Counts are pinned against published sequences in
-the tests.
+tests inside each bucket.  A store keeps the first graph of each class, so
+the bucket key decides only how many exact tests run, never which graphs are
+listed or in what order.  Counts are pinned against published sequences.
 
 Augmentation offers only children whose new piece is least under a cheap
 invariant, after McKay's canonical deletion (1998): a new vertex only when it
@@ -32,33 +33,33 @@ from .graphs import Graph
 from .subgraph import contains_copy
 
 
-def _triangle_counts(g: Graph) -> tuple[int, ...]:
-    per_vertex = []
-    for v in range(g.n):
-        nbrs = g.adj[v]
-        count = 0
-        for w in g.neighbors(v):
-            count += (nbrs & g.adj[w]).bit_count()
-        per_vertex.append(count // 2)
-    return tuple(sorted(per_vertex))
-
-
 def invariant_key(g: Graph) -> int:
     """A cheap isomorphism-invariant bucket key: the hash of a tuple of ints.
 
-    The tuple is (n, m, sorted triangle counts, and the sorted profile of each
-    vertex's degree with its neighbours' degrees), which implies the degree
-    sequence.  Ints and their tuples hash the same under every
-    PYTHONHASHSEED, so buckets, and runs, are reproducible.  Two classes
-    whose keys collide only share a bucket, where the exact test decides.
+    One pass over the adjacency masks, with the degrees computed first, gives
+    each vertex a row (degree, twice its triangle count, its neighbours'
+    degrees sorted); the key hashes the sorted rows, which imply n and m.
+    Ints and their tuples hash the same under every PYTHONHASHSEED, so
+    buckets, and runs, are reproducible.  Two classes whose keys collide
+    only share a bucket, where the exact test decides.
     """
-    profile = tuple(
-        sorted(
-            (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbors(v))))
-            for v in range(g.n)
-        )
-    )
-    return hash((g.n, g.m, _triangle_counts(g), profile))
+    adj = g.adj
+    deg = [a.bit_count() for a in adj]
+    rows = []
+    for a in adj:
+        near = []
+        triangles = 0
+        rest = a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            near.append(deg[w])
+            triangles += (a & adj[w]).bit_count()
+        near.sort()
+        rows.append((len(near), triangles, tuple(near)))
+    rows.sort()
+    return hash(tuple(rows))
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

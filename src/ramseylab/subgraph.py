@@ -4,11 +4,12 @@ Containment is non-induced throughout: a copy of the pattern may sit inside a
 denser host region.  Red- or blue-restricted copies are found by searching the
 color's spanning subgraph (`EdgeColoring.monochromatic_subgraph`).
 
-One walker, `_walk`, runs every search.  It follows a plan compiled once per
-pattern value: the order in which pattern vertices are placed, with each
-vertex's degree and its already-placed neighbours.  `embeddings` (and so
-`contains_copy`, the freeness checks and the isomorphism store) walks the
-plain plan and yields every map.  `copies_as_edge_sets` walks a plan that also
+One walker, `_walk`, runs every search on a host's adjacency masks.  It
+follows a plan compiled once per pattern value: the order in which pattern
+vertices are placed, with each vertex's degree and its already-placed
+neighbours.  `embeddings` (and so `contains_copy`, the freeness checks and the
+isomorphism store) walks the plain plan and yields every map, `copy_through`
+one plan per vertex orbit, pinned.  `copies_as_edge_sets` walks a plan that also
 carries the pattern's symmetry-breaking conditions, lower bounds on image
 labels that let through exactly one embedding of each copy, so it needs no
 dedupe; each image becomes one int, a mask over the host's edge list, with no
@@ -118,13 +119,13 @@ def _orbit_breaks(pattern: Graph) -> tuple[tuple[int, int], ...]:
     for i, v in enumerate(order):
         plan = _compile(pattern, (*order[:i], v), ())
         for w in order[i + 1 :]:
-            if next(_walk(pattern, plan, (*order[:i], w)), None) is not None:
+            if next(_walk(pattern.adj, plan, (*order[:i], w)), None) is not None:
                 breaks.append((v, w))
     return tuple(breaks)
 
 
-def _walk(host: Graph, plan: _Plan, targets: tuple[int, ...]) -> Iterator[list[int]]:
-    """Yield the image of every map of the plan's pattern into `host`.
+def _walk(adj: tuple[int, ...], plan: _Plan, targets: tuple[int, ...]) -> Iterator[list[int]]:
+    """Yield the image of every map of the plan's pattern into the host `adj`.
 
     The first len(targets) steps place pinned vertices, each on its target.
     Maps come in search order: each step tries its candidates in increasing
@@ -137,9 +138,8 @@ def _walk(host: Graph, plan: _Plan, targets: tuple[int, ...]) -> Iterator[list[i
     if n == 0:
         yield image
         return
-    adj = host.adj
     degrees = [a.bit_count() for a in adj]
-    allowed = [1 << h for h in targets] + [(1 << host.n) - 1] * (n - len(targets))
+    allowed = [1 << h for h in targets] + [(1 << len(adj)) - 1] * (n - len(targets))
     saved = [0] * n
     used = 0
     i = 0
@@ -187,7 +187,7 @@ def embeddings(
             raise ValueError(f"pin {p}->{h} out of range")
     if len(set(pins.values())) != len(pins):
         return
-    for image in _walk(host, _plan(pattern, tuple(pins), ()), tuple(pins.values())):
+    for image in _walk(host.adj, _plan(pattern, tuple(pins), ()), tuple(pins.values())):
         yield Embedding._trusted(pattern, host, tuple(image))
 
 
@@ -199,6 +199,33 @@ def contains_copy(
     The empty pattern embeds trivially.
     """
     return next(embeddings(host, pattern, pins), None)
+
+
+@functools.lru_cache(maxsize=256)
+def _orbit_plans(pattern: Graph) -> tuple[_Plan, ...]:
+    """Per vertex orbit of the pattern's automorphisms, a plan pinning its least u.
+
+    w is in u's orbit iff a self-embedding sends u to w: the pinned self-walk
+    of `_orbit_breaks`.  A map sending w to some host vertex, composed with
+    such an automorphism, sends u there instead, so u stands for its orbit.
+    """
+    plans = []
+    seen = 0
+    for u in range(pattern.n):
+        if not seen >> u & 1:
+            plans.append(_compile(pattern, (u,), ()))
+            for w in range(u, pattern.n):
+                if next(_walk(pattern.adj, plans[-1], (w,)), None) is not None:
+                    seen |= 1 << w
+    return tuple(plans)
+
+
+def copy_through(adj: tuple[int, ...], pattern: Graph, v: int) -> bool:
+    """True iff some copy of `pattern` in the host with adjacency masks `adj`
+    has v among its vertices (an isolated pattern vertex counts too)."""
+    return len(adj) >= pattern.n and any(
+        next(_walk(adj, plan, (v,)), None) is not None for plan in _orbit_plans(pattern)
+    )
 
 
 def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[int]:
@@ -220,7 +247,7 @@ def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[int]:
         index[a][b] = index[b][a] = i
     edges = pattern.edges
     copies = []
-    for image in _walk(host, _plan(pattern, (), _orbit_breaks(pattern)), ()):
+    for image in _walk(host.adj, _plan(pattern, (), _orbit_breaks(pattern)), ()):
         mask = 0
         for u, v in edges:
             mask |= 1 << index[image[u]][image[v]]
@@ -260,7 +287,7 @@ def cliques_of_size(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """
     if k < 0:
         raise ValueError("clique size must be nonnegative")
-    return (tuple(image) for image in _walk(g, _clique_plan(k), ()))
+    return (tuple(image) for image in _walk(g.adj, _clique_plan(k), ()))
 
 
 def clique_number(g: Graph) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,10 +29,12 @@ from ramseylab.families import (
     star,
 )
 from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph
+from ramseylab.subgraph import copy_through
 
 from conftest import case_nodes, random_graph
 
 K3 = clique(3)
+K3_K2 = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # a triangle with one pendant edge
 
 
 def test_coloring_is_free_spec_examples():
@@ -538,6 +541,68 @@ def test_monotone_verdicts_match_search(g, h, monkeypatch):
         if red is not None:
             assert coloring_is_free(host, EdgeColoring(host, red, host.edge_set() - red), g, h)
     assert len(searches) < len(hosts)
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (star(2), K3),
+        (path(4), clique_with_pendants(3, 1, 2)),
+        (K3, K3),
+        (star(1), star(3)),
+        (path(3), K3),
+        (cycle(4), K3),
+        (Graph(3, [(0, 1)]), K3),  # an isolated pattern vertex may land on v
+        (path(3), path(6)),  # as many vertices as the largest hosts
+    ],
+)
+def test_copies_through_new_vertex_decide_extensions(g, h):
+    # The parent's witness is free, so an extension to the new vertex v is
+    # free iff no red g and no blue h has v among its vertices.  Every
+    # extension is checked, a superset of those the scan tries.
+    known = {}
+    for host in graphs_up_to_vertices(6):
+        parent = host.without_vertex(host.n - 1)
+        red = known.get(parent)
+        if red is not None:
+            v = host.n - 1
+            new = [(w, v) for w in host.neighbors(v)]
+            for k in range(len(new) + 1):
+                for extra in itertools.combinations(new, k):
+                    ext = red.union(extra)
+                    coloring = EdgeColoring(host, ext, host.edge_set() - ext)
+                    red_adj = coloring.monochromatic_subgraph(RED).adj
+                    blue_adj = coloring.monochromatic_subgraph(BLUE).adj
+                    through = copy_through(red_adj, g, v) or copy_through(blue_adj, h, v)
+                    assert through != coloring_is_free(host, coloring, g, h), (host.edges, extra)
+        known[host], _ = _monotone_arrows(host, parent, g, h, DEFAULT_BUDGET, known)
+
+
+def test_scan_builds_colorings_only_in_searches(monkeypatch):
+    # Extensions are checked on adjacency masks; only `arrows` builds a
+    # coloring, for its witness.
+    counts = Counter()
+    init = EdgeColoring.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["colorings"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EdgeColoring, "__init__", counting_init)
+    monkeypatch.setattr(
+        ramseylab.arrowing, "arrows", lambda *args: counts.update(["arrows"]) or arrows(*args)
+    )
+    res = equivalence_scan(star(2), K3, star(2), K3_K2, max_vertices=6)
+    assert res.kind == "no-distinguisher-found"
+    assert 0 < counts["colorings"] <= counts["arrows"], counts
+
+
+@pytest.mark.parametrize("g, nodes", [(star(2), 242), (path(4), 1091)])
+def test_benchmark_scans_keep_their_results(g, nodes):
+    # The node counts of a scan that re-checks every extension with
+    # coloring_is_free: checking only copies through v keeps them.
+    res = equivalence_scan(g, K3, g, K3_K2, max_vertices=7)
+    assert (res.kind, res.nodes_explored, res.skipped) == ("no-distinguisher-found", nodes, [])
 
 
 def _plain_scan(g1, h1, g2, h2, max_vertices):

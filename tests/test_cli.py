@@ -312,6 +312,11 @@ def test_exit_codes(files, capsys):
     assert main(chain + ["--beta=-1,0"]) == EXIT_USAGE
     assert main(chain + ["--beta", "5,6"]) == EXIT_USAGE
     assert main(["arrows", "--g", k3, "--h", k3, "--f", k3, "--budget", "-1"]) == EXIT_USAGE
+    # a negative scan budget is rejected whether or not the clique-number filter fires
+    s2 = write("s2.g6", star(2))
+    neg = ["equiv-scan", "--g1", s2, "--h1", k3, "--g2", s2, "--max-vertices", "4", "--budget", "-1"]
+    assert main(neg + ["--h2", k4]) == EXIT_USAGE
+    assert main(neg + ["--h2", k3]) == EXIT_USAGE
     # malformed coloring lines: a non-integer vertex, a loop
     for line in ("x 2 B", "0 0 B"):
         cpath.write_text(f"3 3\n{line}\n0 2 B\n1 2 B\n")

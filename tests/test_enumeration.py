@@ -1,3 +1,5 @@
+import hashlib
+import random
 import tracemalloc
 from collections import defaultdict
 from itertools import combinations
@@ -8,6 +10,7 @@ import pytest
 from ramseylab.enumeration import (
     are_isomorphic,
     graphs_by_edge_count,
+    invariant_key,
     graphs_up_to_vertices,
     trees_up_to_vertices,
 )
@@ -116,3 +119,20 @@ def test_are_isomorphic():
     assert not are_isomorphic(path(4), star(3))
     assert not are_isomorphic(cycle(6), Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
     assert are_isomorphic(Graph(0), Graph(0))
+
+
+def test_invariant_key_ignores_labels():
+    rng = random.Random(17)
+    for g in graphs_up_to_vertices(6):
+        for _ in range(3):
+            mapping = list(range(g.n))
+            rng.shuffle(mapping)
+            assert invariant_key(g.relabeled(mapping)) == invariant_key(g), (g.edges, mapping)
+
+
+def test_graphs_up_to_seven_vertices_are_pinned():
+    # The store keeps the first graph of each class, whatever its bucket key,
+    # so a new key must leave the list and its order as they were.
+    graphs = graphs_up_to_vertices(7)
+    digest = hashlib.sha256(repr([(g.n, g.edges) for g in graphs]).encode()).hexdigest()
+    assert digest == "9e3522e47da7742a39fc2931b64911bb1d4f90d6f7e291c8434f948572d56bf5"

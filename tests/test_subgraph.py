@@ -20,6 +20,7 @@ from ramseylab.subgraph import (
     cliques_of_size,
     contains_copy,
     copies_as_edge_sets,
+    copy_through,
     embeddings,
 )
 
@@ -225,8 +226,35 @@ def test_copies_match_brute_oracle():
             assert_copies_are(host, pattern, brute_copy_edge_sets(host, pattern))
 
 
+def test_copy_through_reaches_every_vertex_of_every_copy():
+    # One walk per vertex orbit of the pattern: P3's middle and K3+K1's
+    # isolated vertex are orbits of their own.
+    rng = random.Random(31)
+    patterns = [
+        Graph(0),
+        Graph(2),
+        Graph(3, [(0, 1)]),
+        path(3),
+        star(3),
+        cycle(4),
+        clique(3),
+        clique_with_pendants(3, 1, 2),
+        Graph(4, [(0, 1), (1, 2), (0, 2)]),
+    ]
+    hosts = [Graph(2), Graph(3, [(0, 1)]), path(3), clique(4)]
+    hosts += [random_graph(rng, n_range=(2, 7), max_edges=14) for _ in range(30)]
+    for host in hosts:
+        for pattern in patterns:
+            covered = set()
+            for perm in itertools.permutations(range(host.n), pattern.n):
+                if all(host.has_edge(perm[a], perm[b]) for a, b in pattern.edges):
+                    covered.update(perm)
+            found = {v for v in range(host.n) if copy_through(host.adj, pattern, v)}
+            assert found == covered, (host.edges, pattern.edges)
+
+
 def _walk_count(host, pattern, breaks):
-    return sum(1 for _ in _walk(host, _plan(pattern, (), breaks), ()))
+    return sum(1 for _ in _walk(host.adj, _plan(pattern, (), breaks), ()))
 
 
 def test_walk_visits_one_image_per_copy():

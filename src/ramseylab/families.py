@@ -7,6 +7,7 @@ in graph6.  Witness colorings come paired with the gadgets that have one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -65,6 +66,7 @@ class ConstructionTrace:
 # -- basic families ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)  # graphs are immutable, so callers may share them
 def star(s: int) -> Graph:
     """K_{1,s}: the center is vertex 0."""
     if s < 1:
@@ -79,6 +81,7 @@ def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+@functools.lru_cache(maxsize=64)
 def clique(t: int) -> Graph:
     if t < 1:
         raise ValueError("a clique needs at least one vertex")
@@ -98,6 +101,7 @@ def basic_family(kind: str, param: int) -> Graph:
     return makers[kind](param)
 
 
+@functools.lru_cache(maxsize=64)
 def clique_with_pendants(t: int, a: int, b: int) -> Graph:
     """K_t . aK_b: K_t plus a disjoint K_b blocks, block i glued at clique vertex i."""
     if t < 3:

@@ -261,14 +261,25 @@ class EdgeColoring:
             return EdgeColoring(self.host, red=self.red - target, blue=self.blue | target)
         raise ValueError(f"unknown color {color!r}")
 
+    def _edges_of(self, color: str) -> frozenset[Edge]:
+        if color not in (RED, BLUE):
+            raise ValueError(f"unknown color {color!r}")
+        return self.red if color == RED else self.blue
+
     def monochromatic_subgraph(self, color: str) -> Graph:
         """The spanning subgraph carrying only the edges of one color."""
-        kept = self.red if color == RED else self.blue
-        return Graph(self.host.n, kept)
+        return Graph(self.host.n, self._edges_of(color))
+
+    def adjacency(self, color: str) -> tuple[int, ...]:
+        """One color's adjacency masks, one per host vertex, built on each call."""
+        adj = [0] * self.host.n
+        for u, v in self._edges_of(color):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
 
     def degree(self, v: int, color: str) -> int:
-        kept = self.red if color == RED else self.blue
-        return sum(1 for e in kept if v in e)
+        return sum(1 for e in self._edges_of(color) if v in e)
 
     def __eq__(self, other) -> bool:
         return (

@@ -20,7 +20,7 @@ from .arrowing import coloring_is_free
 from .errors import InvariantViolationError
 from .families import clique, clique_with_pendants, star
 from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, edge
-from .subgraph import cliques_of_size, contains_copy, copies_as_edge_sets
+from .subgraph import cliques, cliques_of_size, contains_copy, copies_as_edge_sets, has_copy
 
 # -- domain types -------------------------------------------------------------
 
@@ -78,11 +78,11 @@ class RecolorTrace:
 
 
 def _blue_cliques(c: EdgeColoring, t: int) -> list[tuple[int, ...]]:
-    return list(cliques_of_size(c.monochromatic_subgraph(BLUE), t))
+    return list(cliques(c.adjacency(BLUE), t))
 
 
 def _has_red_star(c: EdgeColoring, s: int) -> bool:
-    return any(c.degree(v, RED) >= s for v in range(c.host.n))
+    return any(a.bit_count() >= s for a in c.adjacency(RED))
 
 
 def alternating_walk_step(
@@ -173,7 +173,7 @@ def alternating_walk_step(
         raise InvariantViolationError(
             f"walk flip failed to reduce blue cliques: {before} -> {after}"
         )
-    if contains_copy(flipped.monochromatic_subgraph(BLUE), pendant) is not None:
+    if has_copy(flipped.adjacency(BLUE), pendant):
         raise InvariantViolationError("walk flip created a blue pendant clique")
     return flipped, trace
 

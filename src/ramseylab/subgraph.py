@@ -2,25 +2,26 @@
 
 Containment is non-induced throughout: a copy of the pattern may sit inside a
 denser host region.  Red- or blue-restricted copies are found by searching the
-color's spanning subgraph (`EdgeColoring.monochromatic_subgraph`).
+color's adjacency masks (`EdgeColoring.adjacency`) with `has_copy`.
 
 One walker, `_walk`, runs every search on a host's adjacency masks.  It
 follows a plan compiled once per pattern value: the order in which pattern
 vertices are placed, with each vertex's degree and its already-placed
-neighbours.  `embeddings` (and so `contains_copy`, the freeness checks and the
-isomorphism store) walks the plain plan and yields every map, `copy_through`
-one plan per vertex orbit, pinned.  `copies_as_edge_sets` walks a plan that also
-carries the pattern's symmetry-breaking conditions, lower bounds on image
-labels that let through exactly one embedding of each copy, so it needs no
-dedupe; each image becomes one int, a mask over the host's edge list, with no
-edge tuples built.  The plan cache is bounded because the isomorph-free
-enumeration searches with every representative it keeps as the pattern.
+neighbours.  `embeddings` (and so `contains_copy` and the isomorphism store)
+walks the plain plan and yields every map, `has_copy` (the freeness checks)
+stops at the first, and `copy_through` walks one plan per vertex orbit,
+pinned.  `copies_as_edge_sets` walks a plan that also carries the pattern's
+symmetry-breaking conditions, lower bounds on image labels that let through
+exactly one embedding of each copy, so it needs no dedupe; each image becomes
+one int, a mask over the host's edge list, with no edge tuples built.  The
+plan cache is bounded because the isomorph-free enumeration searches with
+every representative it keeps as the pattern.
 
-`cliques_of_size` answers the clique questions: the clique number and the
-"contains K_k" checks.  It is the walker on K_k, whose conditions are the
-chain image[0] < ... < image[k-1] written down directly, so each clique is
-visited once, in increasing order, and a branch stops once too few candidates
-are left to finish the clique.
+`cliques` answers the clique questions on adjacency masks, `cliques_of_size`
+on a graph: the clique number and the "contains K_k" checks.  It is the walker
+on K_k, whose conditions are the chain image[0] < ... < image[k-1] written
+down directly, so each clique is visited once, in increasing order, and a
+branch stops once too few candidates are left to finish the clique.
 """
 
 from __future__ import annotations
@@ -220,6 +221,12 @@ def _orbit_plans(pattern: Graph) -> tuple[_Plan, ...]:
     return tuple(plans)
 
 
+def has_copy(adj: tuple[int, ...], pattern: Graph) -> bool:
+    """True iff the host with adjacency masks `adj` has a copy of `pattern`
+    (the empty pattern embeds trivially)."""
+    return len(adj) >= pattern.n and next(_walk(adj, _plan(pattern, (), ()), ()), None) is not None
+
+
 def copy_through(adj: tuple[int, ...], pattern: Graph, v: int) -> bool:
     """True iff some copy of `pattern` in the host with adjacency masks `adj`
     has v among its vertices (an isolated pattern vertex counts too)."""
@@ -280,14 +287,18 @@ def _clique_plan(k: int) -> _Plan:
     )
 
 
-def cliques_of_size(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    """The k-cliques of g as sorted vertex tuples, in lexicographic order.
-
-    The search is lazy, so an existence question stops at the first clique.
+def cliques(adj: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
+    """The k-cliques of the host with adjacency masks `adj` as sorted vertex
+    tuples, in lexicographic order.  Lazy: an existence question stops at the first.
     """
     if k < 0:
         raise ValueError("clique size must be nonnegative")
-    return (tuple(image) for image in _walk(g.adj, _clique_plan(k), ()))
+    return (tuple(image) for image in _walk(adj, _clique_plan(k), ()))
+
+
+def cliques_of_size(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """The k-cliques of g, as `cliques` lists them."""
+    return cliques(g.adj, k)
 
 
 def clique_number(g: Graph) -> int:

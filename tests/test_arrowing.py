@@ -32,6 +32,7 @@ from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph
 from ramseylab.subgraph import copy_through
 
 from conftest import case_nodes, random_graph
+from oracles import injection_embeds
 
 K3 = clique(3)
 K3_K2 = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # a triangle with one pendant edge
@@ -45,6 +46,24 @@ def test_coloring_is_free_spec_examples():
     assert coloring_is_free(f, one_red, star(2), K3)
     with pytest.raises(ValueError):
         coloring_is_free(clique(4), all_blue, star(2), K3)
+
+
+def test_coloring_is_free_matches_injection_oracle():
+    # Every 2-coloring of every graph on <= 5 vertices; the oracle tries all
+    # injective vertex maps and shares no code with the mask search.
+    patterns = [star(2), path(3), K3, K3_K2, Graph(3, [(0, 1)]), Graph(0)]
+    for f in [Graph(0), *graphs_up_to_vertices(5)]:
+        too_big = Graph(f.n + 1)  # more vertices than the host, so never a copy
+        for bits in range(1 << f.m):
+            red = [e for i, e in enumerate(f.edges) if bits >> i & 1]
+            blue = [e for i, e in enumerate(f.edges) if not bits >> i & 1]
+            c = EdgeColoring(f, red, blue)
+            red_graph, blue_graph = Graph(f.n, red), Graph(f.n, blue)
+            for p in patterns:
+                in_red, in_blue = injection_embeds(red_graph, p), injection_embeds(blue_graph, p)
+                assert coloring_is_free(f, c, p, too_big) == (not in_red), (f.edges, red, p)
+                assert coloring_is_free(f, c, too_big, p) == (not in_blue), (f.edges, red, p)
+                assert coloring_is_free(f, c, p, p) == (not in_red and not in_blue)
 
 
 def test_arrows_spec_examples():

@@ -94,6 +94,16 @@ def test_coloring_flip_and_subgraphs():
         c.flipped([(0, 3)])
 
 
+def test_coloring_adjacency_and_unknown_colors():
+    c = EdgeColoring(path(4), red=[(0, 1), (2, 3)], blue=[(1, 2)])
+    assert c.adjacency(RED) == c.monochromatic_subgraph(RED).adj == (0b10, 0b1, 0b1000, 0b100)
+    assert c.adjacency(BLUE) == c.monochromatic_subgraph(BLUE).adj == (0, 0b100, 0b10, 0)
+    for call in (c.monochromatic_subgraph, c.adjacency, lambda color: c.degree(2, color)):
+        for color in ("X", "r", "b", None):
+            with pytest.raises(ValueError, match="unknown color"):
+                call(color)
+
+
 def test_coloring_recolored():
     g = path(4)
     c = EdgeColoring.monochromatic(g, RED)

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from ramseylab.arrowing import coloring_is_free
+from ramseylab.enumeration import graphs_by_edge_count
 from ramseylab.families import clique, clique_with_pendants, cycle, path, star, suitable_caterpillar
 from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph, edge
 from ramseylab.recolor import (
@@ -13,7 +15,7 @@ from ramseylab.recolor import (
     woven_recolor,
     yuv_certificate,
 )
-from ramseylab.subgraph import cliques_of_size, contains_copy
+from ramseylab.subgraph import cliques_of_size, contains_copy, copies_as_edge_sets
 
 from conftest import random_graph
 
@@ -111,6 +113,55 @@ def test_star_clique_recolor_noop():
     f = cycle(5)
     c = EdgeColoring(f, red=[(0, 1)], blue=[e for e in f.edges if e != (0, 1)])
     assert star_clique_recolor(f, c, 2, 3) == c
+
+
+def test_star_clique_recolor_outputs_are_pinned():
+    # The sorted red edges of every output over the free colorings that the
+    # criterion 5 sweep enumerates, for hosts with at most 6 edges.
+    pendant = clique_with_pendants(3, 1, 2)
+    digest = hashlib.sha256()
+    count = 0
+    for m, graphs in graphs_by_edge_count(6).items():
+        for g in graphs:
+            vmasks = [sum(1 << i for i, e in enumerate(g.edges) if v in e) for v in range(g.n)]
+            pend_masks = copies_as_edge_sets(g, pendant)
+            for bits in range(1 << m):
+                if any((bits & vm).bit_count() >= 2 for vm in vmasks):
+                    continue  # red star
+                if any(bits & pm == 0 for pm in pend_masks):
+                    continue  # blue pendant clique
+                red = [e for i, e in enumerate(g.edges) if bits >> i & 1]
+                blue = [e for i, e in enumerate(g.edges) if not bits >> i & 1]
+                out = star_clique_recolor(g, EdgeColoring(g, red, blue), 2, 3)
+                digest.update(repr((g.n, g.edges, sorted(out.red))).encode())
+                count += 1
+    assert count == 1729
+    assert digest.hexdigest() == "5873b01c47dfe9354d81b8bbcbd2cad10d5a866493c37495d8167ec36b252e58"
+
+
+@pytest.mark.parametrize(
+    "red, blue",
+    [
+        ([(0, 1), (2, 3)], [(1, 2), (0, 2)]),  # no blue triangle: only the checks run
+        ([(2, 3)], [(0, 1), (1, 2), (0, 2)]),  # one walk step
+    ],
+)
+def test_star_clique_recolor_builds_no_graph(monkeypatch, red, blue):
+    # Colorings are checked on their color classes' adjacency masks, and the
+    # pattern constructors return cached graphs once warmed.
+    f = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    c = EdgeColoring(f, red, blue)
+    star_clique_recolor(f, c, 2, 3)
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    star_clique_recolor(f, c, 2, 3)
+    assert built == []
 
 
 def test_yuv_star_path_example():

@@ -69,9 +69,8 @@ class _ArrowEngine:
     side, indexed by that forbidden color, numbered 0..N-1 in the order
     `copies_as_edge_sets` lists them, so a set of copies is an N-bit int.
     Per side, `copy_edges[i]` is copy i's edge mask as that listing gives it
-    (bit j for f.edges[j]), `inc[e]` the set of copies through edge e and
-    `near[e]` the edge mask of their union.  All copies of a pattern have the
-    same k edges.
+    (bit j for f.edges[j]) and `inc[e]` the set of copies through edge e.
+    All copies of a pattern have the same k edges.
 
     A state is an immutable tuple: the red and blue edge masks, the satisfied
     copies of each side (those with an edge of the allowed color), then each
@@ -89,17 +88,20 @@ class _ArrowEngine:
     The DFS loops over an explicit stack of (position, state, edge, color)
     entries, whose assignment is propagated when the entry is popped: no
     recursion limit applies, backtracking undoes nothing, and a branch that is
-    never reached costs nothing.
+    never reached costs nothing.  `solve` returns every pruned verdict, its
+    witness re-checked, from the assignments `prefix` makes of pinned edges.
     """
 
     def __init__(self, f: Graph, g: Graph, h: Graph):
-        self.f = f
+        self.f, self.g, self.h = f, g, h
         self.m = m = f.m
         self.edge_index = {e: i for i, e in enumerate(f.edges)}
         self.trivial_arrows = False
+        # Swapping the two colors maps free colorings onto free colorings
+        # exactly when the two patterns coincide.
+        self.symmetric = are_isomorphic(g, h)
 
         inc: list[tuple[int, ...]] = []
-        near: list[tuple[int, ...]] = []
         copy_edges: list[list[int]] = []
         planes: list[range] = []  # per side, where its counter planes sit in a state
         start = [0, 0, 0, 0]
@@ -114,7 +116,6 @@ class _ArrowEngine:
                 return
             # Bit i of rows[e] is copy i, little-endian, read as an int below.
             rows = [bytearray((len(copies) + 7) >> 3) for _ in range(m)]
-            spans = [0] * m
             for i, mask in enumerate(copies):
                 byte, bit = i >> 3, 1 << (i & 7)
                 rest = mask
@@ -122,12 +123,10 @@ class _ArrowEngine:
                     j = rest.bit_length() - 1
                     rest ^= 1 << j
                     rows[j][byte] |= bit
-                    spans[j] |= mask
             k = copies[0].bit_count() if copies else 0
             if k == 1:
                 units += [(mask.bit_length() - 1, 1 - bad) for mask in copies]
             inc.append(tuple(int.from_bytes(row, "little") for row in rows))
-            near.append(tuple(spans))
             copy_edges.append(copies)
             for j, row in enumerate(inc[-1]):
                 weight[j] += row.bit_count()
@@ -136,30 +135,40 @@ class _ArrowEngine:
             planes.append(range(len(start), len(start) + w))
             start += [full if (1 << w) - k >> b & 1 else 0 for b in range(w)]
         self.inc = tuple(inc)
-        self.near = tuple(near)
         self.copy_edges = tuple(copy_edges)
         self.planes = tuple(planes)
         self.start = tuple(start)
         self.units = tuple(units)
         # Branch on the most constrained edges first.
         self.order = sorted(range(m), key=lambda e: (-weight[e], e))
-        # Swapping the two colors maps free colorings onto free colorings
-        # exactly when the two patterns coincide.
-        self.symmetric = are_isomorphic(g, h)
 
-    def solve(
-        self, budget: int, prefix: tuple[tuple[int, int], ...] = ()
-    ) -> tuple[int | None, int]:
-        """Run the DFS; returns (witness red-edge mask | None, nodes).
+    def prefix(self, pinned: dict[Edge, str] | None) -> tuple[tuple[int, int], ...]:
+        """`pinned` as (edge index, color bit) pairs; raises ValueError as `arrows` says."""
+        pins: dict[int, int] = {}
+        for pair, col in sorted((pinned or {}).items()):
+            e = edge(*pair)
+            if e not in self.edge_index:
+                raise ValueError(f"pinned pair {pair} is not an edge of the host")
+            if col not in (RED, BLUE):
+                raise ValueError(f"pinned color {col!r} for {pair} is neither {RED!r} nor {BLUE!r}")
+            c = _RED_BIT if col == RED else _BLUE_BIT
+            if pins.setdefault(self.edge_index[e], c) != c:
+                raise ValueError(f"edge {e} is pinned to both colors")
+        return tuple(pins.items())
 
-        A None witness means every completion of `prefix` contains a red g or
-        a blue h.  Raises BudgetExhaustedError when the node budget runs out.
+    def solve(self, budget: int, prefix: tuple[tuple[int, int], ...] = ()) -> ArrowingVerdict:
+        """Decide whether every completion of `prefix` has a red g or a blue h.
+
+        A witness is re-checked by `coloring_is_free`.  The budget is checked
+        and spent as `arrows` says.
         """
+        if budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {budget}")
         if self.trivial_arrows:
-            return None, 0
+            return ArrowingVerdict(True, None, 0, "pruned")
         m = self.m
+        every_edge = (1 << m) - 1
         inc = self.inc
-        near = self.near
         copy_edges = self.copy_edges
         planes = self.planes
         order = self.order
@@ -197,9 +206,9 @@ class _ArrowEngine:
                 if not unit:
                     continue
                 # Each unit copy forces its one uncolored edge.  A few unit
-                # copies are walked one by one; many are matched against the
-                # free edges of near[e], one AND each, because every step of
-                # the walk costs a pass over an N-bit int.
+                # copies are walked one by one; with many, each uncolored edge
+                # is forced when a unit copy runs through it, one AND each,
+                # because every step of the walk costs a pass over an N-bit int.
                 if unit.bit_count() <= 8:
                     uncolored = ~cur[c]
                     masks = copy_edges[c]
@@ -209,7 +218,7 @@ class _ArrowEngine:
                         j = (masks[low.bit_length() - 1] & uncolored).bit_length() - 1
                         stack.append((j, o))
                 else:
-                    free = near[c][e] & ~(cur[0] | cur[1])
+                    free = every_edge ^ (cur[0] | cur[1])
                     rows = inc[c]
                     while free:
                         low = free & -free
@@ -223,12 +232,13 @@ class _ArrowEngine:
         for e, c in prefix + self.units:
             state = assign(state, e, c)
             if state is None:
-                return None, 0
+                break
 
         # With identical patterns and no pinned prefix, the color swap is a
         # free-coloring bijection, so the first branched edge may be fixed red.
         fix_first = self.symmetric and not prefix
-        stack = [(0, state, -1, 0)]
+        stack = [] if state is None else [(0, state, -1, 0)]
+        red = None
         while stack:
             pos, state, e, c = stack.pop()
             if e >= 0:
@@ -239,7 +249,8 @@ class _ArrowEngine:
             while pos < m and assigned >> order[pos] & 1:
                 pos += 1
             if pos == m:
-                return state[0], nodes
+                red = state[0]
+                break
             nodes += 1
             if nodes > budget:
                 raise BudgetExhaustedError(
@@ -250,15 +261,17 @@ class _ArrowEngine:
             if not (fix_first and nodes == 1):
                 stack.append((pos + 1, state, e, _BLUE_BIT))
             stack.append((pos + 1, state, e, _RED_BIT))
-        return None, nodes
-
-    def coloring_from_red(self, red: int) -> EdgeColoring:
+        if red is None:
+            return ArrowingVerdict(True, None, nodes, "pruned")
         edges = self.f.edges
-        return EdgeColoring(
+        witness = EdgeColoring(
             self.f,
             red=[e for i, e in enumerate(edges) if red >> i & 1],
             blue=[e for i, e in enumerate(edges) if not red >> i & 1],
         )
+        if not coloring_is_free(self.f, witness, self.g, self.h):
+            raise InvariantViolationError("search produced a non-free witness coloring")
+        return ArrowingVerdict(False, witness, nodes, "pruned")
 
 
 def arrows(
@@ -278,29 +291,8 @@ def arrows(
     propagation only.  Raises BudgetExhaustedError (indeterminate) instead of
     ever returning a wrong verdict.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-    pins: dict[Edge, int] = {}
-    if pinned:
-        edges = f.edge_set()
-        for pair, col in sorted(pinned.items()):
-            e = edge(*pair)
-            if e not in edges:
-                raise ValueError(f"pinned pair {pair} is not an edge of the host")
-            if col not in (RED, BLUE):
-                raise ValueError(f"pinned color {col!r} for {pair} is neither {RED!r} nor {BLUE!r}")
-            c = _RED_BIT if col == RED else _BLUE_BIT
-            if pins.setdefault(e, c) != c:
-                raise ValueError(f"edge {e} is pinned to both colors")
     engine = _ArrowEngine(f, g, h)
-    prefix = tuple((engine.edge_index[e], c) for e, c in pins.items())
-    red, nodes = engine.solve(budget, prefix)
-    if red is None:
-        return ArrowingVerdict(True, None, nodes, "pruned")
-    witness = engine.coloring_from_red(red)
-    if not coloring_is_free(f, witness, g, h):
-        raise InvariantViolationError("search produced a non-free witness coloring")
-    return ArrowingVerdict(False, witness, nodes, "pruned")
+    return engine.solve(budget, engine.prefix(pinned))
 
 
 def _copies_by_injection(host: Graph, pattern: Graph, edge_index: dict[Edge, int]) -> list[int]:
@@ -397,8 +389,6 @@ def _least_arrowing_clique(g: Graph, h: Graph, cap: int, budget: int) -> tuple[i
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
     nodes = 0
     rho = None
     t = h.n
@@ -425,10 +415,7 @@ def _clique_arrows(n: int, g: Graph, h: Graph, budget: int, rho: int | None) -> 
     coloring from any of them is re-checked and refutes K_n.  The budget caps
     the nodes summed over the cases, and BudgetExhaustedError carries that sum.
     """
-    f = clique(n)
-    engine = _ArrowEngine(f, g, h)
-    if engine.trivial_arrows:
-        return True, 0
+    engine = _ArrowEngine(clique(n), g, h)
     first = n // 2 if engine.symmetric else 0
     if rho is not None:
         first = max(first, n - rho)
@@ -438,16 +425,13 @@ def _clique_arrows(n: int, g: Graph, h: Graph, budget: int, rho: int | None) -> 
             (engine.edge_index[(0, i)], _RED_BIT if i <= d else _BLUE_BIT) for i in range(1, n)
         )
         try:
-            red, spent = engine.solve(budget - nodes, prefix)
+            verdict = engine.solve(budget - nodes, prefix)
         except BudgetExhaustedError as exc:
             raise BudgetExhaustedError(
                 f"K_{n} search exceeded {budget} nodes", nodes_explored=nodes + exc.nodes_explored
             ) from None
-        nodes += spent
-        if red is not None:
-            witness = engine.coloring_from_red(red)
-            if not coloring_is_free(f, witness, g, h):
-                raise InvariantViolationError("search produced a non-free witness coloring")
+        nodes += verdict.nodes_explored
+        if not verdict.arrows:
             return False, nodes
     return True, nodes
 
@@ -484,10 +468,11 @@ def verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int = DEFAULT_BU
 
     Axioms: (i) d has a (T, K_t)-free coloring; (ii) beta is red in every free
     coloring; (iii) some free coloring turns every edge adjacent to beta blue;
-    (iv) the closed neighborhood of beta induces exactly K_t.  Each axiom is
-    decided by exhaustive search (via the pruned decider with pinned edges);
-    an exhausted budget leaves that axiom as None.  Raises ValueError when
-    beta is not an edge of d.
+    (iv) the closed neighborhood of beta induces exactly K_t.  Axioms (i)-(iii)
+    are decided on one clause engine for d, by complete searches with edges
+    pinned; the budget caps each search, and an exhausted one leaves its axiom
+    as None.  Raises ValueError when beta is not an edge of d or the budget is
+    negative.
     """
     return _verify_determiner(d, beta, T, t, budget)[0]
 
@@ -497,32 +482,27 @@ def _verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int) -> tuple[d
     beta = edge(*beta)
     if beta not in d.edge_set():
         raise ValueError(f"beta {beta} is not an edge of the determiner graph")
-    target = clique(t)
-    results: dict[str, bool | None] = {}
+    engine = _ArrowEngine(d, T, clique(t))
     nodes = 0
 
-    def run(pinned):
+    def holds(pinned, expect_arrows: bool) -> bool | None:
+        """Whether d under `pinned` arrows (T, K_t) as expected; None on budget."""
         nonlocal nodes
         try:
-            verdict = arrows(d, T, target, budget=budget, pinned=pinned)
+            verdict = engine.solve(budget, engine.prefix(pinned))
         except BudgetExhaustedError as exc:
             nodes += exc.nodes_explored
             return None
         nodes += verdict.nodes_explored
-        return verdict
+        return verdict.arrows == expect_arrows
 
-    base = run(None)
-    results["free_coloring_exists"] = None if base is None else not base.arrows
-    blue_beta = run({beta: BLUE})
-    results["beta_forced_red"] = None if blue_beta is None else blue_beta.arrows
     u, v = beta
-    adjacent = {
-        e: BLUE
-        for e in d.edges
-        if e != beta and (u in e or v in e)
+    adjacent = {e: BLUE for e in d.edges if e != beta and (u in e or v in e)}
+    results: dict[str, bool | None] = {
+        "free_coloring_exists": holds(None, expect_arrows=False),
+        "beta_forced_red": holds({beta: BLUE}, expect_arrows=True),
+        "well_behaved": holds(adjacent, expect_arrows=False),
     }
-    well = run(adjacent)
-    results["well_behaved"] = None if well is None else not well.arrows
     closure = {u, v}
     closure.update(d.neighbors(u))
     closure.update(d.neighbors(v))

@@ -10,11 +10,19 @@ Colorings are exchanged as plain text: a header line ``n m``, then one line
 
 from __future__ import annotations
 
+import binascii
+from math import isqrt
+
 from .errors import RamseyLabError
 from .graphs import BLUE, RED, Edge, EdgeColoring, Graph
 
 GRAPH6_SHORT_MAX = 62
 GRAPH6_LONG_MAX = 258047
+# graph6 writes a 6-bit group x as chr(x + 63), base64 as the x-th letter of
+# its alphabet, so the two codes translate into each other byte for byte.
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 
 
 class FormatError(RamseyLabError):
@@ -30,24 +38,20 @@ def _encode_size(n: int) -> str:
         return chr(n + 63)
     if n <= GRAPH6_LONG_MAX:
         return chr(126) + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
-    raise FormatError(f"graph6 supports at most {GRAPH6_LONG_MAX} vertices, got {n}")
+    raise ValueError(f"graph6 supports at most {GRAPH6_LONG_MAX} vertices, got {n}")
 
 
 def graph_to_graph6(g: Graph) -> str:
+    """The graph6 string of g; raises ValueError past GRAPH6_LONG_MAX vertices."""
     header = _encode_size(g.n)
-    bits: list[int] = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        group = 0
-        for b in bits[i : i + 6]:
-            group = group << 1 | b
-        chars.append(chr(group + 63))
-    return header + "".join(chars)
+    # The upper triangle column by column, as '0'/'1': bit u of adj[v] for
+    # u < v, u = 0 first.
+    stream = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
+    # Zero-padded to whole 3-byte blocks, base64 cuts the bits into 6-bit groups.
+    pad = -len(stream) % 24
+    data = (int(stream or "0", 2) << pad).to_bytes((len(stream) + pad) // 8, "big")
+    groups = binascii.b2a_base64(data, newline=False)[: -(-len(stream) // 6)]
+    return header + groups.translate(_BASE64_TO_GRAPH6).decode()
 
 
 def graph_from_graph6(text: str) -> Graph:
@@ -56,33 +60,32 @@ def graph_from_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise FormatError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    if not s.isascii() or min(s) < chr(63) or max(s) > chr(126):
         raise FormatError(f"invalid graph6 characters in {s!r}")
-    if data[0] == 63:
-        if len(data) < 4:
+    if s[0] == chr(126):
+        if len(s) < 4:
             raise FormatError("truncated graph6 long-form size")
-        n = data[1] << 12 | data[2] << 6 | data[3]
-        body = data[4:]
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63
+        body = s[4:]
     else:
-        n = data[0]
-        body = data[1:]
-    need = (n * (n - 1) // 2 + 5) // 6
+        n = ord(s[0]) - 63
+        body = s[1:]
+    size = n * (n - 1) // 2
+    need = (size + 5) // 6
     if len(body) != need:
         raise FormatError(f"graph6 body length {len(body)} != expected {need} for n={n}")
-    bitstream = []
-    for group in body:
-        for s6 in (5, 4, 3, 2, 1, 0):
-            bitstream.append(group >> s6 & 1)
-    edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bitstream[i]:
-                edges.append((u, v))
-            i += 1
-    if any(bitstream[i:]):
+    groups = body.encode().translate(_GRAPH6_TO_BASE64)
+    data = binascii.a2b_base64(groups + b"A" * (-len(groups) % 4))
+    stream = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+    if "1" in stream[size:]:
         raise FormatError("nonzero padding bits in graph6 body")
+    # Position p of the upper triangle is (u, v) with v(v-1)/2 <= p < v(v+1)/2.
+    edges = []
+    p = stream.find("1", 0, size)
+    while p >= 0:
+        v = (1 + isqrt(8 * p + 1)) // 2
+        edges.append((p - v * (v - 1) // 2, v))
+        p = stream.find("1", p + 1, size)
     return Graph(n, edges)
 
 

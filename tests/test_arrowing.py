@@ -11,12 +11,14 @@ from ramseylab.arrowing import (
     _clique_arrows,
     _monotone_arrows,
     _ramsey_number,
+    _verify_determiner,
     arrows,
     coloring_is_free,
     equivalence_scan,
     exhaustive_arrows,
     minimal_ramsey_check,
     ramsey_number,
+    verify_determiner,
 )
 from ramseylab.enumeration import graphs_up_to_vertices, trees_up_to_vertices
 from ramseylab.errors import BudgetExhaustedError, CapExceededError
@@ -323,6 +325,45 @@ def test_clause_order_does_not_change_the_search(monkeypatch):
 
         monkeypatch.setattr(ramseylab.arrowing, "copies_as_edge_sets", reordered)
         assert run() == expected, reorder
+
+
+def _p4_gadget():
+    gadget = diameter_distinguisher(path(4), 3)[0]
+    return gadget, gadget.edges[0], 3
+
+
+DETERMINERS = [
+    (_p4_gadget, 1398, (False, True, False, False)),
+    (lambda: (clique(8), (0, 1), 4), 21, (True, False, True, False)),
+    (lambda: (clique(10), (0, 1), 4), 1000, (False, True, False, False)),
+]
+
+
+@pytest.mark.parametrize("make, nodes, axioms", DETERMINERS, ids=["D27-P4-K3", "K8-P4-K4", "K10-P4-K4"])
+def test_determiner_axioms_and_nodes_are_pinned(make, nodes, axioms):
+    # (d, beta) against (P4, K_t); nodes are summed over the three searches.
+    d, beta, t = make()
+    results, explored = _verify_determiner(d, beta, path(4), t, DEFAULT_BUDGET)
+    keys = ("free_coloring_exists", "beta_forced_red", "well_behaved", "beta_closure_is_clique")
+    assert (tuple(results[k] for k in keys), explored) == (axioms, nodes)
+
+
+def test_verify_determiner_builds_one_engine(monkeypatch):
+    # The three pinned searches share the clause engine of d.
+    engine = ramseylab.arrowing._ArrowEngine
+    built = []
+    init = engine.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(engine, "__init__", counting_init)
+    for make, _, _ in DETERMINERS:
+        d, beta, t = make()
+        built.clear()
+        verify_determiner(d, beta, path(4), t)
+        assert len(built) == 1
 
 
 def test_counter_widths_match_exhaustive_oracle():

@@ -312,6 +312,12 @@ def test_exit_codes(files, capsys):
     assert main(chain + ["--beta=-1,0"]) == EXIT_USAGE
     assert main(chain + ["--beta", "5,6"]) == EXIT_USAGE
     assert main(["arrows", "--g", k3, "--h", k3, "--f", k3, "--budget", "-1"]) == EXIT_USAGE
+    assert main(["ramsey-number", "--g", p3, "--h", k3, "--cap", "5", "--budget", "-1"]) == EXIT_USAGE
+    assert main(["minimal", "--f", k3, "--g", p3, "--h", k3, "--budget", "-1"]) == EXIT_USAGE
+    determiner = ["verify-determiner", "--d", k4, "--beta", "0,1", "--T", p3, "--t", "3"]
+    assert main(determiner + ["--budget", "-1"]) == EXIT_USAGE
+    # a graph too large for graph6 (258,048 vertices) is a usage error, not malformed input
+    assert main(["construct", "star", "258047"]) == EXIT_USAGE
     # a negative scan budget is rejected whether or not the clique-number filter fires
     s2 = write("s2.g6", star(2))
     neg = ["equiv-scan", "--g1", s2, "--h1", k3, "--g2", s2, "--max-vertices", "4", "--budget", "-1"]

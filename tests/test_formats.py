@@ -65,6 +65,12 @@ def test_malformed_graph6_rejected(bad):
         graph_from_graph6(bad)
 
 
+def test_graph6_size_limit_is_a_value_error():
+    # Too many vertices to encode is a bad argument, not a malformed input.
+    with pytest.raises(ValueError, match="at most 258047 vertices"):
+        graph_to_graph6(Graph(258048))
+
+
 def test_coloring_roundtrip():
     g = path(4)
     c = EdgeColoring(g, red=[(0, 1)], blue=[(1, 2), (2, 3)])

@@ -1,10 +1,12 @@
 """Tree-versus-clique Ramsey numbers follow Chvátal's R(T, K_t) = (t-1)(|T|-1)+1.
 
-The pruned decider proves both directions: K_{2n-1} arrows (T, K_3), and the
-search hands back an explicit free coloring of K_{2n-2}.  One step up, K_13
-arrows (P_5, K_4): ramsey_number splits each K_n on the red degree of vertex 0
-and skips the degrees that R(P_5, K_3) = 9 already settles.
-"""
+ramsey_number starts each sweep at the block coloring of Chvátal & Harary:
+t-1 blocks of |T|-1 vertices, red inside and blue between, a re-checked free
+coloring of K_{(t-1)(|T|-1)}.  So only K_R is searched, and the pruned
+decider proves that it arrows.  Searched on K_{R-1} for (T, K_3), the
+decider also hands back a free coloring of its own.  One step up, K_13
+arrows (P_5, K_4): ramsey_number splits it on the red degree of vertex 0 and
+skips the degrees that R(P_5, K_3) = 9 already settles."""
 
 from ramseylab import arrows, clique, coloring_is_free, path, ramsey_number
 from ramseylab.enumeration import trees_up_to_vertices

@@ -365,8 +365,10 @@ def exhaustive_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingVerdict:
 def ramsey_number(g: Graph, h: Graph, cap: int, budget: int = DEFAULT_BUDGET) -> int:
     """Least n <= cap with K_n -> (g, h).
 
-    Each K_n is decided by splitting on the red degree of vertex 0 (see
-    `_clique_arrows`).  The budget caps the nodes summed over one K_n's cases.
+    The sweep starts above the order of a checked free block coloring (see
+    `_block_coloring`), and decides each K_n by splitting on the red degree
+    of vertex 0 (see `_clique_arrows`).  The budget caps the nodes summed
+    over one K_n's cases.
     """
     return _ramsey_number(g, h, cap, budget)[0]
 
@@ -379,9 +381,41 @@ def _ramsey_number(g: Graph, h: Graph, cap: int, budget: int) -> tuple[int, int]
     return value, nodes
 
 
+def _block_coloring(g: Graph, h: Graph, cap: int) -> EdgeColoring:
+    """A free coloring of K_min(n, cap) for (g, h), by Chvátal & Harary (1972).
+
+    Let c be the order of the largest component of one pattern and ω the
+    clique number of the other.  K_n, n = (ω-1)(c-1), splits into ω-1 blocks
+    of c-1 vertices.  Edges inside a block take the first pattern's color:
+    those components have c-1 vertices, too few for its largest one.  Edges
+    between blocks take the other color: they form a complete (ω-1)-partite
+    graph, with no K_ω.  Both role assignments are tried and the larger n is
+    kept; it is 0 when either pattern has no edge.  A free coloring stays
+    free on any subset of the vertices, so the one returned refutes every
+    K_k with k up to its order.  It is re-checked by `coloring_is_free`.
+    """
+    n, size, inside = 0, 1, RED
+    for a, b, color in ((g, h, RED), (h, g, BLUE)):
+        c = max(map(len, a.components()), default=0)
+        order = max(c - 1, 0) * max(clique_number(b) - 1, 0)
+        if order > n:
+            n, size, inside = order, c - 1, color
+    k = min(n, cap)
+    host = Graph(k, itertools.combinations(range(k), 2))
+    same = [(u, v) for u, v in host.edges if u // size == v // size]
+    other = [(u, v) for u, v in host.edges if u // size != v // size]
+    red, blue = (same, other) if inside == RED else (other, same)
+    coloring = EdgeColoring(host, red=red, blue=blue)
+    if k and not coloring_is_free(host, coloring, g, h):
+        raise InvariantViolationError("the block coloring is not free")
+    return coloring
+
+
 def _least_arrowing_clique(g: Graph, h: Graph, cap: int, budget: int) -> tuple[int | None, int]:
     """The least n <= cap with K_n -> (g, h), or None, and the nodes searched.
 
+    The block coloring of `_block_coloring` refutes every K_k up to its order,
+    so the search starts one above it, and none is made when it reaches cap.
     When h = K_t with t >= 2, rho = R(g, K_{t-1}) is computed first by this
     same routine with cap - 1, under the same per-K_n budget; its nodes count
     toward the sum.  A rho past cap - 1 could not skip any case below cap, so
@@ -389,12 +423,15 @@ def _least_arrowing_clique(g: Graph, h: Graph, cap: int, budget: int) -> tuple[i
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    lower = _block_coloring(g, h, cap).host.n
+    if lower == cap:
+        return None, 0
     nodes = 0
     rho = None
     t = h.n
     if t >= 2 and h.m == t * (t - 1) // 2 and cap >= 2:
         rho, nodes = _least_arrowing_clique(g, clique(t - 1), cap - 1, budget)
-    for n in range(1, cap + 1):
+    for n in range(lower + 1, cap + 1):
         decided, spent = _clique_arrows(n, g, h, budget, rho)
         nodes += spent
         if decided:

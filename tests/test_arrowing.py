@@ -8,6 +8,7 @@ import ramseylab.arrowing
 from ramseylab.arrowing import (
     DEFAULT_BUDGET,
     ArrowingVerdict,
+    _block_coloring,
     _clique_arrows,
     _monotone_arrows,
     _ramsey_number,
@@ -34,7 +35,7 @@ from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph
 from ramseylab.subgraph import copy_through
 
 from conftest import case_nodes, random_graph
-from oracles import injection_embeds
+from oracles import injection_embeds, injection_embeds_colored
 
 K3 = clique(3)
 K3_K2 = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # a triangle with one pendant edge
@@ -144,21 +145,84 @@ def test_ramsey_number_spec_examples():
 
 def test_chvatal_p5_k4():
     # R(T, K_t) = (t-1)(|T|-1)+1 past the 24-edge oracle: K_13 has 78 edges.
-    assert ramsey_number(path(5), clique(4), cap=13) == 13
+    # Each level of the rho recursion searches only K_{(t-1)4+1}.
+    assert _ramsey_number(path(5), clique(4), 13, DEFAULT_BUDGET) == (13, 121)
+
+
+def _count_engine_hosts(monkeypatch) -> list[int]:
+    """Patch `_ArrowEngine.__init__` to record the order of every host it builds on."""
+    engine = ramseylab.arrowing._ArrowEngine
+    built = []
+    init = engine.__init__
+
+    def counting_init(self, f, g, h):
+        built.append(f.n)
+        init(self, f, g, h)
+
+    monkeypatch.setattr(engine, "__init__", counting_init)
+    return built
+
+
+def test_ramsey_number_searches_from_the_block_coloring_up(monkeypatch):
+    # The block colorings refute K_3, K_6 and K_9 for (P4, K_t), t = 2, 3, 4,
+    # so each level of the rho recursion builds one engine, on K_1 for
+    # (P4, K1) and then on K_4, K_7 and K_10.
+    built = _count_engine_hosts(monkeypatch)
+    assert ramsey_number(path(4), clique(4), cap=10) == 10
+    assert built == [1, 4, 7, 10]
+
+
+def test_ramsey_number_cap_bounds_the_block_coloring(monkeypatch):
+    # (P30, K30) has a block coloring of K_841; only K_5 of it is built, and
+    # it refutes every K_n up to the cap without a search.
+    built = _count_engine_hosts(monkeypatch)
+    assert _block_coloring(path(30), clique(30), 5).host == clique(5)
+    with pytest.raises(CapExceededError):
+        ramsey_number(path(30), clique(30), cap=5)
+    assert built == []
+
+
+def test_block_coloring_is_free_and_refutes_its_clique():
+    # Every pair of patterns on <= 4 vertices, connected or not, edgeless
+    # ones and the empty graph among them.
+    patterns = [Graph(0), *graphs_up_to_vertices(4)]
+    for g in patterns:
+        for h in patterns:
+            coloring = _block_coloring(g, h, 10)
+            n = coloring.host.n
+            assert coloring.host == Graph(n, itertools.combinations(range(n), 2))
+            if n == 0:
+                continue
+            assert not injection_embeds_colored(coloring.host, g, coloring.red), (g, h)
+            assert not injection_embeds_colored(coloring.host, h, coloring.blue), (g, h)
+            # Only (4-vertex connected, K4) pairs reach K_9, past the oracle's
+            # 24 edges; the injection check above covers them.
+            if coloring.host.m <= 24:
+                assert not exhaustive_arrows(coloring.host, g, h).arrows, (g, h)
+    # For a tree against a clique the coloring is Chvátal's lower bound.
+    for tree in trees_up_to_vertices(5):
+        for t in range(1, 5):
+            assert _block_coloring(tree, clique(t), 100).host.n == (t - 1) * (tree.n - 1)
 
 
 def test_ramsey_number_budget_caps_the_cases_of_one_clique():
     # Budget 0 allows propagation only, which settles every K_n for (P3, K3).
     assert ramsey_number(path(3), K3, cap=6, budget=0) == 5
-    # R(K3, K3): the swap keeps d >= (n-1)/2 and rho = R(K3, K2) = 3 keeps
-    # d >= n-3.  K_3 searches d = 1 first, which needs one node.
+    # R(K3, K3): the block coloring (two blocks of two) refutes K_4, so K_5
+    # is searched first.  The swap keeps d >= (n-1)/2 and rho = R(K3, K2) = 3
+    # keeps d >= n-3.  K_5 searches d = 2 first, which needs one node.
     with pytest.raises(BudgetExhaustedError) as exc:
         ramsey_number(K3, K3, cap=6, budget=0)
-    assert exc.value.nodes_explored == sum(case_nodes(3, K3, K3, [1, 2])) == 1
+    assert exc.value.nodes_explored == sum(case_nodes(5, K3, K3, [2, 3, 4])) == 1
     # R(C4, K3) = 7 with rho = R(C4, K2) = 4: K_7 searches d = 3..6, every
-    # case arrows, and the budget caps their sum.
+    # case arrows, and the budget caps their sum.  The block colorings refute
+    # K_6 for (C4, K3) and K_3 for (C4, K2), so below K_7 only K_1 for
+    # (C4, K1) and K_4 for (C4, K2), with rho = 1 keeping d = 3, are searched.
     spent = sum(case_nodes(7, cycle(4), K3, [3, 4, 5, 6]))
-    below = [sum(case_nodes(n, cycle(4), K3, range(max(0, n - 4), n))) for n in range(1, 7)]
+    below = [
+        sum(case_nodes(1, cycle(4), clique(1), [0])),
+        sum(case_nodes(4, cycle(4), clique(2), [3])),
+    ]
     assert spent > max(below)
     assert ramsey_number(cycle(4), K3, cap=7, budget=spent) == 7
     with pytest.raises(BudgetExhaustedError) as exc:
@@ -350,15 +414,7 @@ def test_determiner_axioms_and_nodes_are_pinned(make, nodes, axioms):
 
 def test_verify_determiner_builds_one_engine(monkeypatch):
     # The three pinned searches share the clause engine of d.
-    engine = ramseylab.arrowing._ArrowEngine
-    built = []
-    init = engine.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(engine, "__init__", counting_init)
+    built = _count_engine_hosts(monkeypatch)
     for make, _, _ in DETERMINERS:
         d, beta, t = make()
         built.clear()

@@ -64,14 +64,15 @@ def test_ramsey_number_cli_reports_nodes_of_every_search(files, capsys):
     code, report = run(capsys, ["ramsey-number", "--g", g, "--h", h, "--cap", "10"])
     assert code == EXIT_OK
     assert report["verdict"]["ramsey_number"] == 9
-    # On each K_n the split searches the red degrees d of vertex 0 with
-    # n - 1 - d < rho: rho = R(P5, K2) = 5 for (P5, K3) and R(P5, K1) = 1 for
-    # (P5, K2), both searched first.  (P5, K1) skips nothing; on its one
-    # clique, K_1, rho = 1 says the same.
+    # Each level of the rho recursion searches K_n from one above its block
+    # coloring, (t-1)(5-1) vertices, up to r.  On each K_n the split searches
+    # the red degrees d of vertex 0 with n - 1 - d < rho: rho = R(P5, K2) = 5
+    # for (P5, K3) and R(P5, K1) = 1 for (P5, K2), both searched first.
+    # (P5, K1) skips nothing; on its one clique, K_1, rho = 1 says the same.
     nodes = sum(
         sum(case_nodes(n, path(5), clique(t), range(max(0, n - rho), n)))
         for t, r, rho in ((3, 9, 5), (2, 5, 1), (1, 1, 1))
-        for n in range(1, r + 1)
+        for n in range((t - 1) * 4 + 1, r + 1)
     )
     assert report["nodes_explored"] == nodes > 0
 

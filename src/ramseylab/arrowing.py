@@ -28,7 +28,7 @@ from .errors import BudgetExhaustedError, CapExceededError, InvariantViolationEr
 from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, edge
 from .subgraph import GraphTooLargeError, clique_number, has_copy
 from .subgraph import copies_as_edge_sets, copy_through
-from .subgraph import contains_copy  # noqa: F401  hooked by name in bench/tracer.py
+from .subgraph import contains_copy
 from .enumeration import are_isomorphic, graphs_up_to_vertices
 from .families import clique
 
@@ -623,7 +623,11 @@ def equivalence_scan(
     subgraph monotonicity, F ⊆ F′ and F → (G, H) give F′ → (G, H), and a
     negative one as the parent's witness extended to the new vertex v's
     edges, when no monochromatic copy has v among its vertices.  That check
-    is exact by induction, because the parent's witness was free.  Hosts on
+    is exact by induction, because the parent's witness was free.  When g1 ⊆ g2
+    and h1 ⊆ h2 (or the reverse), a coloring with no red g1 and no blue h1 has
+    no red g2 and no blue h2, so F ↛ (g1, h1) gives F ↛ (g2, h2): the smaller
+    pair is decided first, its free coloring is the larger pair's witness, and
+    the larger pair is searched only where the smaller one arrows.  Hosts on
     which the two pairs agree need no further search.  A host whose verdicts
     differ is re-decided by `arrows` for both pairs, so a reported
     distinguisher, its verdicts and its budget behaviour are those of a plain
@@ -650,6 +654,9 @@ def equivalence_scan(
         )
     result = ScanResult("no-distinguisher-found")
     pairs = ((g1, h1), (g2, h2))
+    # The pair whose patterns embed in the other's is decided first; None if neither.
+    small = next((i for i in (0, 1) if all(map(contains_copy, pairs[1 - i], pairs[i]))), None)
+    order = (1, 0) if small == 1 else (0, 1)
     # Per-pair results of the previous level and of the current one; a
     # host's parent is always on the level just before it.
     previous: tuple[dict, dict] = ({}, {})
@@ -660,12 +667,14 @@ def equivalence_scan(
             level, previous, current = host.n, current, ({}, {})
         parent = host.without_vertex(host.n - 1)
         try:
-            decided = []
-            for (g, h), known, found in zip(pairs, previous, current):
-                red, nodes = _monotone_arrows(host, parent, g, h, budget, known)
+            for i in order:
+                if small not in (None, i) and current[small][host] is not None:
+                    current[i][host] = current[small][host]  # free for both pairs
+                    continue
+                red, nodes = _monotone_arrows(host, parent, *pairs[i], budget, previous[i])
                 result.nodes_explored += nodes
-                found[host] = red
-                decided.append(red is None)
+                current[i][host] = red
+            decided = [current[i][host] is None for i in (0, 1)]
             if decided[0] == decided[1]:
                 continue
             v1 = arrows(host, g1, h1, budget)

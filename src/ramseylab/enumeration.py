@@ -1,10 +1,12 @@
 """Isomorph-free enumeration of small graphs and trees.
 
 Graphs are generated level by level by augmentation (a new vertex, or a new
-edge) and deduplicated behind cheap invariant buckets with exact isomorphism
-tests inside each bucket.  A store keeps the first graph of each class, so
-the bucket key decides only how many exact tests run, never which graphs are
-listed or in what order.  Counts are pinned against published sequences.
+edge), as adjacency masks with vertex rows derived from the parent's, and
+deduplicated behind cheap invariant buckets with exact tests on the masks
+inside each bucket.  A store keeps, and builds a `Graph` for, the first graph
+of each class, so the bucket key decides only how many exact tests run, never
+which graphs are listed or in what order.  Counts are pinned against
+published sequences.
 
 Augmentation offers only children whose new piece is least under a cheap
 invariant, after McKay's canonical deletion (1998): a new vertex only when it
@@ -27,71 +29,121 @@ missing parent would only cost it a search.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from .graphs import Graph
-from .subgraph import contains_copy
+from .graphs import Graph, bits
+from .subgraph import contains_copy  # noqa: F401  hooked by name in bench/tracer.py
+
+
+def _rows(adj: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Each vertex's row: its degree, twice its triangle count, and the sum of
+    16^deg over its neighbours, which spells out their degrees in base 16
+    (exactly while no vertex has 16 neighbours of one degree)."""
+    deg = [a.bit_count() for a in adj]
+    return [
+        (deg[v], sum((a & adj[w]).bit_count() for w in bits(a)), sum(16 ** deg[w] for w in bits(a)))
+        for v, a in enumerate(adj)
+    ]
+
+
+def _grow(adj: Sequence[int], rows: Sequence[tuple], new: int) -> tuple[list[int], list[tuple]]:
+    """adj plus a last vertex joined to the mask `new`, each row derived from
+    the parent's: a neighbour's degree rises by one, its 16^deg 16-fold."""
+    v, k = len(adj), new.bit_count()
+    child, child_rows = [], []
+    triangles = near = 0
+    for w, (a, (d, t, s)) in enumerate(zip(adj, rows)):
+        hits = rest = a & new
+        while rest:
+            u = rest.bit_length() - 1
+            rest ^= 1 << u
+            s += 15 << 4 * rows[u][0]
+        if new >> w & 1:
+            c = hits.bit_count()
+            triangles, near = triangles + c, near + (16 << 4 * d)
+            a, d, t, s = a | 1 << v, d + 1, t + 2 * c, s + (1 << 4 * k)
+        child.append(a)
+        child_rows.append((d, t, s))
+    return child + [new], child_rows + [(k, triangles, near)]
 
 
 def invariant_key(g: Graph) -> int:
-    """A cheap isomorphism-invariant bucket key: the hash of a tuple of ints.
+    """A cheap isomorphism-invariant bucket key: the hash of the sorted rows.
 
-    One pass over the adjacency masks, with the degrees computed first, gives
-    each vertex a row (degree, twice its triangle count, its neighbours'
-    degrees sorted); the key hashes the sorted rows, which imply n and m.
-    Ints and their tuples hash the same under every PYTHONHASHSEED, so
-    buckets, and runs, are reproducible.  Two classes whose keys collide
-    only share a bucket, where the exact test decides.
-    """
-    adj = g.adj
-    deg = [a.bit_count() for a in adj]
-    rows = []
-    for a in adj:
-        near = []
-        triangles = 0
-        rest = a
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = low.bit_length() - 1
-            near.append(deg[w])
-            triangles += (a & adj[w]).bit_count()
-        near.sort()
-        rows.append((len(near), triangles, tuple(near)))
-    rows.sort()
-    return hash(tuple(rows))
+    Ints and their tuples hash the same under every PYTHONHASHSEED, so buckets,
+    and runs, are reproducible.  Colliding classes only share a bucket."""
+    return hash(tuple(sorted(_rows(g.adj))))
+
+
+def _maps_onto(a: Sequence[int], a_labels: Sequence, b: Sequence[int], b_labels: Sequence) -> bool:
+    """Whether a bijection sends each vertex of a to one of b with its label,
+    and edges and non-edges onto their like.  Vertices of a are placed rarest
+    label first, each onto an unused vertex of b with its label, adjacent to
+    the images of its placed neighbours and with as many placed neighbours."""
+    pool: dict = {}
+    for y, label in enumerate(b_labels):
+        pool[label] = pool.get(label, 0) | 1 << y
+    order = sorted(range(len(a)), key=lambda x: pool.get(a_labels[x], 0).bit_count())
+    image, cands, needs = [0] * len(a), [0] * len(a), [0] * len(a)
+    i, placed, used, fresh = 0, 0, 0, True
+    while 0 <= i < len(a):
+        x = order[i]
+        if fresh:  # entering step i: its candidates
+            back = a[x] & placed
+            cand, need = pool.get(a_labels[x], 0) & ~used, back.bit_count()
+            for w in bits(back):
+                cand &= b[image[w]]
+        else:  # back from step i + 1: undo step i, try its next candidate
+            placed, used = placed ^ 1 << x, used ^ 1 << image[x]
+            cand, need = cands[i], needs[i]
+        fresh = False
+        while cand and not fresh:
+            low = cand & -cand
+            cand ^= low
+            fresh = (b[low.bit_length() - 1] & used).bit_count() == need
+        if fresh:
+            image[x], cands[i], needs[i] = low.bit_length() - 1, cand, need
+            placed, used, i = placed | 1 << x, used | low, i + 1
+        else:
+            i -= 1
+    return i == len(a)
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:
     """Exact isomorphism test for same-size graphs."""
     if a.n != b.n or a.m != b.m:
         return False
-    if invariant_key(a) != invariant_key(b):
-        return False
-    # Equal vertex and edge counts turn any embedding into an isomorphism.
-    return contains_copy(b, a) is not None
+    rows_a, rows_b = _rows(a.adj), _rows(b.adj)
+    return sorted(rows_a) == sorted(rows_b) and _maps_onto(a.adj, rows_a, b.adj, rows_b)
 
 
 class IsoClassStore:
-    """A set of graphs up to isomorphism."""
+    """A set of graphs up to isomorphism; `graphs` lists the kept ones in order.
+
+    A bucket, keyed by the hash of the sorted rows, alternates each kept graph
+    with its row classes: one byte a vertex, where its row first appears in the
+    sorted rows, which `_maps_onto` matches as labels."""
 
     def __init__(self):
-        self._buckets: dict[int, list[Graph]] = {}
+        self.graphs: list[Graph] = []
+        self._buckets: dict[int, list] = {}
 
-    def add(self, g: Graph) -> bool:
-        """Insert g; returns True when its class was not present yet."""
-        key = invariant_key(g)
-        bucket = self._buckets.setdefault(key, [])
-        # The representative is the pattern, so its cached search plan is reused.
-        for rep in bucket:
-            if contains_copy(g, rep) is not None:
+    def add(self, adj: Sequence[int], rows: Sequence[tuple]) -> bool:
+        """Offer the graph on masks adj with its rows; True when its class is new."""
+        ordered = sorted(rows)
+        classes = bytes([ordered.index(row) for row in rows])
+        bucket = self._buckets.setdefault(hash(tuple(ordered)), [])
+        for i in range(0, len(bucket), 2):
+            if _maps_onto(adj, classes, bucket[i].adj, bucket[i + 1]):
                 return False
-        bucket.append(g)
+        g = Graph(len(adj), ((u, w) for u, a in enumerate(adj) for w in bits(a >> u + 1 << u + 1)))
+        bucket += (g, classes)
+        self.graphs.append(g)
         return True
 
 
 def _levels(
-    n: int, children: Callable[[Graph], Iterable[Graph]], first: Graph = Graph(1)
+    n: int, children: Callable[[Graph], Iterator[tuple]], first: Graph = Graph(1)
 ) -> Iterator[list[Graph]]:
     """Yield the isomorph-free levels 1..n, unsorted; level 1 is `first` alone.
 
@@ -102,31 +154,35 @@ def _levels(
     for size in range(1, n + 1):
         if size > 1:
             store = IsoClassStore()
-            level = [c for g in level for c in children(g) if store.add(c)]
+            for child in itertools.chain.from_iterable(map(children, level)):
+                store.add(*child)
+            level = store.graphs
+            del store  # free its buckets before the level is sorted
         yield level
 
 
-def _new_vertex_children(g: Graph) -> Iterator[Graph]:
+def _new_vertex_children(g: Graph) -> Iterator[tuple]:
     """g plus a new vertex of minimum degree in the child, with each such neighborhood.
 
     A neighborhood of size k qualifies when every old vertex keeps degree k
     or more: those of degree k-1 must join it, those of degree k or more may.
     """
-    deg = [a.bit_count() for a in g.adj]
+    rows = _rows(g.adj)
+    deg = [row[0] for row in rows]
     low = min(deg, default=0)
     for k in range(min(low + 1, g.n) + 1):
-        forced = [w for w in range(g.n) if deg[w] == k - 1]
-        free = [w for w in range(g.n) if deg[w] >= k]
-        if len(forced) > k:
+        forced = sum(1 << w for w in range(g.n) if deg[w] == k - 1)
+        free = [1 << w for w in range(g.n) if deg[w] >= k]
+        if forced.bit_count() > k:
             continue
-        for extra in itertools.combinations(free, k - len(forced)):
-            yield Graph(g.n + 1, list(g.edges) + [(w, g.n) for w in forced + list(extra)])
+        for extra in itertools.combinations(free, k - forced.bit_count()):
+            yield _grow(g.adj, rows, forced + sum(extra))
 
 
 _K2 = Graph(2, [(0, 1)])
 
 
-def _edge_children(g: Graph) -> Iterator[Graph]:
+def _edge_children(g: Graph) -> Iterator[tuple]:
     """A new edge whose key is least in the child: between two non-adjacent
     vertices, to a new pendant vertex, or isolated (key (1, 1), always least).
 
@@ -134,8 +190,9 @@ def _edge_children(g: Graph) -> Iterator[Graph]:
     raises the keys of the edges it touches, so only old edges whose key was
     below the new one need a second look.
     """
+    rows = _rows(g.adj)
     # A pendant edge's new end, vertex g.n, has degree 0 before the edge.
-    deg = [a.bit_count() for a in g.adj] + [0]
+    deg = [row[0] for row in rows] + [0]
     ranked = sorted((min(deg[a], deg[b]), max(deg[a], deg[b]), a, b) for a, b in g.edges)
 
     def least(u: int, v: int) -> bool:
@@ -151,19 +208,17 @@ def _edge_children(g: Graph) -> Iterator[Graph]:
 
     for u, v in itertools.combinations(range(g.n), 2):
         if not g.has_edge(u, v) and least(u, v):
-            yield g.with_edges([(u, v)])
+            adj = [a | (w == u) << v | (w == v) << u for w, a in enumerate(g.adj)]
+            yield adj, _rows(adj)
     for u in range(g.n):
         if least(u, g.n):
-            yield Graph(g.n + 1, list(g.edges) + [(u, g.n)])
-    yield g.disjoint_union(_K2)
-
-
-def _graph_order(g: Graph):
-    return (g.m, g.edges)
+            yield _grow(g.adj, rows, 1 << u)
+    yield _grow(*_grow(g.adj, rows, 0), 1 << g.n)
 
 
 def graphs_up_to_vertices(n: int) -> list[Graph]:
-    return [g for level in _levels(n, _new_vertex_children) for g in sorted(level, key=_graph_order)]
+    levels = _levels(n, _new_vertex_children)
+    return [g for level in levels for g in sorted(level, key=lambda g: (g.m, g.edges))]
 
 
 def graphs_by_edge_count(max_edges: int) -> dict[int, list[Graph]]:
@@ -174,14 +229,11 @@ def graphs_by_edge_count(max_edges: int) -> dict[int, list[Graph]]:
     return {m: sorted(level, key=lambda g: (g.n, g.edges)) for m, level in enumerate(levels, 1)}
 
 
-def _leaf_children(t: Graph) -> Iterator[Graph]:
+def _leaf_children(t: Graph) -> Iterator[tuple]:
+    rows = _rows(t.adj)
     for v in range(t.n):
-        yield Graph(t.n + 1, list(t.edges) + [(v, t.n)])
-
-
-def _tree_order(t: Graph):
-    return t.edges
+        yield _grow(t.adj, rows, 1 << v)
 
 
 def trees_up_to_vertices(n: int) -> list[Graph]:
-    return [t for level in _levels(n, _leaf_children) for t in sorted(level, key=_tree_order)]
+    return [t for level in _levels(n, _leaf_children) for t in sorted(level, key=lambda t: t.edges)]

@@ -7,15 +7,13 @@ color's adjacency masks (`EdgeColoring.adjacency`) with `has_copy`.
 One walker, `_walk`, runs every search on a host's adjacency masks.  It
 follows a plan compiled once per pattern value: the order in which pattern
 vertices are placed, with each vertex's degree and its already-placed
-neighbours.  `embeddings` (and so `contains_copy` and the isomorphism store)
-walks the plain plan and yields every map, `has_copy` (the freeness checks)
-stops at the first, and `copy_through` walks one plan per vertex orbit,
-pinned.  `copies_as_edge_sets` walks a plan that also carries the pattern's
-symmetry-breaking conditions, lower bounds on image labels that let through
-exactly one embedding of each copy, so it needs no dedupe; each image becomes
-one int, a mask over the host's edge list, with no edge tuples built.  The
-plan cache is bounded because the isomorph-free enumeration searches with
-every representative it keeps as the pattern.
+neighbours.  `embeddings` (and so `contains_copy`) walks the plain plan and
+yields every map, `has_copy` (the freeness checks) stops at the first, and
+`copy_through` walks one plan per vertex orbit, pinned.  `copies_as_edge_sets`
+walks a plan that also carries the pattern's symmetry-breaking conditions,
+lower bounds on image labels that let through exactly one embedding of each
+copy, so it needs no dedupe; each image becomes one int, a mask over the
+host's edge list, with no edge tuples built.
 
 `cliques` answers the clique questions on adjacency masks, `cliques_of_size`
 on a graph: the clique number and the "contains K_k" checks.  It is the walker

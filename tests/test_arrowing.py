@@ -713,12 +713,62 @@ def test_scan_builds_colorings_only_in_searches(monkeypatch):
     assert 0 < counts["colorings"] <= counts["arrows"], counts
 
 
-@pytest.mark.parametrize("g, nodes", [(star(2), 242), (path(4), 1091)])
-def test_benchmark_scans_keep_their_results(g, nodes):
-    # The node counts of a scan that re-checks every extension with
-    # coloring_is_free: checking only copies through v keeps them.
+def _searched_nodes(monkeypatch) -> list[int]:
+    """Patch `arrows` as the scan calls it; the list gets each call's nodes."""
+    nodes = []
+
+    def counting_arrows(*args):
+        verdict = arrows(*args)
+        nodes.append(verdict.nodes_explored)
+        return verdict
+
+    monkeypatch.setattr(ramseylab.arrowing, "arrows", counting_arrows)
+    return nodes
+
+
+@pytest.mark.parametrize("g, nodes", [(star(2), 199), (path(4), 676)])
+def test_benchmark_scans_keep_their_results(g, nodes, monkeypatch):
+    # K3 embeds in K3·K2, so the scan searches (g, K3·K2) only on hosts where
+    # (g, K3) arrows.  The count is the sum over the `arrows` calls made.
+    searched = _searched_nodes(monkeypatch)
     res = equivalence_scan(g, K3, g, K3_K2, max_vertices=7)
     assert (res.kind, res.nodes_explored, res.skipped) == ("no-distinguisher-found", nodes, [])
+    assert sum(searched) == nodes
+
+
+def test_non_nested_scan_keeps_its_node_count(monkeypatch):
+    # K1,2 embeds in K1,3 but not the other way, so neither pair is the
+    # smaller one and both are decided on every host.
+    searched = _searched_nodes(monkeypatch)
+    res = equivalence_scan(star(2), star(3), star(3), star(2), max_vertices=6)
+    assert (res.kind, res.nodes_explored, res.skipped) == ("no-distinguisher-found", 133, [])
+    assert sum(searched) == 133
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("g", [star(2), path(4)])
+def test_nested_scan_takes_over_free_witnesses(g, swap, monkeypatch):
+    # Every result the larger pair (g, K3·K2) holds for a host it was not
+    # decided on itself is a free coloring taken from (g, K3), and must be
+    # free for the larger pair too.
+    held, decided = {}, set()
+
+    def spy(host, parent, g, h, budget, known):
+        if h == K3_K2:
+            held[id(known)] = known
+            decided.add(host)
+        return _monotone_arrows(host, parent, g, h, budget, known)
+
+    monkeypatch.setattr(ramseylab.arrowing, "_monotone_arrows", spy)
+    pairs = [(g, K3), (g, K3_K2)]
+    # A level's results are seen once a host one level up needs a search.
+    res = equivalence_scan(*pairs[swap], *pairs[not swap], max_vertices=7)
+    assert res.kind == "no-distinguisher-found"
+    taken = [(host, red) for known in held.values() for host, red in known.items() if host not in decided]
+    assert taken
+    for host, red in taken:
+        witness = EdgeColoring(host, red, host.edge_set() - red)
+        assert coloring_is_free(host, witness, g, K3_K2), host.edges
 
 
 def _plain_scan(g1, h1, g2, h2, max_vertices):
@@ -738,6 +788,11 @@ def _plain_scan(g1, h1, g2, h2, max_vertices):
         ((path(4), K3, path(4), K3), 4),
         ((clique(1), clique(5), clique(1), clique(2)), 4),
         ((clique(1), cycle(5), clique(1), clique(2)), 4),
+        # Nested pairs, the smaller one given first or second.
+        ((path(4), K3, path(4), K3_K2), 6),
+        ((path(4), K3_K2, path(4), K3), 6),
+        ((star(2), K3, star(2), K3_K2), 6),
+        ((star(2), K3_K2, star(2), K3), 6),
     ],
 )
 def test_equivalence_scan_matches_plain_search(pairs, max_vertices):

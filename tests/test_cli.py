@@ -57,13 +57,24 @@ def test_ramsey_number_cli(files, capsys):
     assert set(report["inputs"]) == {g, h}
 
 
-def test_ramsey_number_cli_reports_nodes_of_every_search(files, capsys):
+def test_ramsey_number_cli_reports_nodes_of_every_search(files, capsys, monkeypatch):
     _, write = files
     g = write("p5.g6", path(5))
     h = write("k3.g6", clique(3))
+    searched = []
+    clique_arrows = ramseylab.arrowing._clique_arrows
+
+    def recording(n, g, h, budget, rho):
+        searched.append((n, h.n))
+        return clique_arrows(n, g, h, budget, rho)
+
+    monkeypatch.setattr(ramseylab.arrowing, "_clique_arrows", recording)
     code, report = run(capsys, ["ramsey-number", "--g", g, "--h", h, "--cap", "10"])
     assert code == EXIT_OK
     assert report["verdict"]["ramsey_number"] == 9
+    # The block colorings refute K_8 for (P5, K3) and K_4 for (P5, K2), so
+    # each level's sweep searches one K_n, its Ramsey number: (P5, K1) first.
+    assert searched == [(1, 1), (5, 2), (9, 3)]
     # Each level of the rho recursion searches K_n from one above its block
     # coloring, (t-1)(5-1) vertices, up to r.  On each K_n the split searches
     # the red degrees d of vertex 0 with n - 1 - d < rho: rho = R(P5, K2) = 5

@@ -7,7 +7,13 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from ramseylab import subgraph
 from ramseylab.enumeration import (
+    _edge_children,
+    _leaf_children,
+    _maps_onto,
+    _new_vertex_children,
+    _rows,
     are_isomorphic,
     graphs_by_edge_count,
     invariant_key,
@@ -136,3 +142,72 @@ def test_graphs_up_to_seven_vertices_are_pinned():
     graphs = graphs_up_to_vertices(7)
     digest = hashlib.sha256(repr([(g.n, g.edges) for g in graphs]).encode()).hexdigest()
     assert digest == "9e3522e47da7742a39fc2931b64911bb1d4f90d6f7e291c8434f948572d56bf5"
+
+
+def test_enumeration_compiles_no_search_plan(monkeypatch):
+    # The store's exact test searches on adjacency masks, so no representative
+    # becomes a pattern with a plan of its own.
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(args)
+        return compile_plan(*args)
+
+    compile_plan = subgraph._compile
+    monkeypatch.setattr(subgraph, "_compile", counting_compile)
+    monkeypatch.setattr(subgraph, "_plan", counting_compile)
+    assert len(graphs_up_to_vertices(7)) == sum(GRAPH_COUNTS[n] for n in range(1, 8))
+    assert compiled == []
+
+
+def test_children_rows_match_rows_recomputed():
+    # Rows derived from the parent's, for new vertices, leaves and new edges.
+    for children, graphs in (
+        (_new_vertex_children, graphs_up_to_vertices(6)),
+        (_leaf_children, trees_up_to_vertices(8)),
+        (_edge_children, [g for level in graphs_by_edge_count(6).values() for g in level]),
+    ):
+        for g in graphs:
+            for adj, rows in children(g):
+                assert rows == _rows(adj), (g.edges, adj)
+
+
+def _same_key_pairs(graphs: list[Graph]):
+    buckets = defaultdict(list)
+    for g in graphs:
+        buckets[invariant_key(g)].append(g)
+    return [pair for bucket in buckets.values() for pair in combinations(bucket, 2)]
+
+
+def test_are_isomorphic_agrees_with_networkx():
+    # No two graphs on up to 7 vertices share a key; on 8 vertices 95 pairs do.
+    pairs = _same_key_pairs(graphs_up_to_vertices(8))
+    assert len(pairs) == 95
+    for a, b in pairs:
+        assert not are_isomorphic(a, b) and not nx.is_isomorphic(_nx(a), _nx(b)), (a.edges, b.edges)
+    rng = random.Random(5)
+    for g in graphs_up_to_vertices(7):
+        mapping = list(range(g.n))
+        rng.shuffle(mapping)
+        assert are_isomorphic(g, g.relabeled(mapping)), (g.edges, mapping)
+
+
+def test_mask_search_alone_agrees_with_networkx():
+    # With every vertex under one label, the search alone tells the classes
+    # apart: every same-degree-sequence pair up to 6 vertices.
+    for g_nx in _bucket([_nx(g) for g in graphs_up_to_vertices(6)]).values():
+        graphs = [Graph(g.number_of_nodes(), g.edges()) for g in g_nx]
+        for a, b in combinations(graphs, 2):
+            assert not _maps_onto(a.adj, [0] * a.n, b.adj, [0] * b.n), (a.edges, b.edges)
+        for a in graphs:
+            mapping = list(range(a.n))[::-1]
+            assert _maps_onto(a.adj, [0] * a.n, a.relabeled(mapping).adj, [0] * a.n), a.edges
+
+
+def test_cube_and_wagner_graph_share_rows_but_are_not_isomorphic():
+    cube = Graph(8, [(u, u ^ 1 << i) for u in range(8) for i in range(3)])
+    wagner = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+    assert sorted(_rows(cube.adj)) == sorted(_rows(wagner.adj)) == [(3, 0, 3 << 12)] * 8
+    assert not are_isomorphic(cube, wagner) and not nx.is_isomorphic(_nx(cube), _nx(wagner))
+    assert are_isomorphic(cube, cube.relabeled([3, 6, 0, 5, 7, 2, 4, 1]))
+    assert are_isomorphic(wagner, wagner.relabeled([3, 6, 0, 5, 7, 2, 4, 1]))

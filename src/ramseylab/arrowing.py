@@ -562,44 +562,40 @@ class ScanResult:
 
 def _monotone_arrows(
     host: Graph,
-    parent: Graph,
     g: Graph,
     h: Graph,
     budget: int,
-    known: dict[Graph, frozenset[Edge] | None],
-) -> tuple[frozenset[Edge] | None, int]:
+    known: dict[tuple[int, ...], tuple[int, ...] | None],
+) -> tuple[tuple[int, ...] | None, int]:
     """Decide host -> (g, h) from its parent's result where that settles it.
 
-    Returns the red edges of a free coloring, or None when host arrows,
-    together with the nodes searched.  `known` maps graphs already decided for
-    (g, h) to that same result.  `parent` is host less its last vertex v.  If
-    the parent arrows, so does host (subgraph monotonicity).  Otherwise the
-    parent's witness is extended by coloring v's edges all blue, all red,
-    then each one alone red.  The parent's witness is free, so an extension
-    is free iff no red g and no blue h has v among its vertices, which
-    `copy_through` checks on the red and blue adjacency masks; the first
-    extension that passes is host's witness.  Failing that, `arrows`
-    searches, and may raise BudgetExhaustedError.
+    Returns the red adjacency masks of a free coloring, or None when host
+    arrows, together with the nodes searched.  `known` maps the adjacency
+    masks of graphs already decided for (g, h) to that same result.  host's
+    parent, host less its last vertex v, is looked up by host's masks with
+    v's bit cleared.  If the parent arrows, so does host (subgraph
+    monotonicity).  Otherwise the parent's witness is extended by coloring
+    v's edges all blue, all red, then each one alone red.  The parent's
+    witness is free, so an extension is free iff no red g and no blue h has
+    v among its vertices, which `copy_through` checks on the red and blue
+    adjacency masks; the first extension that passes is host's witness.
+    Failing that, `arrows` searches, and may raise BudgetExhaustedError.
     """
+    v = host.n - 1
+    parent = tuple(a & ~(1 << v) for a in host.adj[:v])
     if parent in known:
         red = known[parent]
         if red is None:
             return None, 0
-        v = host.n - 1
         new = host.adj[v]
-        base = [0] * host.n
-        for a, b in red:
-            base[a] |= 1 << b
-            base[b] |= 1 << a
         # All blue, all red, then each edge alone red; repeats dropped.
         for extra in dict.fromkeys([0, new, *(1 << w for w in bits(new))]):
-            red_adj = [row | (extra >> w & 1) << v for w, row in enumerate(base)]
-            red_adj[v] = extra
+            red_adj = (*(row | (extra >> w & 1) << v for w, row in enumerate(red)), extra)
             blue_adj = [a ^ r for a, r in zip(host.adj, red_adj)]
             if not (copy_through(red_adj, g, v) or copy_through(blue_adj, h, v)):
-                return red.union((w, v) for w in bits(extra)), 0
+                return red_adj, 0
     verdict = arrows(host, g, h, budget)
-    return (None if verdict.arrows else verdict.witness.red), verdict.nodes_explored
+    return (None if verdict.arrows else verdict.witness.adjacency(RED)), verdict.nodes_explored
 
 
 def equivalence_scan(
@@ -619,7 +615,9 @@ def equivalence_scan(
     equivalence.
 
     Each host is first decided for each pair from its parent on the level
-    before (see `_monotone_arrows`): a host inherits a positive verdict by
+    before, found by the host's adjacency masks with the last vertex cleared
+    (see `_monotone_arrows`); results are keyed by adjacency masks, and a
+    witness is kept as its red ones.  A host inherits a positive verdict by
     subgraph monotonicity, F ⊆ F′ and F → (G, H) give F′ → (G, H), and a
     negative one as the parent's witness extended to the new vertex v's
     edges, when no monochromatic copy has v among its vertices.  That check
@@ -657,24 +655,24 @@ def equivalence_scan(
     # The pair whose patterns embed in the other's is decided first; None if neither.
     small = next((i for i in (0, 1) if all(map(contains_copy, pairs[1 - i], pairs[i]))), None)
     order = (1, 0) if small == 1 else (0, 1)
-    # Per-pair results of the previous level and of the current one; a
-    # host's parent is always on the level just before it.
+    # Per-pair results of the previous level and of the current one, keyed
+    # by adjacency masks; a host's parent is always on the level just before it.
     previous: tuple[dict, dict] = ({}, {})
     current: tuple[dict, dict] = ({}, {})
     level = 0
     for host in graphs_up_to_vertices(max_vertices):
         if host.n != level:
             level, previous, current = host.n, current, ({}, {})
-        parent = host.without_vertex(host.n - 1)
+        key = host.adj
         try:
             for i in order:
-                if small not in (None, i) and current[small][host] is not None:
-                    current[i][host] = current[small][host]  # free for both pairs
+                if small not in (None, i) and current[small][key] is not None:
+                    current[i][key] = current[small][key]  # free for both pairs
                     continue
-                red, nodes = _monotone_arrows(host, parent, *pairs[i], budget, previous[i])
+                red, nodes = _monotone_arrows(host, *pairs[i], budget, previous[i])
                 result.nodes_explored += nodes
-                current[i][host] = red
-            decided = [current[i][host] is None for i in (0, 1)]
+                current[i][key] = red
+            decided = [current[i][key] is None for i in (0, 1)]
             if decided[0] == decided[1]:
                 continue
             v1 = arrows(host, g1, h1, budget)

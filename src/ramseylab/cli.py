@@ -128,7 +128,7 @@ def _cmd_construct(args, seed, t0) -> int:
         graph = families.clique_with_pendants(args.t, args.a, args.b)
     elif kind == "caterpillar":
         mid = args.mid if args.mid is not None else 0
-        graph = families.suitable_caterpillar(args.s, args.s, mid, args.s)
+        graph = families.suitable_caterpillar(args.s, mid)
     elif kind == "uniform-tree":
         gadget = families.uniform_tree(args.k, args.i)
         graph, extra = gadget.graph, {"root": gadget.root}

@@ -20,8 +20,8 @@ still least, so it is offered.  The store removes the duplicates that remain.
 
 Each graph that `graphs_up_to_vertices` lists on n > 1 vertices is a child
 of a representative one level down, and the new vertex is always the last,
-so deleting its last vertex gives a graph equal (==) to a listed
-representative on n - 1 vertices: its parent.
+so its adjacency masks with the last vertex cleared, one per vertex below
+it, are the masks of a listed representative on n - 1 vertices: its parent.
 `arrowing.equivalence_scan` decides a host from its parent for speed; a
 missing parent would only cost it a search.
 """

@@ -119,25 +119,19 @@ def clique_with_pendants(t: int, a: int, b: int) -> Graph:
     return Graph(n, edges)
 
 
-def suitable_caterpillar(s: int, leaves_a: int, leaves_b_mid: int, leaves_c: int) -> Graph:
-    """The s-suitable caterpillar: spine a=0, b=1, c=2, then leaves at a, b, c.
+def suitable_caterpillar(s: int, mid: int) -> Graph:
+    """The s-suitable caterpillar: spine a=0, b=1, c=2, then s leaves at a,
+    `mid` at b and s at c.
 
-    Endpoint degrees must come out exactly s+1 and the middle at most s+1,
-    which pins leaves_a = leaves_c = s and 0 <= leaves_b_mid <= s-1.
+    The endpoints have degree exactly s+1, and the middle at most s+1, which
+    needs 0 <= mid <= s-1.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    if leaves_a != s or leaves_c != s:
-        raise ValueError(f"endpoints need exactly {s} leaves each to reach degree {s + 1}")
-    if not 0 <= leaves_b_mid <= s - 1:
+    if not 0 <= mid <= s - 1:
         raise ValueError(f"middle leaf count must lie in 0..{s - 1}")
-    edges = [(0, 1), (1, 2)]
-    nxt = 3
-    for anchor, count in ((0, leaves_a), (1, leaves_b_mid), (2, leaves_c)):
-        for _ in range(count):
-            edges.append((anchor, nxt))
-            nxt += 1
-    g = Graph(nxt, edges)
+    anchors = [0] * s + [1] * mid + [2] * s
+    g = Graph(3 + len(anchors), [(0, 1), (1, 2), *((a, 3 + i) for i, a in enumerate(anchors))])
     assert g.degree(0) == g.degree(2) == s + 1 and g.degree(1) <= s + 1
     return g
 

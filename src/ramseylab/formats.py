@@ -135,4 +135,5 @@ def coloring_from_text(text: str, host: Graph | None = None) -> EdgeColoring:
         host = Graph(n, colors.keys())
     elif host.edge_set() != colors.keys():
         raise MismatchError("coloring file does not match the host graph")
-    return EdgeColoring.from_mapping(host, colors)
+    red = [e for e, c in colors.items() if c == RED]
+    return EdgeColoring(host, red, [e for e, c in colors.items() if c == BLUE])

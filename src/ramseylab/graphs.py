@@ -66,9 +66,6 @@ class Graph:
     def neighbors(self, v: int) -> Iterator[int]:
         return bits(self.adj[v])
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(a.bit_count() for a in self.adj))
-
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
@@ -82,9 +79,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     # -- derived graphs ----------------------------------------------------
-
-    def with_edges(self, extra: Iterable[Edge]) -> Graph:
-        return Graph(self.n, list(self.edges) + [edge(u, v) for u, v in extra])
 
     def without_edge(self, e: Edge) -> Graph:
         e = edge(*e)
@@ -118,10 +112,6 @@ class Graph:
                 if a in relabel and b in relabel
             ),
         )
-
-    def disjoint_union(self, other: Graph) -> Graph:
-        shifted = [(a + self.n, b + self.n) for a, b in other.edges]
-        return Graph(self.n + other.n, list(self.edges) + shifted)
 
     def relabeled(self, mapping: dict[int, int] | list[int]) -> Graph:
         """Apply a vertex bijection 0..n-1 -> 0..n-1."""
@@ -217,22 +207,6 @@ class EdgeColoring:
         self.red = red_set
         self.blue = blue_set
 
-    @classmethod
-    def from_mapping(cls, host: Graph, colors: dict[Edge, str]) -> EdgeColoring:
-        red = [e for e, c in colors.items() if c == RED]
-        blue = [e for e, c in colors.items() if c == BLUE]
-        if len(red) + len(blue) != len(colors):
-            raise ValueError("colors must be 'R' or 'B'")
-        return cls(host, red, blue)
-
-    @classmethod
-    def monochromatic(cls, host: Graph, color: str) -> EdgeColoring:
-        if color == RED:
-            return cls(host, red=host.edges)
-        if color == BLUE:
-            return cls(host, blue=host.edges)
-        raise ValueError(f"unknown color {color!r}")
-
     def color(self, e: Edge) -> str:
         e = edge(*e)
         if e in self.red:
@@ -253,14 +227,6 @@ class EdgeColoring:
             blue=(self.blue - flip) | (self.red & flip),
         )
 
-    def recolored(self, edges_to_set: Iterable[Edge], color: str) -> EdgeColoring:
-        target = {edge(u, v) for u, v in edges_to_set}
-        if color == RED:
-            return EdgeColoring(self.host, red=self.red | target, blue=self.blue - target)
-        if color == BLUE:
-            return EdgeColoring(self.host, red=self.red - target, blue=self.blue | target)
-        raise ValueError(f"unknown color {color!r}")
-
     def _edges_of(self, color: str) -> frozenset[Edge]:
         if color not in (RED, BLUE):
             raise ValueError(f"unknown color {color!r}")
@@ -277,9 +243,6 @@ class EdgeColoring:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return tuple(adj)
-
-    def degree(self, v: int, color: str) -> int:
-        return sum(1 for e in self._edges_of(color) if v in e)
 
     def __eq__(self, other) -> bool:
         return (

@@ -10,7 +10,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The exhaustive oracle is public so that any verdict can be re-checked by brute
 # force; by design no library path calls it, and the tests compare against it.
-EXEMPT = {"exhaustive_arrows"}
+# The invariance tests relabel hosts and patterns through Graph.relabeled; a
+# copy of it in each test file would only add code.
+EXEMPT = {"exhaustive_arrows", "Graph.relabeled"}
+METHOD_KINDS = (classmethod, staticmethod, property)
 
 
 def _referencing_text() -> str:
@@ -29,4 +32,23 @@ def test_every_export_is_referenced():
         definition = re.compile(rf"^\s*(?:def|class)\s+{name}\b.*$", re.MULTILINE)
         if not re.search(rf"\b{name}\b", definition.sub("", text)):
             unreferenced.append(name)
+    assert unreferenced == []
+
+
+def test_every_public_method_is_referenced():
+    # A method or property of an exported class counts as used where `.name`
+    # appears outside its own definition; names shared across classes pass
+    # together.
+    text = _referencing_text()
+    unreferenced = []
+    for name in ramseylab.__all__:
+        cls = getattr(ramseylab, name)
+        if not inspect.isclass(cls):
+            continue
+        for attr, value in vars(cls).items():
+            method = inspect.isfunction(value) or isinstance(value, METHOD_KINDS)
+            if method and not attr.startswith("_") and f"{name}.{attr}" not in EXEMPT:
+                definition = re.compile(rf"^\s*def\s+{attr}\b.*$", re.MULTILINE)
+                if not re.search(rf"\.{attr}\b", definition.sub("", text)):
+                    unreferenced.append(f"{name}.{attr}")
     assert unreferenced == []

@@ -31,7 +31,7 @@ from ramseylab.families import (
     path,
     star,
 )
-from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph
+from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph, bits
 from ramseylab.subgraph import copy_through
 
 from conftest import case_nodes, random_graph
@@ -43,7 +43,7 @@ K3_K2 = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # a triangle with one pendan
 
 def test_coloring_is_free_spec_examples():
     f = K3
-    all_blue = EdgeColoring.monochromatic(f, BLUE)
+    all_blue = EdgeColoring(f, blue=f.edges)
     assert not coloring_is_free(f, all_blue, star(2), K3)
     one_red = all_blue.flipped([(0, 1)])
     assert coloring_is_free(f, one_red, star(2), K3)
@@ -81,7 +81,7 @@ def test_arrows_spec_examples():
 
 def test_verdict_invariants():
     with pytest.raises(ValueError):
-        ArrowingVerdict(True, EdgeColoring.monochromatic(K3, RED), 0, "pruned")
+        ArrowingVerdict(True, EdgeColoring(K3, red=K3.edges), 0, "pruned")
     with pytest.raises(ValueError):
         ArrowingVerdict(False, None, 0, "pruned")
     with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ def test_subgraph_monotonicity():
         if not arrows(host, g, h).arrows:
             continue
         missing = [e for e in itertools.combinations(range(host.n), 2) if e not in host.edge_set()]
-        bigger = host.with_edges(rng.sample(missing, min(3, len(missing))))
+        bigger = Graph(host.n, [*host.edges, *rng.sample(missing, min(3, len(missing)))])
         assert arrows(bigger, g, h).arrows
 
 
@@ -631,6 +631,13 @@ def test_equivalence_scan_distinguisher_keeps_skipped_hosts():
     assert res.kind == "distinguisher" and res.distinguisher.n == 5
 
 
+def _red_edges(red_adj: tuple[int, ...]) -> frozenset:
+    """The edges of a witness held as red adjacency masks, which must be symmetric."""
+    red = Graph(len(red_adj), ((u, w) for u, a in enumerate(red_adj) for w in bits(a)))
+    assert red.adj == tuple(red_adj), red_adj
+    return red.edge_set()
+
+
 @pytest.mark.parametrize(
     "g, h",
     [
@@ -650,11 +657,11 @@ def test_monotone_verdicts_match_search(g, h, monkeypatch):
     known = {}
     hosts = graphs_up_to_vertices(6)
     for host in hosts:
-        parent = host.without_vertex(host.n - 1)
-        red, _ = _monotone_arrows(host, parent, g, h, DEFAULT_BUDGET, known)
-        known[host] = red
-        assert (red is None) == arrows(host, g, h).arrows, host.edges
-        if red is not None:
+        red_adj, _ = _monotone_arrows(host, g, h, DEFAULT_BUDGET, known)
+        known[host.adj] = red_adj
+        assert (red_adj is None) == arrows(host, g, h).arrows, host.edges
+        if red_adj is not None:
+            red = _red_edges(red_adj)
             assert coloring_is_free(host, EdgeColoring(host, red, host.edge_set() - red), g, h)
     assert len(searches) < len(hosts)
 
@@ -678,10 +685,10 @@ def test_copies_through_new_vertex_decide_extensions(g, h):
     # extension is checked, a superset of those the scan tries.
     known = {}
     for host in graphs_up_to_vertices(6):
-        parent = host.without_vertex(host.n - 1)
-        red = known.get(parent)
-        if red is not None:
-            v = host.n - 1
+        v = host.n - 1
+        parent_red = known.get(tuple(a & ~(1 << v) for a in host.adj[:v]))
+        if parent_red is not None:
+            red = _red_edges(parent_red)
             new = [(w, v) for w in host.neighbors(v)]
             for k in range(len(new) + 1):
                 for extra in itertools.combinations(new, k):
@@ -691,7 +698,7 @@ def test_copies_through_new_vertex_decide_extensions(g, h):
                     blue_adj = coloring.monochromatic_subgraph(BLUE).adj
                     through = copy_through(red_adj, g, v) or copy_through(blue_adj, h, v)
                     assert through != coloring_is_free(host, coloring, g, h), (host.edges, extra)
-        known[host], _ = _monotone_arrows(host, parent, g, h, DEFAULT_BUDGET, known)
+        known[host.adj], _ = _monotone_arrows(host, g, h, DEFAULT_BUDGET, known)
 
 
 def test_scan_builds_colorings_only_in_searches(monkeypatch):
@@ -711,6 +718,19 @@ def test_scan_builds_colorings_only_in_searches(monkeypatch):
     res = equivalence_scan(star(2), K3, star(2), K3_K2, max_vertices=6)
     assert res.kind == "no-distinguisher-found"
     assert 0 < counts["colorings"] <= counts["arrows"], counts
+
+
+def test_scan_finds_parents_without_building_graphs(monkeypatch):
+    # A host's parent is looked up by its masks with the last vertex cleared,
+    # so the scan builds no graph per host for it.
+    calls = []
+    without_vertex = Graph.without_vertex
+    monkeypatch.setattr(
+        Graph, "without_vertex", lambda self, v: calls.append(v) or without_vertex(self, v)
+    )
+    res = equivalence_scan(star(2), K3, star(2), K3_K2, max_vertices=6)
+    assert res.kind == "no-distinguisher-found"
+    assert calls == []
 
 
 def _searched_nodes(monkeypatch) -> list[int]:
@@ -751,22 +771,26 @@ def test_nested_scan_takes_over_free_witnesses(g, swap, monkeypatch):
     # Every result the larger pair (g, K3·K2) holds for a host it was not
     # decided on itself is a free coloring taken from (g, K3), and must be
     # free for the larger pair too.
-    held, decided = {}, set()
+    held, decided, hosts = {}, set(), {}
 
-    def spy(host, parent, g, h, budget, known):
+    def spy(host, g, h, budget, known):
+        hosts[host.adj] = host
         if h == K3_K2:
             held[id(known)] = known
-            decided.add(host)
-        return _monotone_arrows(host, parent, g, h, budget, known)
+            decided.add(host.adj)
+        return _monotone_arrows(host, g, h, budget, known)
 
     monkeypatch.setattr(ramseylab.arrowing, "_monotone_arrows", spy)
     pairs = [(g, K3), (g, K3_K2)]
     # A level's results are seen once a host one level up needs a search.
     res = equivalence_scan(*pairs[swap], *pairs[not swap], max_vertices=7)
     assert res.kind == "no-distinguisher-found"
-    taken = [(host, red) for known in held.values() for host, red in known.items() if host not in decided]
+    taken = [
+        (hosts[adj], red) for known in held.values() for adj, red in known.items() if adj not in decided
+    ]
     assert taken
-    for host, red in taken:
+    for host, red_adj in taken:
+        red = _red_edges(red_adj)
         witness = EdgeColoring(host, red, host.edge_set() - red)
         assert coloring_is_free(host, witness, g, K3_K2), host.edges
 

@@ -23,7 +23,7 @@ from ramseylab.cli import (
 )
 from ramseylab.families import clique, cycle, path, star
 from ramseylab.formats import coloring_to_text, graph_to_graph6
-from ramseylab.graphs import BLUE, EdgeColoring, Graph
+from ramseylab.graphs import EdgeColoring, Graph
 
 from conftest import case_nodes
 
@@ -300,7 +300,7 @@ def test_exit_codes(files, capsys):
     nonascii_col.write_bytes("3 3\n0 1 B\n0 2 B\n1 2 \u00df\n".encode("utf-8"))
     assert main(["recolor", "walk", k3, str(nonascii_col), "--s", "2", "--t", "3"]) == EXIT_BAD_INPUT
     # coloring for the wrong graph
-    other = EdgeColoring.monochromatic(clique(3), BLUE)
+    other = EdgeColoring(clique(3), blue=clique(3).edges)
     cpath = tmp_path / "col.txt"
     cpath.write_text(coloring_to_text(other))
     c5 = write("c5.g6", cycle(5))

@@ -1,4 +1,4 @@
-import functools
+import itertools
 import random
 from collections import Counter
 
@@ -111,12 +111,14 @@ REGULAR_HOST_COUNTS = {
 def test_star_pair_agrees_with_arrowing_on_regular_graphs():
     # On 9 to 12 vertices, 12 edges leave room only for degree 1 (a perfect
     # matching) or 2 (a union of cycles, one per partition of n into parts >= 3).
-    small = [g for g in graphs_up_to_vertices(8) if 1 <= g.m <= 12 and len(set(g.degree_sequence())) == 1]
+    small = [g for g in graphs_up_to_vertices(8) if 1 <= g.m <= 12 and len(set(map(g.degree, range(g.n)))) == 1]
     matchings = [Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]) for n in (10, 12)]
+    # A union of cycles, each cycle's labels following the previous ones.
     cycles = [
-        functools.reduce(Graph.disjoint_union, map(cycle, parts))
+        Graph(n, [(s + i, s + (i + 1) % k) for s, k in zip(starts, parts) for i in range(k)])
         for n in range(9, 13)
         for parts in _cycle_partitions(n)
+        for starts in [itertools.accumulate(parts, initial=0)]
     ]
     hosts = small + matchings + cycles
     assert Counter((f.n, f.degree(0)) for f in hosts) == REGULAR_HOST_COUNTS

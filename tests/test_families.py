@@ -58,17 +58,15 @@ def test_clique_with_pendants_counts():
 
 
 def test_suitable_caterpillar_shapes():
-    big = suitable_caterpillar(3, 3, 2, 3)
+    big = suitable_caterpillar(3, 2)
     assert big.n == 11 and big.degree(0) == 4 and big.degree(2) == 4 and big.degree(1) == 4
     from ramseylab.enumeration import are_isomorphic
 
-    assert are_isomorphic(suitable_caterpillar(1, 1, 0, 1), path(5))
-    mid = suitable_caterpillar(2, 2, 1, 2)
+    assert are_isomorphic(suitable_caterpillar(1, 0), path(5))
+    mid = suitable_caterpillar(2, 1)
     assert mid.n == 8 and [mid.degree(v) for v in range(3)] == [3, 3, 3]
     with pytest.raises(ValueError):
-        suitable_caterpillar(2, 1, 0, 2)
-    with pytest.raises(ValueError):
-        suitable_caterpillar(2, 2, 2, 2)
+        suitable_caterpillar(2, 2)
 
 
 def test_uniform_tree():

@@ -14,7 +14,7 @@ from ramseylab.formats import (
     graph_from_graph6,
     graph_to_graph6,
 )
-from ramseylab.graphs import RED, EdgeColoring, Graph
+from ramseylab.graphs import EdgeColoring, Graph
 
 from conftest import random_graph
 
@@ -85,7 +85,7 @@ def test_coloring_roundtrip():
 def test_coloring_mismatch_and_malformed():
     g = path(4)
     other = clique(3)
-    text = coloring_to_text(EdgeColoring.monochromatic(other, RED))
+    text = coloring_to_text(EdgeColoring(other, red=other.edges))
     with pytest.raises(FormatError, match="does not match"):
         coloring_from_text(text, host=g)
     with pytest.raises(FormatError):
@@ -101,7 +101,7 @@ def test_coloring_mismatch_and_malformed():
 
 
 def test_coloring_mismatch_is_typed_and_checked_before_allocation():
-    edges_differ = coloring_to_text(EdgeColoring.monochromatic(path(3), RED))
+    edges_differ = coloring_to_text(EdgeColoring(path(3), red=path(3).edges))
     with pytest.raises(MismatchError):
         coloring_from_text(edges_differ, host=Graph(3, [(0, 1), (0, 2)]))
     tracemalloc.start()

@@ -41,7 +41,7 @@ def test_walk_preconditions():
     no_blue_k3 = EdgeColoring(f, red=[(0, 1), (2, 3)], blue=[(1, 2), (0, 2)])
     with pytest.raises(ValueError, match="no blue clique"):
         alternating_walk_step(f, no_blue_k3, 2, 3)
-    pendant_blue = EdgeColoring.monochromatic(f, BLUE)
+    pendant_blue = EdgeColoring(f, blue=f.edges)
     with pytest.raises(ValueError, match="not free"):
         alternating_walk_step(f, pendant_blue, 2, 3)
     with pytest.raises(ValueError):
@@ -234,8 +234,8 @@ def _random_pinned_host(rng, T, n_range=(5, 10), max_edges=18):
     [
         (star(2), 1),
         (star(3), 1),
-        (suitable_caterpillar(1, 1, 0, 1), 8),
-        (suitable_caterpillar(2, 2, 1, 2), 18),
+        (suitable_caterpillar(1, 0), 8),
+        (suitable_caterpillar(2, 1), 18),
     ],
 )
 def test_yuv_random_hosts(T, k):
@@ -277,7 +277,7 @@ def test_woven_recolor_noop_and_threshold():
     with pytest.raises(ValueError, match="not free"):
         woven_recolor(
             pendant_host,
-            EdgeColoring.monochromatic(pendant_host, BLUE),
+            EdgeColoring(pendant_host, blue=pendant_host.edges),
             star(2),
             a=1,
             b=2,

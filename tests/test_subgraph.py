@@ -103,7 +103,7 @@ def test_monotonicity_under_host_growth():
         if contains_copy(host, pattern) is None:
             continue
         missing = [e for e in itertools.combinations(range(host.n), 2) if e not in host.edge_set()]
-        bigger = host.with_edges(rng.sample(missing, min(2, len(missing))))
+        bigger = Graph(host.n, [*host.edges, *rng.sample(missing, min(2, len(missing)))])
         assert contains_copy(bigger, pattern) is not None
 
 

@@ -54,9 +54,9 @@ def test_class_invariants_all_trees_up_to_9():
 
 def test_suitable_caterpillars_are_classified():
     # 1-suitable caterpillar is P5: even diameter 4 but central degree 2.
-    assert not tree_classify(suitable_caterpillar(1, 1, 0, 1)).in_Tprime
+    assert not tree_classify(suitable_caterpillar(1, 0)).in_Tprime
     # s >= 2 with middle leaves: central vertex is the spine middle.
-    cat = suitable_caterpillar(2, 2, 1, 2)
+    cat = suitable_caterpillar(2, 1)
     profile = tree_classify(cat)
     assert profile.diameter == 4 and profile.central_vertex == 1
     assert not profile.in_Tprime  # two longest-path neighbors of degree 3

@@ -43,7 +43,7 @@ from .families import (
     uniform_tree,
 )
 from .formats import coloring_from_text, coloring_to_text, graph_from_graph6, graph_to_graph6
-from .graphs import BLUE, RED, Edge, EdgeColoring, Embedding, Graph
+from .graphs import BLUE, RED, Edge, EdgeColoring, Graph
 from .matching import maximum_matching
 from .recolor import (
     RecolorTrace,

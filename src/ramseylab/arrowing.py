@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExhaustedError, CapExceededError, InvariantViolationError
 from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, edge
-from .subgraph import GraphTooLargeError, clique_number, has_copy
+from .subgraph import GraphTooLargeError, clique_number, contains_copy
 from .subgraph import copies_as_edge_sets, copy_through
-from .subgraph import contains_copy
 from .enumeration import are_isomorphic, graphs_up_to_vertices
 from .families import clique
 
@@ -42,7 +41,7 @@ def coloring_is_free(f: Graph, c: EdgeColoring, g: Graph, h: Graph) -> bool:
     """True iff c has no red-restricted copy of g and no blue-restricted copy of h."""
     if c.host != f:
         raise ValueError("coloring domain mismatch: coloring does not belong to f")
-    return not has_copy(c.adjacency(RED), g) and not has_copy(c.adjacency(BLUE), h)
+    return not contains_copy(c.adjacency(RED), g) and not contains_copy(c.adjacency(BLUE), h)
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ class _ArrowEngine:
         # Single-edge clauses force their edge to the other color up front.
         units: list[tuple[int, int]] = []
         for pattern, bad in ((g, _RED_BIT), (h, _BLUE_BIT)):
-            copies = copies_as_edge_sets(f, pattern)
+            copies = copies_as_edge_sets(f.adj, pattern)
             if copies and not copies[0]:
                 # An edgeless copy is monochromatic under every coloring.
                 self.trivial_arrows = True
@@ -397,7 +396,7 @@ def _block_coloring(g: Graph, h: Graph, cap: int) -> EdgeColoring:
     n, size, inside = 0, 1, RED
     for a, b, color in ((g, h, RED), (h, g, BLUE)):
         c = max(map(len, a.components()), default=0)
-        order = max(c - 1, 0) * max(clique_number(b) - 1, 0)
+        order = max(c - 1, 0) * max(clique_number(b.adj) - 1, 0)
         if order > n:
             n, size, inside = order, c - 1, color
     k = min(n, cap)
@@ -635,8 +634,8 @@ def equivalence_scan(
         raise ValueError("enumeration bound: max_vertices must be between 1 and 9")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    omega1 = max(clique_number(g1), clique_number(h1))
-    omega2 = max(clique_number(g2), clique_number(h2))
+    omega1 = max(clique_number(g1.adj), clique_number(h1.adj))
+    omega2 = max(clique_number(g2.adj), clique_number(h2.adj))
     g_big, h_big = (g1, h1) if omega1 > omega2 else (g2, h2)
     # All-red and all-blue colorings force every Ramsey graph of a pair whose
     # patterns both have an edge to contain both patterns.
@@ -653,7 +652,10 @@ def equivalence_scan(
     result = ScanResult("no-distinguisher-found")
     pairs = ((g1, h1), (g2, h2))
     # The pair whose patterns embed in the other's is decided first; None if neither.
-    small = next((i for i in (0, 1) if all(map(contains_copy, pairs[1 - i], pairs[i]))), None)
+    small = next(
+        (i for i in (0, 1) if all(contains_copy(b.adj, a) for a, b in zip(pairs[i], pairs[1 - i]))),
+        None,
+    )
     order = (1, 0) if small == 1 else (0, 1)
     # Per-pair results of the previous level and of the current one, keyed
     # by adjacency masks; a host's parent is always on the level just before it.

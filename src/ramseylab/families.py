@@ -216,7 +216,7 @@ def _vertex_folkman_check(J: Graph, t: int) -> bool:
     """Every vertex 2-coloring of J contains a vertex-monochromatic K_{t-1}."""
     if J.n > 20:
         raise ValueError("exhaustive vertex-coloring check capped at 20 vertices")
-    cliques = cliques_of_size(J, t - 1)
+    cliques = cliques_of_size(J.adj, t - 1)
     masks = [sum(1 << v for v in c) for c in cliques]
     for assignment in range(1 << J.n):
         if not any(mask & assignment == mask or mask & assignment == 0 for mask in masks):
@@ -274,7 +274,7 @@ def diameter_distinguisher(
         if t != 3:
             raise ValueError("no default Gamma available for t > 3; supply one")
         Gamma = T  # triangle-free, and arrows (T, K_2): color anything.
-    if next(cliques_of_size(Gamma, t), None) is not None:
+    if next(cliques_of_size(Gamma.adj, t), None) is not None:
         raise ValueError("Gamma must not contain K_t")
 
     hub = clique(t)
@@ -305,13 +305,13 @@ def diameter_distinguisher(
             if t != 3:
                 raise ValueError("no default J available for t > 3; supply one")
             J = cycle(5)
-        if next(cliques_of_size(J, t), None) is not None:
+        if next(cliques_of_size(J.adj, t), None) is not None:
             raise ValueError("J must not contain K_t")
         if not _vertex_folkman_check(J, t):
             raise ValueError("J fails its vertex-coloring property")
         if GammaPrime is None:
             raise ValueError("the even-diameter construction needs GammaPrime")
-        if next(cliques_of_size(GammaPrime, t), None) is not None:
+        if next(cliques_of_size(GammaPrime.adj, t), None) is not None:
             raise ValueError("GammaPrime must not contain K_t")
         _, on_path = longest_path_neighbors(T)
         a = len(on_path) - 1

@@ -10,19 +10,13 @@ Colorings are exchanged as plain text: a header line ``n m``, then one line
 
 from __future__ import annotations
 
-import binascii
-from math import isqrt
+import re
 
 from .errors import RamseyLabError
 from .graphs import BLUE, RED, Edge, EdgeColoring, Graph
 
 GRAPH6_SHORT_MAX = 62
 GRAPH6_LONG_MAX = 258047
-# graph6 writes a 6-bit group x as chr(x + 63), base64 as the x-th letter of
-# its alphabet, so the two codes translate into each other byte for byte.
-_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
-_GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 
 
 class FormatError(RamseyLabError):
@@ -44,14 +38,13 @@ def _encode_size(n: int) -> str:
 def graph_to_graph6(g: Graph) -> str:
     """The graph6 string of g; raises ValueError past GRAPH6_LONG_MAX vertices."""
     header = _encode_size(g.n)
-    # The upper triangle column by column, as '0'/'1': bit u of adj[v] for
-    # u < v, u = 0 first.
-    stream = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
-    # Zero-padded to whole 3-byte blocks, base64 cuts the bits into 6-bit groups.
-    pad = -len(stream) % 24
-    data = (int(stream or "0", 2) << pad).to_bytes((len(stream) + pad) // 8, "big")
-    groups = binascii.b2a_base64(data, newline=False)[: -(-len(stream) // 6)]
-    return header + groups.translate(_BASE64_TO_GRAPH6).decode()
+    # Bit p of the upper triangle, column by column, is the pair (u, v) with
+    # p = v(v-1)/2 + u; the 6-bit group p // 6 holds it at weight 32 >> p % 6.
+    groups = bytearray(b"?") * ((g.n * (g.n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        p = v * (v - 1) // 2 + u
+        groups[p // 6] += 32 >> p % 6
+    return header + groups.decode()
 
 
 def graph_from_graph6(text: str) -> Graph:
@@ -60,7 +53,7 @@ def graph_from_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise FormatError("empty graph6 string")
-    if not s.isascii() or min(s) < chr(63) or max(s) > chr(126):
+    if re.search("[^?-~]", s):  # every character is chr(63)..chr(126)
         raise FormatError(f"invalid graph6 characters in {s!r}")
     if s[0] == chr(126):
         if len(s) < 4:
@@ -74,18 +67,23 @@ def graph_from_graph6(text: str) -> Graph:
     need = (size + 5) // 6
     if len(body) != need:
         raise FormatError(f"graph6 body length {len(body)} != expected {need} for n={n}")
-    groups = body.encode().translate(_GRAPH6_TO_BASE64)
-    data = binascii.a2b_base64(groups + b"A" * (-len(groups) % 4))
-    stream = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
-    if "1" in stream[size:]:
+    if size % 6 and (ord(body[-1]) - 63) & (1 << 6 - size % 6) - 1:
         raise FormatError("nonzero padding bits in graph6 body")
-    # Position p of the upper triangle is (u, v) with v(v-1)/2 <= p < v(v+1)/2.
+    # Bit p is (u, v) with base = v(v-1)/2 <= p < base + v.  Only a group
+    # other than "?" holds a set bit, so the cost follows n and the edges,
+    # not the n(n-1)/2 bits.
     edges = []
-    p = stream.find("1", 0, size)
-    while p >= 0:
-        v = (1 + isqrt(8 * p + 1)) // 2
-        edges.append((p - v * (v - 1) // 2, v))
-        p = stream.find("1", p + 1, size)
+    v = base = 0
+    for group in re.finditer("[^?]", body):
+        x = ord(group[0]) - 63
+        p = 6 * group.start()
+        for weight in (32, 16, 8, 4, 2, 1):
+            if x & weight:
+                while p >= base + v:
+                    base += v
+                    v += 1
+                edges.append((p - base, v))
+            p += 1
     return Graph(n, edges)
 
 

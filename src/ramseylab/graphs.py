@@ -7,7 +7,6 @@ intersections and degree counts are constant-time on word-sized instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 RED = "R"
@@ -150,43 +149,6 @@ class Graph:
         return self.n >= 1 and self.m == self.n - 1 and self.is_connected()
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """An injective map pattern -> host sending pattern edges to host edges."""
-
-    pattern: Graph
-    host: Graph
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.map) != self.pattern.n:
-            raise ValueError("map length must equal pattern vertex count")
-        if any(not 0 <= x < self.host.n for x in self.map):
-            raise ValueError(f"map value out of range for host n={self.host.n}")
-        if len(set(self.map)) != len(self.map):
-            raise ValueError("map is not injective")
-        for u, v in self.pattern.edges:
-            if not self.host.has_edge(self.map[u], self.map[v]):
-                raise ValueError(f"pattern edge ({u},{v}) not mapped onto a host edge")
-
-    @classmethod
-    def _trusted(cls, pattern: Graph, host: Graph, map: tuple[int, ...]) -> Embedding:
-        """An embedding whose map the caller's search has already checked.
-
-        Skips `__post_init__`, which would re-check every map the search yields.
-        """
-        emb = object.__new__(cls)
-        # Set the fields as the frozen dataclass's __init__ does; going through
-        # __dict__ would give every embedding its own dict.
-        object.__setattr__(emb, "pattern", pattern)
-        object.__setattr__(emb, "host", host)
-        object.__setattr__(emb, "map", map)
-        return emb
-
-    def edge_image(self) -> frozenset[Edge]:
-        return frozenset(edge(self.map[u], self.map[v]) for u, v in self.pattern.edges)
-
-
 class EdgeColoring:
     """A total red/blue assignment on the edge set of a host graph."""
 
@@ -227,19 +189,12 @@ class EdgeColoring:
             blue=(self.blue - flip) | (self.red & flip),
         )
 
-    def _edges_of(self, color: str) -> frozenset[Edge]:
-        if color not in (RED, BLUE):
-            raise ValueError(f"unknown color {color!r}")
-        return self.red if color == RED else self.blue
-
-    def monochromatic_subgraph(self, color: str) -> Graph:
-        """The spanning subgraph carrying only the edges of one color."""
-        return Graph(self.host.n, self._edges_of(color))
-
     def adjacency(self, color: str) -> tuple[int, ...]:
         """One color's adjacency masks, one per host vertex, built on each call."""
+        if color not in (RED, BLUE):
+            raise ValueError(f"unknown color {color!r}")
         adj = [0] * self.host.n
-        for u, v in self._edges_of(color):
+        for u, v in self.red if color == RED else self.blue:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return tuple(adj)

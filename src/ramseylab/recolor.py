@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .arrowing import coloring_is_free
 from .errors import InvariantViolationError
 from .families import clique, clique_with_pendants, star
-from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, edge
-from .subgraph import cliques, cliques_of_size, contains_copy, copies_as_edge_sets, has_copy
+from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, edge
+from .subgraph import cliques_of_size, contains_copy, copies_as_edge_sets
 
 # -- domain types -------------------------------------------------------------
 
@@ -78,7 +78,7 @@ class RecolorTrace:
 
 
 def _blue_cliques(c: EdgeColoring, t: int) -> list[tuple[int, ...]]:
-    return list(cliques(c.adjacency(BLUE), t))
+    return list(cliques_of_size(c.adjacency(BLUE), t))
 
 
 def _has_red_star(c: EdgeColoring, s: int) -> bool:
@@ -173,7 +173,7 @@ def alternating_walk_step(
         raise InvariantViolationError(
             f"walk flip failed to reduce blue cliques: {before} -> {after}"
         )
-    if has_copy(flipped.adjacency(BLUE), pendant):
+    if contains_copy(flipped.adjacency(BLUE), pendant):
         raise InvariantViolationError("walk flip created a blue pendant clique")
     return flipped, trace
 
@@ -220,9 +220,7 @@ def _classify_woven_tree(T: Graph) -> tuple[str, int, int]:
 def _leaf_embeds_at(f: Graph, T: Graph, target: int) -> bool:
     """Is there a copy of T in f mapping some leaf of T onto `target`?"""
     leaves = [v for v in range(T.n) if T.degree(v) == 1]
-    return any(
-        contains_copy(f, T, pins={leaf: target}) is not None for leaf in leaves
-    )
+    return any(contains_copy(f.adj, T, pins={leaf: target}) for leaf in leaves)
 
 
 def yuv_certificate(f: Graph, uv: Edge, T: Graph) -> WovenCertificate:
@@ -241,13 +239,13 @@ def yuv_certificate(f: Graph, uv: Edge, T: Graph) -> WovenCertificate:
         raise ValueError(f"{uv} is not an edge of the host")
     u, v = uv
     f_prime = f.without_edge(uv)
-    if contains_copy(f_prime, T) is not None:
+    if contains_copy(f_prime.adj, T):
         raise ValueError("some copy of T avoids uv; the certificate is undefined")
 
     def edges_at(w: int) -> list[Edge]:
         return sorted(edge(w, x) for x in f_prime.neighbors(w))
 
-    if contains_copy(f, T) is None:
+    if not contains_copy(f.adj, T):
         y: frozenset[Edge] = frozenset()
     elif kind == "star":
         pick = []
@@ -262,7 +260,7 @@ def yuv_certificate(f: Graph, uv: Edge, T: Graph) -> WovenCertificate:
         if leaf_u or leaf_v:
             one_side = edges_at(v) if leaf_u else edges_at(u)
             # uv stays: a copy dodging the one-sided set may still use it.
-            if contains_copy(f.without_edges(one_side), T) is None:
+            if not contains_copy(f.without_edges(one_side).adj, T):
                 y = frozenset(one_side)
             else:
                 y = frozenset(edges_at(u) + edges_at(v))
@@ -272,7 +270,7 @@ def yuv_certificate(f: Graph, uv: Edge, T: Graph) -> WovenCertificate:
             y = frozenset([edge(u, w) for w in n_u] + [edge(v, w) for w in n_v])
 
     cert = WovenCertificate(uv=uv, Y=y, k=k)  # raises if a bound is exceeded
-    if contains_copy(f.without_edges(y), T) is not None:
+    if contains_copy(f.without_edges(y).adj, T):
         raise InvariantViolationError(
             "hitting set misses a copy of T; non-woven instance or a bug"
         )
@@ -317,16 +315,16 @@ def woven_recolor(
         raise ValueError("input coloring is not free for the pendant-clique pair")
 
     rho = r + (a - 1) * (b - 1)
-    blue_graph = phi1.monochromatic_subgraph(BLUE)
-    blue_cliques = list(cliques_of_size(blue_graph, t))
+    blue = phi1.adjacency(BLUE)
+    blue_cliques = list(cliques_of_size(blue, t))
 
     def saturated(members: tuple[int, ...]) -> frozenset[int]:
         inside = set(members)
         out = []
         for uu in members:
-            candidates = [w for w in blue_graph.neighbors(uu) if w not in inside]
+            candidates = [w for w in bits(blue[uu]) if w not in inside]
             if len(candidates) >= rho and (
-                next(cliques_of_size(f.induced(candidates), rho), None) is not None
+                next(cliques_of_size(f.induced(candidates).adj, rho), None) is not None
             ):
                 out.append(uu)
         return frozenset(out)
@@ -358,9 +356,9 @@ def woven_recolor(
     phi2 = phi1.flipped(matching)
 
     # Red copies, the matching and the Y sets as masks over the red edges.
-    red = phi2.monochromatic_subgraph(RED)
-    bit = {e: 1 << i for i, e in enumerate(red.edges)}
-    red_copies = copies_as_edge_sets(red, G)
+    red_edges = sorted(phi2.red)
+    bit = {e: 1 << i for i, e in enumerate(red_edges)}
+    red_copies = copies_as_edge_sets(phi2.adjacency(RED), G)
     matching_set = set(matching)
     later = sum(bit[e] for e in matching_set)
     hit = 0  # the union of the Y sets so far
@@ -374,7 +372,7 @@ def woven_recolor(
         if not chosen:
             y_sets.append(frozenset())
             continue
-        sub = Graph(f.n, (e for i, e in enumerate(red.edges) if chosen >> i & 1))
+        sub = Graph(f.n, (e for i, e in enumerate(red_edges) if chosen >> i & 1))
         cert = yuv_certificate(sub, ei, G)
         if cert.Y & matching_set:
             raise InvariantViolationError("hitting set touched a matching edge")
@@ -384,12 +382,12 @@ def woven_recolor(
     all_y = frozenset().union(*y_sets) if y_sets else frozenset()
     phi3 = phi2.flipped(all_y)
 
-    offending = contains_copy(phi3.monochromatic_subgraph(RED), G)
-    if offending is not None:
-        raise InvariantViolationError(
-            f"red copy of G survived the pipeline: {sorted(offending.edge_image())}"
-        )
-    blue_after = next(cliques_of_size(phi3.monochromatic_subgraph(BLUE), t), None)
+    red = phi3.adjacency(RED)
+    if contains_copy(red, G):
+        first = copies_as_edge_sets(red, G)[0]
+        survivor = [e for i, e in enumerate(sorted(phi3.red)) if first >> i & 1]
+        raise InvariantViolationError(f"red copy of G survived the pipeline: {survivor}")
+    blue_after = next(cliques_of_size(phi3.adjacency(BLUE), t), None)
     if blue_after is not None:
         raise InvariantViolationError(f"blue clique survived the pipeline: {blue_after}")
 

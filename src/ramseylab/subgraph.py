@@ -1,25 +1,27 @@
 """Subgraph containment and clique search.
 
-Containment is non-induced throughout: a copy of the pattern may sit inside a
-denser host region.  Red- or blue-restricted copies are found by searching the
-color's adjacency masks (`EdgeColoring.adjacency`) with `has_copy`.
+A host is its adjacency masks, one int per vertex (`Graph.adj`, or one
+color's `EdgeColoring.adjacency` for a red- or blue-restricted search); a
+pattern is a `Graph`, because patterns key the plan cache.  Containment is
+non-induced throughout: a copy of the pattern may sit inside a denser host
+region.
 
-One walker, `_walk`, runs every search on a host's adjacency masks.  It
-follows a plan compiled once per pattern value: the order in which pattern
-vertices are placed, with each vertex's degree and its already-placed
-neighbours.  `embeddings` (and so `contains_copy`) walks the plain plan and
-yields every map, `has_copy` (the freeness checks) stops at the first, and
-`copy_through` walks one plan per vertex orbit, pinned.  `copies_as_edge_sets`
-walks a plan that also carries the pattern's symmetry-breaking conditions,
-lower bounds on image labels that let through exactly one embedding of each
-copy, so it needs no dedupe; each image becomes one int, a mask over the
-host's edge list, with no edge tuples built.
+One walker, `_walk`, runs every search.  It follows a plan compiled once per
+pattern value: the order in which pattern vertices are placed, with each
+vertex's degree and its already-placed neighbours.  `contains_copy` walks
+the plain plan, or one pinning the given vertices, and stops at the first
+map; `copy_through` walks one plan per vertex orbit, pinned.
+`copies_as_edge_sets` walks a plan that also carries the pattern's
+symmetry-breaking conditions, lower bounds on image labels that let through
+exactly one embedding of each copy, so it needs no dedupe; each image
+becomes one int, a mask over the host's edges in lexicographic order, with
+no edge tuples built.
 
-`cliques` answers the clique questions on adjacency masks, `cliques_of_size`
-on a graph: the clique number and the "contains K_k" checks.  It is the walker
-on K_k, whose conditions are the chain image[0] < ... < image[k-1] written
-down directly, so each clique is visited once, in increasing order, and a
-branch stops once too few candidates are left to finish the clique.
+`cliques_of_size` answers the clique questions: the clique number and the
+"contains K_k" checks.  It is the walker on K_k, whose conditions are the
+chain image[0] < ... < image[k-1] written down directly, so each clique is
+visited once, in increasing order, and a branch stops once too few
+candidates are left to finish the clique.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import functools
 from typing import Iterator, NamedTuple
 
 from .errors import RamseyLabError
-from .graphs import Embedding, Graph
+from .graphs import Graph, bits
 
 
 class GraphTooLargeError(RamseyLabError):
@@ -170,36 +172,6 @@ def _walk(adj: tuple[int, ...], plan: _Plan, targets: tuple[int, ...]) -> Iterat
             cand = saved[i]
 
 
-def embeddings(
-    host: Graph, pattern: Graph, pins: dict[int, int] | None = None
-) -> Iterator[Embedding]:
-    """Yield every embedding of `pattern` into `host` (as vertex maps).
-
-    `pins` forces specific pattern vertices onto specific host vertices.
-    Distinct automorphic images are yielded separately.
-    """
-    if pattern.n > host.n:
-        return
-    pins = pins or {}
-    for p, h in pins.items():
-        if not (0 <= p < pattern.n and 0 <= h < host.n):
-            raise ValueError(f"pin {p}->{h} out of range")
-    if len(set(pins.values())) != len(pins):
-        return
-    for image in _walk(host.adj, _plan(pattern, tuple(pins), ()), tuple(pins.values())):
-        yield Embedding._trusted(pattern, host, tuple(image))
-
-
-def contains_copy(
-    host: Graph, pattern: Graph, pins: dict[int, int] | None = None
-) -> Embedding | None:
-    """Return one embedding of `pattern` into `host`, or None.
-
-    The empty pattern embeds trivially.
-    """
-    return next(embeddings(host, pattern, pins), None)
-
-
 @functools.lru_cache(maxsize=256)
 def _orbit_plans(pattern: Graph) -> tuple[_Plan, ...]:
     """Per vertex orbit of the pattern's automorphisms, a plan pinning its least u.
@@ -219,10 +191,25 @@ def _orbit_plans(pattern: Graph) -> tuple[_Plan, ...]:
     return tuple(plans)
 
 
-def has_copy(adj: tuple[int, ...], pattern: Graph) -> bool:
-    """True iff the host with adjacency masks `adj` has a copy of `pattern`
-    (the empty pattern embeds trivially)."""
-    return len(adj) >= pattern.n and next(_walk(adj, _plan(pattern, (), ()), ()), None) is not None
+def contains_copy(
+    adj: tuple[int, ...], pattern: Graph, pins: dict[int, int] | None = None
+) -> bool:
+    """True iff the host with adjacency masks `adj` has a copy of `pattern`.
+
+    `pins` forces specific pattern vertices onto specific host vertices.  The
+    empty pattern embeds trivially.
+    """
+    if len(adj) < pattern.n:
+        return False
+    targets: tuple[int, ...] = ()
+    if pins:
+        for p, h in pins.items():
+            if not (0 <= p < pattern.n and 0 <= h < len(adj)):
+                raise ValueError(f"pin {p}->{h} out of range")
+        targets = tuple(pins.values())
+        if len(set(targets)) != len(targets):
+            return False
+    return next(_walk(adj, _plan(pattern, tuple(pins or ()), ()), targets), None) is not None
 
 
 def copy_through(adj: tuple[int, ...], pattern: Graph, v: int) -> bool:
@@ -233,26 +220,31 @@ def copy_through(adj: tuple[int, ...], pattern: Graph, v: int) -> bool:
     )
 
 
-def copies_as_edge_sets(host: Graph, pattern: Graph) -> list[int]:
-    """All distinct edge sets realized by copies of `pattern` in `host`.
+def copies_as_edge_sets(adj: tuple[int, ...], pattern: Graph) -> list[int]:
+    """All distinct edge sets realized by copies of `pattern` in the host with
+    adjacency masks `adj`.
 
-    Each copy is an int mask over `host.edges`: bit i stands for
-    `host.edges[i]`.  The masks come ordered by their lowest set bit, and
+    Each copy is an int mask over the host's edges (u, v), u < v, in
+    lexicographic order, which is `Graph.edges` order: bit i stands for the
+    i-th of them.  The masks come ordered by their lowest set bit, and
     copies that share it in the order the walker reached them.  Isolated
     pattern vertices only need room in the host, so the rest of the pattern
     is searched under its symmetry-breaking conditions, which reach each copy
     exactly once.
     """
-    if pattern.n > host.n:
+    if pattern.n > len(adj):
         return []
     if not all(pattern.adj):
         pattern = pattern.induced(v for v in range(pattern.n) if pattern.adj[v])
-    index: list[dict[int, int]] = [{} for _ in range(host.n)]  # index[a][b]: edge ab's bit
-    for i, (a, b) in enumerate(host.edges):
-        index[a][b] = index[b][a] = i
+    index: list[dict[int, int]] = [{} for _ in adj]  # index[a][b]: edge ab's bit
+    i = 0
+    for a, row in enumerate(adj):
+        for b in bits(row >> a + 1 << a + 1):
+            index[a][b] = index[b][a] = i
+            i += 1
     edges = pattern.edges
     copies = []
-    for image in _walk(host.adj, _plan(pattern, (), _orbit_breaks(pattern)), ()):
+    for image in _walk(adj, _plan(pattern, (), _orbit_breaks(pattern)), ()):
         mask = 0
         for u, v in edges:
             mask |= 1 << index[image[u]][image[v]]
@@ -285,7 +277,7 @@ def _clique_plan(k: int) -> _Plan:
     )
 
 
-def cliques(adj: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
+def cliques_of_size(adj: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
     """The k-cliques of the host with adjacency masks `adj` as sorted vertex
     tuples, in lexicographic order.  Lazy: an existence question stops at the first.
     """
@@ -294,17 +286,13 @@ def cliques(adj: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
     return (tuple(image) for image in _walk(adj, _clique_plan(k), ()))
 
 
-def cliques_of_size(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    """The k-cliques of g, as `cliques` lists them."""
-    return cliques(g.adj, k)
+def clique_number(adj: tuple[int, ...]) -> int:
+    """Exact maximum clique size of the host with adjacency masks `adj`; 0
+    for the empty host.
 
-
-def clique_number(g: Graph) -> int:
-    """Exact maximum clique size; 0 for the empty graph.
-
-    The largest k for which `cliques_of_size(g, k)` yields a clique.
+    The largest k for which `cliques_of_size(adj, k)` yields a clique.
     """
     k = 0
-    while next(cliques_of_size(g, k + 1), None) is not None:
+    while next(cliques_of_size(adj, k + 1), None) is not None:
         k += 1
     return k

@@ -5,7 +5,8 @@ import pytest
 
 from ramseylab.arrowing import arrows
 from ramseylab.families import clique
-from ramseylab.graphs import BLUE, RED, Graph
+from ramseylab.graphs import BLUE, RED, Edge, Graph, edge
+from ramseylab.subgraph import _plan, _walk
 
 
 @pytest.fixture
@@ -21,6 +22,15 @@ def random_graph(rng: random.Random, n_range=(2, 9), max_edges=16) -> Graph:
     pool = list(itertools.combinations(range(n), 2))
     m = rng.randint(0, min(max_edges, len(pool)))
     return Graph(n, rng.sample(pool, m))
+
+
+def copy_avoiding(host: Graph, uv: Edge, pattern: Graph) -> list[Edge] | None:
+    """The sorted edges of the first copy of `pattern` that the walker finds in
+    `host` less the edge uv, or None when every copy uses uv."""
+    image = next(_walk(host.without_edge(uv).adj, _plan(pattern, (), ()), ()), None)
+    if image is None:
+        return None
+    return sorted(edge(image[a], image[b]) for a, b in pattern.edges)
 
 
 def case_nodes(n, g, h, degrees):

@@ -694,8 +694,8 @@ def test_copies_through_new_vertex_decide_extensions(g, h):
                 for extra in itertools.combinations(new, k):
                     ext = red.union(extra)
                     coloring = EdgeColoring(host, ext, host.edge_set() - ext)
-                    red_adj = coloring.monochromatic_subgraph(RED).adj
-                    blue_adj = coloring.monochromatic_subgraph(BLUE).adj
+                    red_adj = coloring.adjacency(RED)
+                    blue_adj = coloring.adjacency(BLUE)
                     through = copy_through(red_adj, g, v) or copy_through(blue_adj, h, v)
                     assert through != coloring_is_free(host, coloring, g, h), (host.edges, extra)
         known[host.adj], _ = _monotone_arrows(host, g, h, DEFAULT_BUDGET, known)

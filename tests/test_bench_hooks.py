@@ -4,9 +4,14 @@ failing the benchmark, so every hook target is checked here."""
 
 import importlib
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from ramseylab import arrowing, recolor
+from ramseylab.families import clique
+from ramseylab.graphs import EdgeColoring, Graph
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -25,3 +30,22 @@ def test_tracer_hook_target_exists(module_path, attr_path):
         assert hasattr(owner, part), f"{module_path}.{attr_path} is gone"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_subgraph_hooks_record_calls():
+    # The freeness checks, the walk's pendant check and its blue-clique listing
+    # reach `subgraph` through the names the tracer hooks; a search routed
+    # round them would leave its layer at 0 calls.
+    tracer = _load_tracer()
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        assert not arrowing.arrows(clique(5), clique(3), clique(3)).arrows
+        f = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        c = EdgeColoring(f, red=[(2, 3)], blue=[(0, 1), (1, 2), (0, 2)])  # a blue triangle
+        assert recolor.star_clique_recolor(f, c, 2, 3) != c
+    finally:
+        trace.restore()
+    calls = Counter(span[tracer.NAME] for span in trace.spans)
+    assert calls["subgraph.contains_copy"] > 0
+    assert calls["subgraph.cliques_of_size"] > 0

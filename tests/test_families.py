@@ -82,28 +82,26 @@ def test_lambda_gadget_p4():
     lam = lambda_gadget(path(4), path(4), 1)
     assert lam.graph.n == 9 and lam.graph.m == 14
     w = lam.witness_coloring
-    red_graph = w.monochromatic_subgraph(RED)
     # red part is exactly the depth-1 skeleton: a star on the root
-    assert sorted(red_graph.edges) == [(0, i) for i in range(1, 9)]
+    assert sorted(w.red) == [(0, i) for i in range(1, 9)]
     # blue part is two disjoint P4 copies
-    blue_graph = w.monochromatic_subgraph(BLUE)
+    blue_graph = Graph(lam.graph.n, w.blue)
     comps = [c for c in blue_graph.components() if len(c) > 1]
     assert len(comps) == 2 and all(len(c) == 4 for c in comps)
     # no red copy of T: the red star has diameter 2 < 3
-    assert contains_copy(red_graph, path(4)) is None
+    assert not contains_copy(w.adjacency(RED), path(4))
 
 
 def test_lambda_gadget_structure_invariants():
     for T, gamma, i in [(path(4), path(4), 2), (SPIDER_3x2, SPIDER_3x2, 1), (star(2), cycle(5), 1)]:
         lam = lambda_gadget(T, gamma, i)
         w = lam.witness_coloring
-        red_graph = w.monochromatic_subgraph(RED)
         d = max(T.degree(v) for v in range(T.n))
         k = d * gamma.n
         skeleton = uniform_tree(k, i).graph
-        assert sorted(red_graph.edges) == sorted(skeleton.edges)
+        assert sorted(w.red) == sorted(skeleton.edges)
         blue_comps = [
-            c for c in w.monochromatic_subgraph(BLUE).components() if len(c) > 1
+            c for c in Graph(lam.graph.n, w.blue).components() if len(c) > 1
         ]
         assert all(len(c) == gamma.n for c in blue_comps)
 
@@ -120,10 +118,10 @@ def test_c_gadget():
     cg5 = c_gadget(cycle(5))
     assert cg5.graph.n == 7 and cg5.graph.m == 15
     w = cg5.witness_coloring
-    assert contains_copy(w.monochromatic_subgraph(BLUE), clique(3)) is None
-    red_graph = w.monochromatic_subgraph(RED)
-    assert sorted(red_graph.degree(v) for v in range(7)) == [2, 2, 2, 2, 2, 5, 5]
-    assert clique_number(red_graph) == 2  # complete bipartite, triangle-free
+    assert not contains_copy(w.adjacency(BLUE), clique(3))
+    red = w.adjacency(RED)
+    assert sorted(a.bit_count() for a in red) == [2, 2, 2, 2, 2, 5, 5]
+    assert clique_number(red) == 2  # complete bipartite, triangle-free
 
 
 def test_diameter_distinguisher_odd():

@@ -58,11 +58,27 @@ def test_header_prefix_stripped():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "D\x19", "D?", "Dqqq", chr(126)],
+    ["", "D\x19", "D?", "Dqqq", chr(126), "D?@"],  # "D?@" sets a padding bit
 )
 def test_malformed_graph6_rejected(bad):
     with pytest.raises(FormatError):
         graph_from_graph6(bad)
+
+
+def test_graph6_cost_follows_the_edges():
+    # path(10000)'s upper triangle has 5e7 bits, one per 5,000 of them set;
+    # a codec that lays every bit out as an int or a string peaks near 100 MB.
+    g = path(10000)
+    text = graph_to_graph6(g)
+    for call, arg in ((graph_to_graph6, g), (graph_from_graph6, text)):
+        tracemalloc.start()
+        try:
+            call(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, (call.__name__, peak)
+    assert graph_from_graph6(text) == g
 
 
 def test_graph6_size_limit_is_a_value_error():

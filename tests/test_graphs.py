@@ -1,7 +1,7 @@
 import pytest
 
 from ramseylab.families import clique, cycle, path, star
-from ramseylab.graphs import BLUE, RED, EdgeColoring, Embedding, Graph, edge
+from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph, edge
 
 
 def test_edge_normalization_and_loops():
@@ -56,20 +56,6 @@ def test_components_and_trees():
     assert Graph(1).is_tree()
 
 
-def test_embedding_validation():
-    with pytest.raises(ValueError):
-        Embedding(path(3), clique(3), (0, 0, 1))
-    with pytest.raises(ValueError):
-        Embedding(clique(3), path(3), (0, 1, 2))
-    # map values must be host vertices; a negative one must not wrap around
-    with pytest.raises(ValueError):
-        Embedding(Graph(1), Graph(1), (5,))
-    with pytest.raises(ValueError):
-        Embedding(path(2), Graph(3, [(0, 2)]), (-1, 0))
-    emb = Embedding(path(3), clique(3), (2, 0, 1))
-    assert emb.edge_image() == frozenset({(0, 2), (0, 1)})
-
-
 def test_coloring_partition_enforced():
     g = path(3)
     with pytest.raises(ValueError):
@@ -85,8 +71,8 @@ def test_coloring_flip_and_subgraphs():
     c = EdgeColoring(g, blue=g.edges)
     flipped = c.flipped([(0, 1)])
     assert flipped.color((0, 1)) == RED
-    assert flipped.monochromatic_subgraph(RED).edges == ((0, 1),)
-    assert flipped.monochromatic_subgraph(BLUE).m == 2
+    assert flipped.red == {(0, 1)}
+    assert len(flipped.blue) == 2
     assert flipped.adjacency(RED)[0].bit_count() == 1
     back = flipped.flipped([(0, 1)])
     assert back == c
@@ -96,12 +82,11 @@ def test_coloring_flip_and_subgraphs():
 
 def test_coloring_adjacency_and_unknown_colors():
     c = EdgeColoring(path(4), red=[(0, 1), (2, 3)], blue=[(1, 2)])
-    assert c.adjacency(RED) == c.monochromatic_subgraph(RED).adj == (0b10, 0b1, 0b1000, 0b100)
-    assert c.adjacency(BLUE) == c.monochromatic_subgraph(BLUE).adj == (0, 0b100, 0b10, 0)
-    for call in (c.monochromatic_subgraph, c.adjacency):
-        for color in ("X", "r", "b", None):
-            with pytest.raises(ValueError, match="unknown color"):
-                call(color)
+    assert c.adjacency(RED) == Graph(4, c.red).adj == (0b10, 0b1, 0b1000, 0b100)
+    assert c.adjacency(BLUE) == Graph(4, c.blue).adj == (0, 0b100, 0b10, 0)
+    for color in ("X", "r", "b", None):
+        with pytest.raises(ValueError, match="unknown color"):
+            c.adjacency(color)
 
 
 def test_star_labels_center_first():

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import ramseylab.recolor
 from ramseylab.arrowing import coloring_is_free
 from ramseylab.enumeration import graphs_by_edge_count
+from ramseylab.errors import InvariantViolationError
 from ramseylab.families import clique, clique_with_pendants, cycle, path, star, suitable_caterpillar
 from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph, edge
 from ramseylab.recolor import (
@@ -17,11 +19,11 @@ from ramseylab.recolor import (
 )
 from ramseylab.subgraph import cliques_of_size, contains_copy, copies_as_edge_sets
 
-from conftest import random_graph
+from conftest import copy_avoiding, random_graph
 
 
 def blue_triangles(f, c):
-    return list(cliques_of_size(c.monochromatic_subgraph(BLUE), 3))
+    return list(cliques_of_size(c.adjacency(BLUE), 3))
 
 
 def test_walk_spec_example_triangle_pendant():
@@ -124,7 +126,7 @@ def test_star_clique_recolor_outputs_are_pinned():
     for m, graphs in graphs_by_edge_count(6).items():
         for g in graphs:
             vmasks = [sum(1 << i for i, e in enumerate(g.edges) if v in e) for v in range(g.n)]
-            pend_masks = copies_as_edge_sets(g, pendant)
+            pend_masks = copies_as_edge_sets(g.adj, pendant)
             for bits in range(1 << m):
                 if any((bits & vm).bit_count() >= 2 for vm in vmasks):
                     continue  # red star
@@ -219,10 +221,9 @@ def _random_pinned_host(rng, T, n_range=(5, 10), max_edges=18):
             if guard > 200:
                 host = None
                 break
-            extra = contains_copy(host.without_edge(uv), T)
-            if extra is None:
+            victims = copy_avoiding(host, uv, T)
+            if victims is None:
                 break
-            victims = sorted(extra.edge_image() - {uv})
             host = host.without_edge(victims[rng.randrange(len(victims))])
         if host is not None and uv in host.edge_set():
             return host, uv
@@ -247,7 +248,7 @@ def test_yuv_random_hosts(T, k):
         u, v = uv
         assert sum(1 for e in cert.Y if u in e) <= k
         assert sum(1 for e in cert.Y if v in e) <= k
-        assert contains_copy(host.without_edges(cert.Y), T) is None
+        assert not contains_copy(host.without_edges(cert.Y).adj, T)
 
 
 def test_woven_recolor_k6_instance():
@@ -259,7 +260,7 @@ def test_woven_recolor_k6_instance():
     assert trace.U_K_sets == (frozenset(),)
     assert len(trace.matching_M) == 3
     assert coloring_is_free(f, phi3, star(2), clique(6))
-    assert contains_copy(phi3.monochromatic_subgraph(BLUE), clique(6)) is None
+    assert not contains_copy(phi3.adjacency(BLUE), clique(6))
 
 
 def test_woven_recolor_noop_and_threshold():
@@ -313,6 +314,22 @@ def test_woven_recolor_y_flips_needed():
     phi3, trace = woven_recolor(f, phi1, star(2), a=1, b=2, t=6)
     assert any(trace.Y_sets)
     assert coloring_is_free(f, phi3, star(2), clique(6))
+
+
+def test_woven_recolor_names_a_surviving_red_copy(monkeypatch):
+    # With empty hitting sets the matching flips of the instance above leave
+    # three red K1,2; the postcondition names the edges of the first.
+    base = list(itertools.combinations(range(6), 2))
+    pend = [(0, 6), (2, 7), (4, 8)]
+    f = Graph(9, base + pend)
+    phi1 = EdgeColoring(f, red=pend, blue=base)
+
+    def empty(sub, uv, T):
+        return WovenCertificate(uv, frozenset(), 1)
+
+    monkeypatch.setattr(ramseylab.recolor, "yuv_certificate", empty)
+    with pytest.raises(InvariantViolationError, match=r"survived the pipeline: \[\(0, 1\), \(0, 6\)\]"):
+        woven_recolor(f, phi1, star(2), a=1, b=2, t=6)
 
 
 def test_walk_crosses_into_second_clique():

@@ -21,66 +21,96 @@ from ramseylab.subgraph import (
     contains_copy,
     copies_as_edge_sets,
     copy_through,
-    embeddings,
 )
 
 from conftest import random_graph
-from oracles import brute_clique_number, brute_copy_edge_sets, injection_embeds
+from oracles import (
+    brute_clique_number,
+    brute_copy_edge_sets,
+    injection_embeds,
+    injection_embeds_colored,
+)
+
+
+def _maps(host, pattern, pins=None):
+    """Every map of `pattern` into `host`, in the order the walker yields them."""
+    pins = pins or {}
+    plan = _plan(pattern, tuple(pins), ())
+    return [tuple(image) for image in _walk(host.adj, plan, tuple(pins.values()))]
+
+
+def _brute_cliques(adj, k):
+    """The k-subsets of vertices that are pairwise adjacent, in lexicographic order."""
+    return [
+        s
+        for s in itertools.combinations(range(len(adj)), k)
+        if all(adj[u] >> v & 1 for u, v in itertools.combinations(s, 2))
+    ]
 
 
 def test_contains_copy_spec_examples():
-    assert contains_copy(clique(4), clique(3)) is not None
-    assert contains_copy(cycle(5), star(3)) is None
-    assert contains_copy(clique_with_pendants(6, 2, 3), clique(6)) is not None
+    assert contains_copy(clique(4).adj, clique(3))
+    assert not contains_copy(cycle(5).adj, star(3))
+    assert contains_copy(clique_with_pendants(6, 2, 3).adj, clique(6))
 
 
 def test_empty_and_degenerate_patterns():
-    assert contains_copy(clique(3), Graph(0)) is not None
-    assert contains_copy(clique(3), Graph(1)) is not None
-    assert contains_copy(Graph(0), Graph(1)) is None  # no room for a vertex
-    assert contains_copy(path(2), path(3)) is None
+    assert contains_copy(clique(3).adj, Graph(0))
+    assert contains_copy(clique(3).adj, Graph(1))
+    assert not contains_copy(Graph(0).adj, Graph(1))  # no room for a vertex
+    assert not contains_copy(path(2).adj, path(3))
 
 
 def test_isolated_pattern_vertices_need_capacity():
     pattern = Graph(3, [(0, 1)])  # one isolated vertex
-    assert contains_copy(path(2), pattern) is None
-    assert contains_copy(path(3), pattern) is not None
+    assert not contains_copy(path(2).adj, pattern)
+    assert contains_copy(path(3).adj, pattern)
 
 
 def test_color_restricted_search():
     # A red copy is a copy in the red spanning subgraph.
     c = EdgeColoring(clique(3), red=[(0, 1)], blue=[(0, 2), (1, 2)])
-    red = c.monochromatic_subgraph(RED)
-    emb = contains_copy(red, path(2))
-    assert emb is not None and emb.edge_image() == frozenset({(0, 1)})
-    assert contains_copy(red, path(3)) is None
-    assert contains_copy(c.monochromatic_subgraph(BLUE), path(3)) is not None
+    red = c.adjacency(RED)
+    assert contains_copy(red, path(2))
+    assert copies_as_edge_sets(red, path(2)) == [0b1]  # the one red edge, (0, 1)
+    assert not contains_copy(red, path(3))
+    assert contains_copy(c.adjacency(BLUE), path(3))
 
 
 def test_pins():
     g = path(4)
-    assert contains_copy(g, path(3), pins={1: 0}) is None  # 0 is an endpoint
-    assert contains_copy(g, path(3), pins={1: 1}) is not None
-    assert contains_copy(g, path(3), pins={0: 0, 2: 2}) is not None
+    assert not contains_copy(g.adj, path(3), pins={1: 0})  # 0 is an endpoint
+    assert contains_copy(g.adj, path(3), pins={1: 1})
+    assert contains_copy(g.adj, path(3), pins={0: 0, 2: 2})
+    assert not contains_copy(g.adj, path(3), pins={0: 1, 2: 1})  # one target twice
+    with pytest.raises(ValueError, match="out of range"):
+        contains_copy(g.adj, path(3), pins={0: 4})
 
 
 def test_oracle_equivalence_random_corpus():
     rng = random.Random(99)
+    paint = random.Random(98)  # its own stream, so the host corpus stays as it was
     patterns = [path(2), path(3), path(4), path(6), star(3), clique(3), clique(4), cycle(4), cycle(5), cycle(6)]
     for _ in range(300):
         host = random_graph(rng, n_range=(2, 9), max_edges=14)
         pattern = patterns[rng.randrange(len(patterns))]
-        # The search builds its embeddings without the constructor's checks,
-        # so every map it yields is checked here.
-        maps = []
-        for emb in embeddings(host, pattern):
-            assert emb.pattern is pattern and emb.host is host
-            assert len(emb.map) == pattern.n and len(set(emb.map)) == pattern.n
-            assert all(host.has_edge(emb.map[u], emb.map[v]) for u, v in pattern.edges)
-            maps.append(emb.map)
+        # The walker checks nothing it yields, so every map is checked here.
+        maps = _maps(host, pattern)
+        for image in maps:
+            assert len(image) == pattern.n and len(set(image)) == pattern.n
+            assert all(host.has_edge(image[u], image[v]) for u, v in pattern.edges)
         assert len(set(maps)) == len(maps)
         assert bool(maps) == injection_embeds(host, pattern)
-        assert (contains_copy(host, pattern) is not None) == bool(maps)
+        assert contains_copy(host.adj, pattern) == bool(maps)
+        # A color's copies are the copies in its adjacency masks.
+        red = [e for e in host.edges if paint.random() < 0.5]
+        c = EdgeColoring(host, red, host.edge_set().difference(red))
+        for color, edges in ((RED, c.red), (BLUE, c.blue)):
+            want = injection_embeds_colored(host, pattern, edges)
+            assert contains_copy(c.adjacency(color), pattern) == want
+        blue = c.adjacency(BLUE)
+        for k in range(5):
+            assert list(cliques_of_size(blue, k)) == _brute_cliques(blue, k), (host.edges, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,7 +122,7 @@ def test_oracle_equivalence_hypothesis(data):
     pn = data.draw(st.integers(1, min(5, n)))
     ppool = list(itertools.combinations(range(pn), 2))
     pattern = Graph(pn, data.draw(st.sets(st.sampled_from(ppool), max_size=6)) if ppool else set())
-    assert (contains_copy(host, pattern) is not None) == injection_embeds(host, pattern)
+    assert contains_copy(host.adj, pattern) == injection_embeds(host, pattern)
 
 
 def test_monotonicity_under_host_growth():
@@ -100,11 +130,11 @@ def test_monotonicity_under_host_growth():
     for _ in range(100):
         host = random_graph(rng, n_range=(3, 8), max_edges=10)
         pattern = random_graph(rng, n_range=(2, 4), max_edges=4)
-        if contains_copy(host, pattern) is None:
+        if not contains_copy(host.adj, pattern):
             continue
         missing = [e for e in itertools.combinations(range(host.n), 2) if e not in host.edge_set()]
         bigger = Graph(host.n, [*host.edges, *rng.sample(missing, min(2, len(missing)))])
-        assert contains_copy(bigger, pattern) is not None
+        assert contains_copy(bigger.adj, pattern)
 
 
 HOST6 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)])
@@ -148,24 +178,24 @@ CATERPILLAR_ORDER = [
 def test_embedding_order_is_pinned(petersen):
     cases = PINNED_ORDERS + [(petersen, CATERPILLAR, {3: 0}, CATERPILLAR_ORDER)]
     for host, pattern, pins, maps in cases:
-        assert [e.map for e in embeddings(host, pattern, pins)] == maps
+        assert _maps(host, pattern, pins) == maps
         # A distinct but equal pattern value walks the same search.
         rebuilt = Graph(pattern.n, list(pattern.edges))
         assert rebuilt is not pattern
-        assert [e.map for e in embeddings(host, rebuilt, pins)] == maps
+        assert _maps(host, rebuilt, pins) == maps
 
 
 def test_embeddings_enumeration_counts():
     # labeled triangles in K_4: 4 triangles, 6 automorphic images each
-    assert sum(1 for _ in embeddings(clique(4), clique(3))) == 24
-    assert len(copies_as_edge_sets(clique(4), clique(3))) == 4
-    assert len(copies_as_edge_sets(clique(5), path(3))) == 30
+    assert len(_maps(clique(4), clique(3))) == 24
+    assert len(copies_as_edge_sets(clique(4).adj, clique(3))) == 4
+    assert len(copies_as_edge_sets(clique(5).adj, path(3))) == 30
 
 
 def assert_copies_are(host, pattern, edge_sets):
     """copies_as_edge_sets lists exactly `edge_sets`, once each, as masks over
     host.edges, ordered by lowest set bit."""
-    copies = copies_as_edge_sets(host, pattern)
+    copies = copies_as_edge_sets(host.adj, pattern)
     index = {e: i for i, e in enumerate(host.edges)}
     expected = {sum(1 << index[e] for e in s) for s in edge_sets}
     assert len(expected) == len(set(edge_sets))
@@ -183,7 +213,8 @@ def test_clique_copies_match_embedding_images():
         host = random_graph(rng, n_range=(1, 12), max_edges=40)
         for k in range(7):
             pattern = clique(k) if k else Graph(0)
-            images = {emb.edge_image() for emb in embeddings(host, pattern)}
+            maps = _maps(host, pattern)
+            images = {frozenset(edge(m[u], m[v]) for u, v in pattern.edges) for m in maps}
             assert_copies_are(host, pattern, images)
     # In K_n every k-subset is a copy; checking that is cheaper than listing
     # the n!/(n-k)! embeddings (665,280 for K6 in K12).
@@ -198,7 +229,7 @@ def test_p5_copies_in_k11_at_scale():
     # The engine's largest decide-refute host: every P5 of K11 once, each mask
     # decoding through host.edges to the edges of one path a-b-c-d-e.
     host = clique(11)
-    copies = copies_as_edge_sets(host, path(5))
+    copies = copies_as_edge_sets(host.adj, path(5))
     assert len(copies) == len(set(copies)) == 27_720
     assert all(c.bit_count() == 4 for c in copies)
     decoded = {frozenset(host.edges[i] for i in bits(c)) for c in copies}
@@ -272,7 +303,7 @@ def test_walk_visits_one_image_per_copy():
     for _ in range(30):
         host = random_graph(rng, n_range=(4, 9), max_edges=20)
         for pattern in patterns:
-            automorphisms = sum(1 for _ in embeddings(pattern, pattern))
+            automorphisms = len(_maps(pattern, pattern))
             survivors = _walk_count(host, pattern, _orbit_breaks(pattern))
             assert survivors * automorphisms == _walk_count(host, pattern, ())
 
@@ -288,19 +319,19 @@ def test_orbit_breaks_leave_plan_cache_alone():
 
 
 def test_clique_number_examples_and_oracle():
-    assert clique_number(clique(5)) == 5
-    assert clique_number(cycle(5)) == 2
-    assert clique_number(clique_with_pendants(6, 2, 3)) == 6
-    assert clique_number(Graph(0)) == 0
-    assert clique_number(Graph(3)) == 1
+    assert clique_number(clique(5).adj) == 5
+    assert clique_number(cycle(5).adj) == 2
+    assert clique_number(clique_with_pendants(6, 2, 3).adj) == 6
+    assert clique_number(Graph(0).adj) == 0
+    assert clique_number(Graph(3).adj) == 1
     # Existence stops at the first clique, so a large clique is quick.
     start = time.perf_counter()
-    assert clique_number(clique(24)) == 24
+    assert clique_number(clique(24).adj) == 24
     assert time.perf_counter() - start < 2.0
     rng = random.Random(7)
     for _ in range(150):
         g = random_graph(rng, n_range=(1, 12), max_edges=30)
-        assert clique_number(g) == brute_clique_number(g)
+        assert clique_number(g.adj) == brute_clique_number(g)
 
 
 def test_clique_number_cuts_branches_too_narrow_to_finish():
@@ -308,15 +339,15 @@ def test_clique_number_cuts_branches_too_narrow_to_finish():
     # search for a 15-clique extends every partial clique as far as it goes (~5 s).
     g = Graph(28, [(u, v) for u, v in itertools.combinations(range(28), 2) if v != u + 14])
     start = time.perf_counter()
-    assert clique_number(g) == 14
+    assert clique_number(g.adj) == 14
     assert time.perf_counter() - start < 1.0
 
 
 def test_cliques_of_size():
-    assert len(list(cliques_of_size(clique(5), 3))) == 10
-    assert list(cliques_of_size(cycle(5), 3)) == []
-    assert list(cliques_of_size(clique(3), 0)) == [()]
-    assert list(cliques_of_size(Graph(4), 1)) == [(0,), (1,), (2,), (3,)]
+    assert len(list(cliques_of_size(clique(5).adj, 3))) == 10
+    assert list(cliques_of_size(cycle(5).adj, 3)) == []
+    assert list(cliques_of_size(clique(3).adj, 0)) == [()]
+    assert list(cliques_of_size(Graph(4).adj, 1)) == [(0,), (1,), (2,), (3,)]
 
 
 def test_cliques_of_size_matches_subset_oracle():
@@ -325,15 +356,10 @@ def test_cliques_of_size_matches_subset_oracle():
     hosts += [clique(n) for n in range(1, 11)]
     for g in hosts:
         for k in range(7):
-            want = [
-                s
-                for s in itertools.combinations(range(g.n), k)
-                if all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
-            ]
-            assert list(cliques_of_size(g, k)) == want, (g, k)
-    assert list(cliques_of_size(clique(3), 5)) == []
+            assert list(cliques_of_size(g.adj, k)) == _brute_cliques(g.adj, k), (g, k)
+    assert list(cliques_of_size(clique(3).adj, 5)) == []
     with pytest.raises(ValueError):
-        cliques_of_size(clique(3), -1)
+        cliques_of_size(clique(3).adj, -1)
 
 
 def test_clique_plan_is_the_general_rule_on_k_k():

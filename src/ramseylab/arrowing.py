@@ -476,7 +476,8 @@ def minimal_ramsey_check(f: Graph, g: Graph, h: Graph, budget: int = DEFAULT_BUD
     """True iff f arrows (g, h) and no single-edge or single-vertex deletion does.
 
     Every proper subgraph sits inside some f-e or f-v, so by monotonicity the
-    two deletion families are enough.
+    two deletion families are enough.  For an edge e at v, f-v sits inside
+    f-e, so only isolated vertices are deleted.
     """
     return _minimal_ramsey_check(f, g, h, budget)[0]
 
@@ -494,7 +495,7 @@ def _minimal_ramsey_check(f: Graph, g: Graph, h: Graph, budget: int) -> tuple[bo
     if not arrows_pair(f):
         return False, nodes
     minimal = not any(arrows_pair(f.without_edge(e)) for e in f.edges) and not any(
-        arrows_pair(f.without_vertex(v)) for v in range(f.n)
+        arrows_pair(f.without_vertex(v)) for v in range(f.n) if not f.adj[v]
     )
     return minimal, nodes
 

@@ -127,8 +127,7 @@ def _cmd_construct(args, seed, t0) -> int:
     elif kind == "clique-pendants":
         graph = families.clique_with_pendants(args.t, args.a, args.b)
     elif kind == "caterpillar":
-        mid = args.mid if args.mid is not None else 0
-        graph = families.suitable_caterpillar(args.s, mid)
+        graph = families.suitable_caterpillar(args.s, args.mid)
     elif kind == "uniform-tree":
         gadget = families.uniform_tree(args.k, args.i)
         graph, extra = gadget.graph, {"root": gadget.root}
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p = csub.add_parser("caterpillar")
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--mid", type=int, default=None)
+    p.add_argument("--mid", type=int, default=0)
     _add_output_args(p)
     p = csub.add_parser("uniform-tree")
     p.add_argument("--k", type=int, required=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .factors import BelckCertificate
 from .graphs import Edge, EdgeColoring, Graph, edge
 from .subgraph import cliques_of_size
-from .trees import longest_path_neighbors, tree_classify
+from .trees import tree_classify
 
 # -- domain types -----------------------------------------------------------
 
@@ -50,16 +50,11 @@ class ConstructionTrace:
 
     params: tuple[int, int, int, int]  # (p, q, r, t)
     g_stage: Graph
-    blocks: dict[tuple[int, int], tuple[int, ...]]
-    g_q_factor: tuple[Edge, ...]
     m_g: tuple[Edge, ...]
     m_q: tuple[Edge, ...]
     h_stage: Graph
-    h_q_factor: tuple[Edge, ...]
     u_vertex: int
     hub: tuple[int, ...]
-    u_sets: tuple[tuple[int, ...], ...]
-    h_copies: tuple[tuple[int, ...], ...]  # copy index -> F-labels of H's vertices
     q_factor: tuple[Edge, ...]
 
 
@@ -313,8 +308,7 @@ def diameter_distinguisher(
             raise ValueError("the even-diameter construction needs GammaPrime")
         if next(cliques_of_size(GammaPrime.adj, t), None) is not None:
             raise ValueError("GammaPrime must not contain K_t")
-        _, on_path = longest_path_neighbors(T)
-        a = len(on_path) - 1
+        a = len(profile.on_path) - 1
         cg = c_gadget(GammaPrime)
         lam_outer = lambda_gadget(T, Gamma, r - 1)
         lam_inner = lambda_gadget(T, Gamma, r - 2)
@@ -359,14 +353,12 @@ def factor_extremal_graph(p: int, q: int, r: int):
         # i in 1..s, j in 1..cols; columns are laid out consecutively.
         return ((j - 1) * s + (i - 1)) * bsize
 
-    blocks: dict[tuple[int, int], tuple[int, ...]] = {}
     g_edges: list[Edge] = []
     gq_edges: list[Edge] = []
     for j in range(1, cols + 1):
         for i in range(1, s + 1):
             base = block_base(i, j)
-            blocks[(i, j)] = tuple(range(base, base + bsize))
-            block_clique = list(itertools.combinations(blocks[(i, j)], 2))
+            block_clique = list(itertools.combinations(range(base, base + bsize), 2))
             g_edges.extend(block_clique)
             gq_edges.extend(block_clique)
         for i1, i2 in itertools.combinations(range(1, s + 1), 2):
@@ -407,17 +399,13 @@ def factor_extremal_graph(p: int, q: int, r: int):
     hub = tuple(range(t))
     f_edges: list[Edge] = list(itertools.combinations(hub, 2)) if hub_is_clique else []
     qf_edges: list[Edge] = []
-    h_copies = []
     u_images = []
     for c in range(copies):
         offset = t + c * h_n
-        h_copies.append(tuple(range(offset, offset + h_n)))
         f_edges.extend((a + offset, b + offset) for a, b in h_edges)
         qf_edges.extend((a + offset, b + offset) for a, b in hq_edges)
         u_images.append(u + offset)
-    u_sets = tuple(
-        tuple(u_images[j * q : (j + 1) * q]) for j in range(t)
-    )
+    u_sets = [u_images[j * q : (j + 1) * q] for j in range(t)]
     for j in range(t):
         f_edges.extend((j, x) for x in u_sets[j])
         qf_edges.extend((j, x) for x in u_sets[j])
@@ -431,16 +419,11 @@ def factor_extremal_graph(p: int, q: int, r: int):
     trace = ConstructionTrace(
         params=(p, q, r, t),
         g_stage=g_stage,
-        blocks=blocks,
-        g_q_factor=tuple(sorted(tuple(sorted(e)) for e in gq_edges)),
         m_g=tuple(sorted(m_g_set)),
         m_q=tuple(sorted(m_q_set)),
         h_stage=h_stage,
-        h_q_factor=tuple(sorted(tuple(sorted(e)) for e in hq_edges)),
         u_vertex=u,
         hub=hub,
-        u_sets=u_sets,
-        h_copies=tuple(h_copies),
         q_factor=tuple(sorted(tuple(sorted(e)) for e in qf_edges)),
     )
     return f, trace, certificate

@@ -21,6 +21,9 @@ from .errors import InvariantViolationError
 from .families import clique, clique_with_pendants, star
 from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, edge
 from .subgraph import cliques_of_size, contains_copy, copies_as_edge_sets
+from .trees import tree_classify
+
+_NOT_WOVEN = "T is neither a star with >= 2 edges nor a suitable caterpillar"
 
 # -- domain types -------------------------------------------------------------
 
@@ -69,9 +72,6 @@ class RecolorTrace:
     family_B: tuple[tuple[int, ...], ...]
     matching_M: tuple[Edge, ...]
     Y_sets: tuple[frozenset[Edge], ...]
-    phi1: EdgeColoring
-    phi2: EdgeColoring
-    phi3: EdgeColoring
 
 
 # -- alternating-walk recoloring ----------------------------------------------
@@ -198,25 +198,6 @@ def star_clique_recolor(f: Graph, c: EdgeColoring, s: int, t: int) -> EdgeColori
 # -- woven certificates --------------------------------------------------------
 
 
-def _classify_woven_tree(T: Graph) -> tuple[str, int, int]:
-    """Recognize a star (>= 2 edges) or s-suitable caterpillar; return (kind, s, k)."""
-    if not T.is_tree():
-        raise ValueError("woven certificates exist for trees only")
-    degrees = [T.degree(v) for v in range(T.n)]
-    internal = [v for v in range(T.n) if degrees[v] >= 2]
-    if len(internal) == 1 and T.m >= 2:
-        return "star", T.m, 1
-    if len(internal) == 3:
-        b = next((v for v in internal if sum(1 for w in T.neighbors(v) if w in internal) == 2), None)
-        ends = [v for v in internal if v != b]
-        if b is not None and all(T.has_edge(b, v) for v in ends):
-            sa, sc = degrees[ends[0]] - 1, degrees[ends[1]] - 1
-            s_mid = degrees[b] - 2
-            if sa == sc and 0 <= s_mid <= sa - 1:
-                return "caterpillar", sa, 2 * (sa + 1) ** 2
-    raise ValueError("T is neither a star with >= 2 edges nor a suitable caterpillar")
-
-
 def _leaf_embeds_at(f: Graph, T: Graph, target: int) -> bool:
     """Is there a copy of T in f mapping some leaf of T onto `target`?"""
     leaves = [v for v in range(T.n) if T.degree(v) == 1]
@@ -233,7 +214,10 @@ def yuv_certificate(f: Graph, uv: Edge, T: Graph) -> WovenCertificate:
     hitting property and the per-endpoint bounds are verified before
     returning.
     """
-    kind, s, k = _classify_woven_tree(T)
+    woven = tree_classify(T).woven
+    if woven is None:
+        raise ValueError(_NOT_WOVEN)
+    kind, s, k = woven
     uv = edge(*uv)
     if uv not in f.edge_set():
         raise ValueError(f"{uv} is not an edge of the host")
@@ -305,7 +289,10 @@ def woven_recolor(
         raise ValueError("need a >= 1 and b >= 2")
     if phi1.host != f:
         raise ValueError("coloring does not belong to f")
-    _, _, k = _classify_woven_tree(G)
+    woven = tree_classify(G).woven
+    if woven is None:
+        raise ValueError(_NOT_WOVEN)
+    k = woven[2]
     r = (b - 2) * (G.n - 1) + 1
     threshold = 4 * k + 2 * (r + (a - 1) * (b - 1)) + (a - 1)
     if t < threshold:
@@ -396,8 +383,5 @@ def woven_recolor(
         family_B=tuple(family),
         matching_M=tuple(matching),
         Y_sets=tuple(y_sets),
-        phi1=phi1,
-        phi2=phi2,
-        phi3=phi3,
     )
     return phi3, trace

@@ -1,14 +1,16 @@
-"""Tree diameter/center analysis and the two tree classes.
+"""One linear profile of a tree: diameter, center, gadget classes, woven shape.
 
-The two classes of trees gate the non-equivalence gadgets: membership is
-decided purely from the diameter, the central vertex, and the degrees of its
-neighbors on longest paths.  Trees of diameter below three are in neither
-class.
+The paper's trees fall into two camps.  The classes T and T' gate the
+non-equivalence gadgets; membership is decided from the diameter, the central
+vertex, and the degrees of its neighbors on longest paths.  Trees of diameter
+below three are in neither class.  The woven trees (stars with at least two
+edges and the suitable caterpillars) are the ones the recolorings prove
+equivalent.  Both verdicts are read off one pass of three breadth-first
+searches.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -21,85 +23,73 @@ class TreeProfile:
     in_T: bool
     in_Tprime: bool
     max_degree: int
+    on_path: tuple[int, ...]  # the center's neighbors whose branch reaches the radius
+    woven: tuple[str, int, int] | None  # (kind, s, k) for a star or suitable caterpillar
 
 
-def _require_tree(t: Graph) -> None:
-    if not t.is_tree():
-        raise ValueError(f"expected a tree, got n={t.n}, m={t.m}, connected={t.is_connected()}")
-
-
-def _bfs_dist(g: Graph, src: int) -> list[int]:
-    dist = [-1] * g.n
+def _bfs(t: Graph, src: int) -> tuple[list[int], list[int], list[int]]:
+    """Vertices in BFS order from src, their distances, and their BFS parents."""
+    order = [src]
+    dist = [-1] * t.n
+    parent = [src] * t.n
     dist[src] = 0
-    q = deque([src])
-    while q:
-        v = q.popleft()
-        for w in g.neighbors(v):
+    for v in order:  # the list grows behind the loop: it is the queue
+        for w in t.neighbors(v):
             if dist[w] == -1:
                 dist[w] = dist[v] + 1
-                q.append(w)
-    return dist
-
-
-def tree_diameter_and_center(t: Graph) -> tuple[int, int | None]:
-    """Diameter of a tree and, for even diameter, its unique central vertex."""
-    _require_tree(t)
-    if t.n == 1:
-        return 0, 0
-    ecc = [max(_bfs_dist(t, v)) for v in range(t.n)]
-    diam = max(ecc)
-    if diam % 2 == 1:
-        return diam, None
-    centers = [v for v in range(t.n) if ecc[v] == diam // 2]
-    # Even-diameter trees have exactly one vertex of minimum eccentricity.
-    assert len(centers) == 1, centers
-    return diam, centers[0]
-
-
-def branch_depth(t: Graph, center: int, y: int) -> int:
-    """Depth of the branch hanging from `center` through its neighbor `y`.
-
-    Measured as the maximum distance from `center` to a vertex whose path to
-    `center` starts with the edge center-y.
-    """
-    dist = _bfs_dist(t, center)
-    comp = next(c for c in t.components(excluded=[center]) if y in c)
-    return max(dist[v] for v in comp)
-
-
-def longest_path_neighbors(t: Graph) -> tuple[int, list[int]]:
-    """For an even-diameter tree: the center and its neighbors on longest paths.
-
-    A neighbor lies on a longest path exactly when its branch reaches the full
-    radius.
-    """
-    diam, center = tree_diameter_and_center(t)
-    if center is None:
-        raise ValueError("tree has odd diameter; no unique central vertex")
-    r = diam // 2
-    on_path = [y for y in t.neighbors(center) if branch_depth(t, center, y) == r]
-    return center, on_path
+                parent[w] = v
+                order.append(w)
+    return order, dist, parent
 
 
 def tree_classify(t: Graph) -> TreeProfile:
-    """Classify a tree against both gadget-gating classes.
+    """Profile a tree against the gadget classes and the woven family.
 
-    Odd diameter at least three puts a tree in both classes.  For even
+    A double-sweep BFS finds a longest path, whose middle is the center; one
+    BFS from an even-diameter tree's center finds the neighbors on longest
+    paths.  Odd diameter at least three puts a tree in both classes.  For even
     diameter the first class demands every neighbor of the central vertex have
-    degree at most two, the second only that at most one longest-path neighbor
-    have degree three or more; both demand central degree at least three when
-    the diameter is exactly four.
+    degree at most two, the second only that at most one longest-path
+    neighbor have degree three or more; both demand central degree at least
+    three when the diameter is exactly four.  A tree is woven as a star
+    ("star", m, 1) at diameter two, or as an s-suitable caterpillar
+    ("caterpillar", s, 2(s+1)^2) at diameter four when exactly two neighbors
+    of the center lie on longest paths, both of degree s+1, and the center
+    has at most s-1 leaves.
     """
-    _require_tree(t)
-    diam, center = tree_diameter_and_center(t)
-    max_deg = max((t.degree(v) for v in range(t.n)), default=0)
-    if diam < 3:
-        return TreeProfile(diam, center, False, False, max_deg)
+    if not t.is_tree():
+        raise ValueError(f"expected a tree, got n={t.n}, m={t.m}, connected={t.is_connected()}")
+    degree = [t.degree(v) for v in range(t.n)]
+    max_deg = max(degree)
+    order, _, _ = _bfs(t, 0)
+    order, dist, parent = _bfs(t, order[-1])
+    diam = dist[order[-1]]
     if diam % 2 == 1:
-        return TreeProfile(diam, None, True, True, max_deg)
-    neighbors = list(t.neighbors(center))
-    diam4_ok = diam != 4 or t.degree(center) >= 3
-    in_t = diam4_ok and all(t.degree(y) <= 2 for y in neighbors)
-    _, on_path = longest_path_neighbors(t)
-    in_tprime = diam4_ok and sum(1 for y in on_path if t.degree(y) >= 3) <= 1
-    return TreeProfile(diam, center, in_t, in_tprime, max_deg)
+        in_classes = diam >= 3
+        return TreeProfile(diam, None, in_classes, in_classes, max_deg, (), None)
+    center = order[-1]
+    for _ in range(diam // 2):
+        center = parent[center]
+
+    order, dist, parent = _bfs(t, center)
+    branch = list(range(t.n))  # the center's neighbor each vertex hangs from
+    reaches = set()
+    for v in order[1:]:
+        if parent[v] != center:
+            branch[v] = branch[parent[v]]
+        if dist[v] == diam // 2:
+            reaches.add(branch[v])
+    on_path = tuple(y for y in t.neighbors(center) if y in reaches)
+    if diam < 3:
+        woven = ("star", t.m, 1) if diam == 2 else None
+        return TreeProfile(diam, center, False, False, max_deg, on_path, woven)
+
+    woven = None
+    if diam == 4 and len(on_path) == 2:
+        s = degree[on_path[0]] - 1
+        if degree[on_path[1]] == s + 1 and degree[center] - 2 <= s - 1:
+            woven = ("caterpillar", s, 2 * (s + 1) ** 2)
+    diam4_ok = diam != 4 or degree[center] >= 3
+    in_t = diam4_ok and all(degree[y] <= 2 for y in t.neighbors(center))
+    in_tprime = diam4_ok and sum(1 for y in on_path if degree[y] >= 3) <= 1
+    return TreeProfile(diam, center, in_t, in_tprime, max_deg, on_path, woven)

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from ramseylab.graphs import RED, Graph
+from ramseylab.trees import TreeProfile
 
 
 def injection_embeds(host: Graph, pattern: Graph) -> bool:
@@ -114,3 +115,57 @@ def brute_pinned_arrows(host: Graph, g: Graph, h: Graph, pinned: dict) -> bool:
         if not any(c & red == c for c in g_copies) and not any(c & red == 0 for c in h_copies):
             return False
     return True
+
+
+def brute_tree_profile(t: Graph) -> TreeProfile:
+    """A tree's profile from the definitions, one vertex at a time.
+
+    The diameter and center come from the eccentricity of every vertex, the
+    longest-path neighbors from the depth of each branch at the center, and
+    the woven shape from the internal vertices: one of them and at least two
+    edges is a star; three, a-b-c, with deg a = deg c = s+1 and
+    deg b - 2 <= s-1 is an s-suitable caterpillar.
+    """
+
+    def distances(src: int, removed: int | None = None) -> dict[int, int]:
+        dist = {src: 0}
+        frontier = [src]
+        while frontier:
+            reached = []
+            for v in frontier:
+                for w in t.neighbors(v):
+                    if w != removed and w not in dist:
+                        dist[w] = dist[v] + 1
+                        reached.append(w)
+            frontier = reached
+        return dist
+
+    ecc = [max(distances(v).values()) for v in range(t.n)]
+    diam = max(ecc)
+    centers = [v for v in range(t.n) if ecc[v] == min(ecc)]
+    center = None
+    on_path: tuple[int, ...] = ()
+    if diam % 2 == 0:
+        (center,) = centers
+        on_path = tuple(
+            y for y in t.neighbors(center)
+            if 1 + max(distances(y, removed=center).values()) == diam // 2
+        )
+    degree = [t.degree(v) for v in range(t.n)]
+
+    in_t = in_tprime = diam >= 3 and diam % 2 == 1
+    if diam >= 4 and diam % 2 == 0 and (diam != 4 or degree[center] >= 3):
+        in_t = all(degree[y] <= 2 for y in t.neighbors(center))
+        in_tprime = sum(1 for y in on_path if degree[y] >= 3) <= 1
+
+    internal = [v for v in range(t.n) if degree[v] >= 2]
+    woven = None
+    if len(internal) == 1 and t.m >= 2:
+        woven = ("star", t.m, 1)
+    elif len(internal) == 3:
+        for b in internal:
+            a, c = (v for v in internal if v != b)
+            s = degree[a] - 1
+            if t.has_edge(a, b) and t.has_edge(b, c) and degree[c] == s + 1 and degree[b] - 2 <= s - 1:
+                woven = ("caterpillar", s, 2 * (s + 1) ** 2)
+    return TreeProfile(diam, center, in_t, in_tprime, max(degree), on_path, woven)

@@ -477,6 +477,25 @@ def test_minimal_ramsey_spec_examples():
     ]
     assert verdict == (not any(edge_deletions) and not any(vertex_deletions))
     assert verdict is False  # K_5 minus an edge still forces a blue triangle
+    # Isolated vertices are the only vertex deletions not covered by an edge
+    # deletion: K2+K1 needs its third vertex.
+    k2_k1 = Graph(3, [(0, 1)])
+    assert minimal_ramsey_check(k2_k1, k2_k1, k2_k1)
+    assert not minimal_ramsey_check(Graph(4, [(0, 1)]), k2_k1, k2_k1)
+
+
+def test_minimal_ramsey_deletes_only_isolated_vertices(monkeypatch):
+    calls = []
+
+    def counting(host, g, h, budget=DEFAULT_BUDGET):
+        calls.append(host)
+        return arrows(host, g, h, budget)
+
+    monkeypatch.setattr(ramseylab.arrowing, "arrows", counting)
+    assert minimal_ramsey_check(star(3), star(1), star(3))
+    # f itself and its three edge deletions; f-v for a non-isolated v sits
+    # inside f-e for an edge e at v.
+    assert len(calls) == 4 and all(host.n == 4 for host in calls)
 
 
 def test_equivalence_scan_symbolic_filters():

@@ -1,13 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from ramseylab.enumeration import trees_up_to_vertices
 from ramseylab.families import cycle, path, star, suitable_caterpillar
 from ramseylab.graphs import Graph
-from ramseylab.trees import (
-    longest_path_neighbors,
-    tree_classify,
-    tree_diameter_and_center,
-)
+from ramseylab.trees import tree_classify
+
+from oracles import brute_tree_profile
 
 SPIDER_3x2 = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
 
@@ -60,6 +60,10 @@ def test_suitable_caterpillars_are_classified():
     profile = tree_classify(cat)
     assert profile.diameter == 4 and profile.central_vertex == 1
     assert not profile.in_Tprime  # two longest-path neighbors of degree 3
+    assert profile.woven == ("caterpillar", 2, 18)
+    # Beyond the exhaustive check's 10 vertices.
+    assert tree_classify(suitable_caterpillar(3, 2)).woven == ("caterpillar", 3, 32)
+    assert tree_classify(star(12)).woven == ("star", 12, 1)
 
 
 def test_non_tree_rejected():
@@ -70,14 +74,52 @@ def test_non_tree_rejected():
 
 
 def test_diameter_and_center_ground_truth():
-    assert tree_diameter_and_center(Graph(1)) == (0, 0)
-    assert tree_diameter_and_center(path(2)) == (1, None)
-    assert tree_diameter_and_center(star(4)) == (2, 0)
-    assert tree_diameter_and_center(path(7)) == (6, 3)
+    def diameter_and_center(t):
+        profile = tree_classify(t)
+        return profile.diameter, profile.central_vertex
+
+    assert diameter_and_center(Graph(1)) == (0, 0)
+    assert diameter_and_center(path(2)) == (1, None)
+    assert diameter_and_center(star(4)) == (2, 0)
+    assert diameter_and_center(path(7)) == (6, 3)
 
 
 def test_longest_path_neighbors():
-    center, on_path = longest_path_neighbors(SPIDER_3x2)
-    assert center == 0 and sorted(on_path) == [1, 3, 5]
-    center, on_path = longest_path_neighbors(path(5))
-    assert center == 2 and sorted(on_path) == [1, 3]
+    profile = tree_classify(SPIDER_3x2)
+    assert profile.central_vertex == 0 and sorted(profile.on_path) == [1, 3, 5]
+    profile = tree_classify(path(5))
+    assert profile.central_vertex == 2 and sorted(profile.on_path) == [1, 3]
+
+
+def test_profile_matches_the_definitions_up_to_10():
+    camps = Counter()
+    for t in trees_up_to_vertices(10):
+        profile = tree_classify(t)
+        assert profile == brute_tree_profile(t), t.edges
+        # The two camps are disjoint: no woven tree is in T'.
+        assert not (profile.woven and profile.in_Tprime), t.edges
+        camps[profile.in_T, profile.in_Tprime, profile.woven and profile.woven[0]] += 1
+    assert camps == {
+        (True, True, None): 123,
+        (False, True, None): 40,
+        (False, False, None): 25,
+        (False, False, "star"): 8,
+        (False, False, "caterpillar"): 5,
+    }
+
+
+def test_profile_visits_each_vertex_a_bounded_number_of_times(monkeypatch):
+    # Three breadth-first searches list each vertex's neighbors once apiece;
+    # a search from every vertex would list them n times.
+    listed = Counter()
+    neighbors = Graph.neighbors
+
+    def counting(self, v):
+        listed[v] += 1
+        return neighbors(self, v)
+
+    monkeypatch.setattr(Graph, "neighbors", counting)
+    profile = tree_classify(path(401))
+    assert profile.diameter == 400 and profile.central_vertex == 200
+    assert profile.on_path == (199, 201)
+    assert max(listed.values()) <= 5

@@ -21,7 +21,9 @@ inside the exhaustive decider, so the CLI starts without it.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import BudgetExhaustedError, CapExceededError, InvariantViolationError
@@ -35,6 +37,7 @@ DEFAULT_BUDGET = 50_000_000
 
 _RED_BIT = 0  # internal encoding: 0 = red, 1 = blue
 _BLUE_BIT = 1
+_CHUNK = 256  # copies per chunk that `_ArrowEngine` transposes; a multiple of 8, so byte-aligned
 
 
 def coloring_is_free(f: Graph, c: EdgeColoring, g: Graph, h: Graph) -> bool:
@@ -113,15 +116,26 @@ class _ArrowEngine:
                 # An edgeless copy is monochromatic under every coloring.
                 self.trivial_arrows = True
                 return
-            # Bit i of rows[e] is copy i, little-endian, read as an int below.
-            rows = [bytearray((len(copies) + 7) >> 3) for _ in range(m)]
-            for i, mask in enumerate(copies):
-                byte, bit = i >> 3, 1 << (i & 7)
-                rest = mask
-                while rest:
-                    j = rest.bit_length() - 1
-                    rest ^= 1 << j
-                    rows[j][byte] |= bit
+            # Bit i of rows[j] is copy i, little-endian, read as an int below.
+            # A chunk of copies spans edges low..low+width-1.  Written last
+            # first as width-digit binary strings of mask >> low, it holds
+            # edge j of each copy at every width-th digit from digit
+            # low+width-1-j.  Only the edges the chunk uses are read; a row
+            # that missed the chunks before is padded first, and its missing
+            # tail reads as 0.
+            rows = [bytearray() for _ in range(m)]
+            for at in range(0, len(copies), _CHUNK):
+                chunk = copies[at : at + _CHUNK]
+                union = functools.reduce(operator.or_, chunk)
+                low = (union & -union).bit_length() - 1
+                width = union.bit_length() - low
+                spec = f"0{width}b"
+                digits = "".join([format(mask >> low, spec) for mask in reversed(chunk)])
+                size = (len(chunk) + 7) >> 3
+                for j in bits(union):
+                    row = rows[j]
+                    row += bytes((at >> 3) - len(row))
+                    row += int(digits[low + width - 1 - j :: width], 2).to_bytes(size, "little")
             k = copies[0].bit_count() if copies else 0
             if k == 1:
                 units += [(mask.bit_length() - 1, 1 - bad) for mask in copies]

@@ -16,7 +16,17 @@ edge's.  The rule loses no class.  Every graph H of the next level has such
 a least piece; deleting it (for an edge, together with any end it leaves
 isolated) gives a graph isomorphic to some representative R of the current
 level, and the matching augmentation of R is a copy of H whose new piece is
-still least, so it is offered.  The store removes the duplicates that remain.
+still least, so it is offered.
+
+A new vertex is also offered only under the twin rule.  Twins are vertices
+u < w whose neighbourhoods agree apart from each other; swapping them is an
+automorphism of the parent.  A neighbourhood that holds w but not its
+nearest earlier twin u is mapped by that swap onto the one with u in place
+of w, of the same size and earlier in the offering order (twins share a
+degree, so both are forced or both free), whose child is isomorphic.  So
+the first child of each class is never skipped, and the store keeps the
+graphs, in the order, that it keeps without the rule.  A tree's new leaf
+obeys the same rule.  The store removes the duplicates that remain.
 
 Each graph that `graphs_up_to_vertices` lists on n > 1 vertices is a child
 of a representative one level down, and the new vertex is always the last,
@@ -136,7 +146,7 @@ class IsoClassStore:
         for i in range(0, len(bucket), 2):
             if _maps_onto(adj, classes, bucket[i].adj, bucket[i + 1]):
                 return False
-        g = Graph(len(adj), ((u, w) for u, a in enumerate(adj) for w in bits(a >> u + 1 << u + 1)))
+        g = Graph._from_masks(adj)
         bucket += (g, classes)
         self.graphs.append(g)
         return True
@@ -161,12 +171,27 @@ def _levels(
         yield level
 
 
+def _twin_pairs(adj: Sequence[int]) -> list[tuple[int, int]]:
+    """(1 << w, 1 << u) for each vertex w that has a twin below it, u the
+    nearest: u < w with the same neighbours apart from each other."""
+    pairs = []
+    for w in range(len(adj)):
+        for u in range(w - 1, -1, -1):
+            if adj[u] & ~(1 << w) == adj[w] & ~(1 << u):
+                pairs.append((1 << w, 1 << u))
+                break
+    return pairs
+
+
 def _new_vertex_children(g: Graph) -> Iterator[tuple]:
     """g plus a new vertex of minimum degree in the child, with each such neighborhood.
 
     A neighborhood of size k qualifies when every old vertex keeps degree k
     or more: those of degree k-1 must join it, those of degree k or more may.
+    One that holds a vertex but not its nearest earlier twin is skipped (the
+    twin rule, see the module docstring).
     """
+    twins = _twin_pairs(g.adj)
     rows = _rows(g.adj)
     deg = [row[0] for row in rows]
     low = min(deg, default=0)
@@ -176,7 +201,9 @@ def _new_vertex_children(g: Graph) -> Iterator[tuple]:
         if forced.bit_count() > k:
             continue
         for extra in itertools.combinations(free, k - forced.bit_count()):
-            yield _grow(g.adj, rows, forced + sum(extra))
+            new = forced + sum(extra)
+            if not any(new & w and not new & u for w, u in twins):
+                yield _grow(g.adj, rows, new)
 
 
 _K2 = Graph(2, [(0, 1)])
@@ -230,9 +257,12 @@ def graphs_by_edge_count(max_edges: int) -> dict[int, list[Graph]]:
 
 
 def _leaf_children(t: Graph) -> Iterator[tuple]:
+    """t plus a leaf at each vertex that has no earlier twin (the twin rule)."""
     rows = _rows(t.adj)
+    later = sum(w for w, _ in _twin_pairs(t.adj))
     for v in range(t.n):
-        yield _grow(t.adj, rows, 1 << v)
+        if not later >> v & 1:
+            yield _grow(t.adj, rows, 1 << v)
 
 
 def trees_up_to_vertices(n: int) -> list[Graph]:

@@ -7,7 +7,7 @@ intersections and degree counts are constant-time on word-sized instances.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 RED = "R"
 BLUE = "B"
@@ -49,6 +49,22 @@ class Graph:
         self.edges: tuple[Edge, ...] = tuple(canon)
         self.adj: tuple[int, ...] = tuple(adj)
         self._hash = hash((n, self.edges))
+
+    @classmethod
+    def _from_masks(cls, adj: Sequence[int]) -> Graph:
+        """The graph with adjacency masks `adj`, trusted to be symmetric and
+        loop-free: its edges are read off the masks in order, unchecked."""
+        edges = []
+        for u, a in enumerate(adj):
+            a >>= u + 1
+            while a:
+                low = a & -a
+                edges.append((u, u + low.bit_length()))
+                a ^= low
+        g = object.__new__(cls)
+        g.n, g.edges, g.adj = len(adj), tuple(edges), tuple(adj)
+        g._hash = hash((g.n, g.edges))
+        return g
 
     # -- basic queries ----------------------------------------------------
 

@@ -13,9 +13,11 @@ the plain plan, or one pinning the given vertices, and stops at the first
 map; `copy_through` walks one plan per vertex orbit, pinned.
 `copies_as_edge_sets` walks a plan that also carries the pattern's
 symmetry-breaking conditions, lower bounds on image labels that let through
-exactly one embedding of each copy, so it needs no dedupe; each image
-becomes one int, a mask over the host's edges in lexicographic order, with
-no edge tuples built.
+exactly one embedding of each copy, so it needs no dedupe.  Given the
+host's edge-index table, the walker builds each copy's mask over the host's
+edges (lexicographic order) as it goes: a step ORs in the edges to earlier
+steps, so copies that share a prefix share its edges, and no edge tuples
+are built.
 
 `cliques_of_size` answers the clique questions: the clique number and the
 "contains K_k" checks.  It is the walker on K_k, whose conditions are the
@@ -125,23 +127,34 @@ def _orbit_breaks(pattern: Graph) -> tuple[tuple[int, int], ...]:
     return tuple(breaks)
 
 
-def _walk(adj: tuple[int, ...], plan: _Plan, targets: tuple[int, ...]) -> Iterator[list[int]]:
+def _walk(
+    adj: tuple[int, ...],
+    plan: _Plan,
+    targets: tuple[int, ...],
+    index: list[dict[int, int]] | None = None,
+) -> Iterator:
     """Yield the image of every map of the plan's pattern into the host `adj`.
 
     The first len(targets) steps place pinned vertices, each on its target.
     Maps come in search order: each step tries its candidates in increasing
     label order.  The yielded list is indexed by pattern vertex and is
     overwritten as the search goes on, so a caller copies what it keeps.
+
+    Given the host's edge-index table (`index[a][b]` is edge ab's bit), each
+    map is yielded as the int mask of its image's edges instead.  A step ORs
+    the bits of its edges to earlier steps into the mask of the step before,
+    so maps that share a prefix share its edges.
     """
     verts, needs, backs, lows, rooms = plan
     n = len(verts)
     image = [-1] * n
     if n == 0:
-        yield image
+        yield image if index is None else 0
         return
     degrees = [a.bit_count() for a in adj]
     allowed = [1 << h for h in targets] + [(1 << len(adj)) - 1] * (n - len(targets))
     saved = [0] * n
+    masks = [0] * (n + 1)  # masks[i]: the edges that steps before i placed
     used = 0
     i = 0
     cand = allowed[0]
@@ -153,8 +166,13 @@ def _walk(adj: tuple[int, ...], plan: _Plan, targets: tuple[int, ...]) -> Iterat
             if degrees[h] < needs[i]:
                 continue
             image[verts[i]] = h
+            if index is not None:
+                mask, row = masks[i], index[h]
+                for w in backs[i]:
+                    mask |= 1 << row[image[w]]
+                masks[i + 1] = mask
             if i + 1 == n:
-                yield image
+                yield image if index is None else masks[n]
                 continue
             saved[i] = cand
             used |= low
@@ -215,8 +233,11 @@ def contains_copy(
 def copy_through(adj: tuple[int, ...], pattern: Graph, v: int) -> bool:
     """True iff some copy of `pattern` in the host with adjacency masks `adj`
     has v among its vertices (an isolated pattern vertex counts too)."""
+    # A plan whose pinned vertex has more neighbours than v fails at its first step.
     return len(adj) >= pattern.n and any(
-        next(_walk(adj, plan, (v,)), None) is not None for plan in _orbit_plans(pattern)
+        next(_walk(adj, plan, (v,)), None) is not None
+        for plan in _orbit_plans(pattern)
+        if plan.needs[0] <= adj[v].bit_count()
     )
 
 
@@ -242,13 +263,7 @@ def copies_as_edge_sets(adj: tuple[int, ...], pattern: Graph) -> list[int]:
         for b in bits(row >> a + 1 << a + 1):
             index[a][b] = index[b][a] = i
             i += 1
-    edges = pattern.edges
-    copies = []
-    for image in _walk(adj, _plan(pattern, (), _orbit_breaks(pattern)), ()):
-        mask = 0
-        for u, v in edges:
-            mask |= 1 << index[image[u]][image[v]]
-        copies.append(mask)
+    copies = list(_walk(adj, _plan(pattern, (), _orbit_breaks(pattern)), (), index))
     # The arrowing engine numbers its clauses in this order.  Its verdicts,
     # node counts and witnesses do not depend on the order, but its time
     # does, through the lengths of its ints.  On the decide benchmarks'

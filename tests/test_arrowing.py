@@ -8,6 +8,7 @@ import ramseylab.arrowing
 from ramseylab.arrowing import (
     DEFAULT_BUDGET,
     ArrowingVerdict,
+    _ArrowEngine,
     _block_coloring,
     _clique_arrows,
     _monotone_arrows,
@@ -851,3 +852,20 @@ def test_degenerate_pattern_corners():
     # Edgeless patterns embed wherever there is room, whatever the colors.
     assert arrows(Graph(3), Graph(2), K3).arrows
     assert not arrows(Graph(1), Graph(2), Graph(2)).arrows
+
+
+def test_engine_incidence_rows_transpose_the_copies():
+    # inc[side][e] has bit i set iff copy i of that side uses edge e: across
+    # chunk boundaries (K9 holds 504 copies of K1,3), on a sparse host where
+    # most edges miss most chunks, and with no copies at all.
+    for f, g, h, count in [
+        (clique(9), star(3), clique(3), 504),
+        (path(700), path(3), clique(3), 698),
+        (cycle(5), clique(3), path(4), 0),
+    ]:
+        engine = _ArrowEngine(f, g, h)
+        assert len(engine.copy_edges[0]) == count
+        for inc, copies in zip(engine.inc, engine.copy_edges):
+            assert len(inc) == f.m
+            for e, row in enumerate(inc):
+                assert row == sum(1 << i for i, mask in enumerate(copies) if mask >> e & 1), (f, e)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramseylab import subgraph
 from ramseylab.arrowing import _ArrowEngine
 from ramseylab.families import clique, clique_with_pendants, cycle, path, star
 from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph, bits, edge
@@ -259,12 +260,16 @@ def test_copies_match_brute_oracle():
 
 def test_copy_through_reaches_every_vertex_of_every_copy():
     # One walk per vertex orbit of the pattern: P3's middle and K3+K1's
-    # isolated vertex are orbits of their own.
+    # isolated vertex are orbits of their own.  A plan is skipped when its
+    # pinned vertex has more neighbours than v, so hosts with degree-0
+    # vertices and patterns with isolated ones matter here.
     rng = random.Random(31)
     patterns = [
         Graph(0),
         Graph(2),
         Graph(3, [(0, 1)]),
+        Graph(4, [(0, 1)]),
+        Graph(4, [(0, 1), (0, 2)]),
         path(3),
         star(3),
         cycle(4),
@@ -272,7 +277,7 @@ def test_copy_through_reaches_every_vertex_of_every_copy():
         clique_with_pendants(3, 1, 2),
         Graph(4, [(0, 1), (1, 2), (0, 2)]),
     ]
-    hosts = [Graph(2), Graph(3, [(0, 1)]), path(3), clique(4)]
+    hosts = [Graph(2), Graph(3, [(0, 1)]), path(3), clique(4), Graph(5, [(0, 1), (0, 2), (1, 2)])]
     hosts += [random_graph(rng, n_range=(2, 7), max_edges=14) for _ in range(30)]
     for host in hosts:
         for pattern in patterns:
@@ -366,3 +371,47 @@ def test_clique_plan_is_the_general_rule_on_k_k():
     # The closed-form chain is what orbit breaking derives for K_k.
     for k in range(1, 11):
         assert _clique_plan(k) == _compile(clique(k), (), _orbit_breaks(clique(k))), k
+
+
+def _edge_index(host: Graph) -> list[dict[int, int]]:
+    index: list[dict[int, int]] = [{} for _ in range(host.n)]
+    for i, (a, b) in enumerate(host.edges):
+        index[a][b] = index[b][a] = i
+    return index
+
+
+def test_walk_masks_match_images_assembled_edge_by_edge():
+    # Masks built step by step, against each yielded image's edges OR-ed in
+    # one by one, in the same order, with and without symmetry breaking.
+    rng = random.Random(47)
+    patterns = [
+        Graph(0),
+        Graph(2),
+        Graph(3, [(0, 1)]),
+        path(4),
+        star(3),
+        cycle(4),
+        clique(3),
+        Graph(5, [(0, 1), (1, 2), (0, 2)]),
+        CATERPILLAR,
+    ]
+    for _ in range(40):
+        host = random_graph(rng, n_range=(1, 9), max_edges=24)
+        index = _edge_index(host)
+        for pattern in patterns:
+            for breaks in ((), _orbit_breaks(pattern)):
+                plan = _plan(pattern, (), breaks)
+                assembled = [
+                    sum(1 << index[image[u]][image[v]] for u, v in pattern.edges)
+                    for image in _walk(host.adj, plan, ())
+                ]
+                assert list(_walk(host.adj, plan, (), index)) == assembled, (host.edges, pattern.edges)
+
+
+def test_copy_through_skips_plans_by_degree(monkeypatch):
+    # K1,3 has two orbits; a leaf of the host cannot take the centre, so only
+    # the leaf orbit's plan is walked.
+    walks = []
+    monkeypatch.setattr(subgraph, "_walk", lambda *args: walks.append(args) or iter([[0]]))
+    assert copy_through(star(3).adj, star(3), 1)
+    assert len(walks) == 1 and walks[0][1].needs[0] == 1

@@ -26,25 +26,15 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .errors import BudgetExhaustedError, CapExceededError, InvariantViolationError
-from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, edge
-from .subgraph import GraphTooLargeError, clique_number, contains_copy
+from .errors import DEFAULT_BUDGET, BudgetExhaustedError, CapExceededError, InvariantViolationError
+from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, clique, edge
+from .subgraph import GraphTooLargeError, clique_number, coloring_is_free, contains_copy
 from .subgraph import copies_as_edge_sets, copy_through
 from .enumeration import are_isomorphic, graphs_up_to_vertices
-from .families import clique
-
-DEFAULT_BUDGET = 50_000_000
 
 _RED_BIT = 0  # internal encoding: 0 = red, 1 = blue
 _BLUE_BIT = 1
 _CHUNK = 256  # copies per chunk that `_ArrowEngine` transposes; a multiple of 8, so byte-aligned
-
-
-def coloring_is_free(f: Graph, c: EdgeColoring, g: Graph, h: Graph) -> bool:
-    """True iff c has no red-restricted copy of g and no blue-restricted copy of h."""
-    if c.host != f:
-        raise ValueError("coloring domain mismatch: coloring does not belong to f")
-    return not contains_copy(c.adjacency(RED), g) and not contains_copy(c.adjacency(BLUE), h)
 
 
 @dataclass(frozen=True)

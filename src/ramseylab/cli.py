@@ -22,8 +22,8 @@ import json
 import sys
 import time
 
-from . import arrowing, factors, families, recolor
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExhaustedError,
     CapExceededError,
     InvariantViolationError,
@@ -87,7 +87,7 @@ def _coloring_payload(c: EdgeColoring, witness_out: str | None):
     return {"format": "file", "path": path}
 
 
-def _verdict_payload(v: arrowing.ArrowingVerdict, witness_out: str | None):
+def _verdict_payload(v, witness_out: str | None):
     payload = {"arrows": v.arrows, "method": v.method}
     if v.witness is not None:
         payload["witness"] = _coloring_payload(v.witness, witness_out)
@@ -108,6 +108,8 @@ def _emit(command: str, inputs: dict[str, str], verdict, nodes: int, t0: float, 
 
 
 # -- subcommand handlers -------------------------------------------------------
+# Each handler imports the module it calls, so a process loads only what its
+# command uses.
 
 
 def _parse_edge(text: str):
@@ -118,6 +120,8 @@ def _parse_edge(text: str):
 
 
 def _cmd_construct(args, seed, t0) -> int:
+    from . import families
+
     kind = args.kind
     inputs = {}
     coloring = None
@@ -173,6 +177,8 @@ def _cmd_construct(args, seed, t0) -> int:
 
 
 def _cmd_arrows(args, seed, t0) -> int:
+    from . import arrowing
+
     inputs = {}
     f = _load_graph(args.f, inputs)
     g = _load_graph(args.g, inputs)
@@ -183,6 +189,8 @@ def _cmd_arrows(args, seed, t0) -> int:
 
 
 def _cmd_ramsey_number(args, seed, t0) -> int:
+    from . import arrowing
+
     inputs = {}
     g = _load_graph(args.g, inputs)
     h = _load_graph(args.h, inputs)
@@ -192,6 +200,8 @@ def _cmd_ramsey_number(args, seed, t0) -> int:
 
 
 def _cmd_minimal(args, seed, t0) -> int:
+    from . import arrowing
+
     inputs = {}
     f = _load_graph(args.f, inputs)
     g = _load_graph(args.g, inputs)
@@ -202,6 +212,8 @@ def _cmd_minimal(args, seed, t0) -> int:
 
 
 def _cmd_equiv_scan(args, seed, t0) -> int:
+    from . import arrowing
+
     inputs = {}
     graphs = [_load_graph(p, inputs) for p in (args.g1, args.h1, args.g2, args.h2)]
     result = arrowing.equivalence_scan(*graphs, max_vertices=args.max_vertices, budget=args.budget)
@@ -219,6 +231,8 @@ def _cmd_equiv_scan(args, seed, t0) -> int:
 
 
 def _cmd_factor(args, seed, t0) -> int:
+    from . import factors
+
     inputs = {}
     g = _load_graph(args.graph, inputs)
     witness = factors.has_k_factor(g, args.k)
@@ -231,6 +245,8 @@ def _cmd_factor(args, seed, t0) -> int:
 
 
 def _cmd_belck(args, seed, t0) -> int:
+    from . import factors
+
     inputs = {}
     g = _load_graph(args.graph, inputs)
     D = [int(x) for x in args.d.split(",")] if args.d else []
@@ -243,6 +259,8 @@ def _cmd_belck(args, seed, t0) -> int:
 
 
 def _cmd_recolor(args, seed, t0) -> int:
+    from . import recolor
+
     inputs = {}
     f = _load_graph(args.f, inputs)
     coloring = _load_coloring(args.coloring, f, inputs)
@@ -267,6 +285,8 @@ def _cmd_recolor(args, seed, t0) -> int:
 
 
 def _cmd_verify_determiner(args, seed, t0) -> int:
+    from . import arrowing
+
     inputs = {}
     d = _load_graph(args.d, inputs)
     T = _load_graph(args.T, inputs)
@@ -341,20 +361,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--budget", type=int, default=arrowing.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--witness-out", dest="witness_out", default=None)
 
     p = sub.add_parser("ramsey-number")
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--budget", type=int, default=arrowing.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("minimal")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
-    p.add_argument("--budget", type=int, default=arrowing.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("equiv-scan")
     p.add_argument("--g1", required=True)
@@ -362,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2", required=True)
     p.add_argument("--h2", required=True)
     p.add_argument("--max-vertices", dest="max_vertices", type=int, required=True, help="1 to 9")
-    p.add_argument("--budget", type=int, default=arrowing.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("factor")
     p.add_argument("graph")
@@ -390,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--T", required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int, default=arrowing.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     return parser
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the library and the CLI."""
 
+DEFAULT_BUDGET = 50_000_000  # DFS nodes a search may explore before BudgetExhaustedError
+
 
 class RamseyLabError(Exception):
     """Base class for all library-specific errors."""

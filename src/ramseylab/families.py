@@ -1,18 +1,19 @@
-"""Constructors for the named graphs, gadgets, and their witness colorings.
+"""Constructors for the gadgets and their witness colorings.
 
-Every constructor uses a fixed canonical labeling (hub/clique vertices first,
+The basic named graphs (star, path, clique, cycle, K_t . aK_b) live in
+`graphs`, below every search, and are re-exported here.  Every constructor uses a fixed canonical labeling (hub/clique vertices first,
 then attached blocks in index order) so outputs are byte-for-byte reproducible
 in graph6.  Witness colorings come paired with the gadgets that have one.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 from .factors import BelckCertificate
-from .graphs import Edge, EdgeColoring, Graph, edge
+from .graphs import Edge, EdgeColoring, Graph, clique, cycle, edge, path, star
+from .graphs import clique_with_pendants  # noqa: F401  re-exported
 from .subgraph import cliques_of_size
 from .trees import tree_classify
 
@@ -61,57 +62,11 @@ class ConstructionTrace:
 # -- basic families ----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)  # graphs are immutable, so callers may share them
-def star(s: int) -> Graph:
-    """K_{1,s}: the center is vertex 0."""
-    if s < 1:
-        raise ValueError("a star needs at least one edge")
-    return Graph(s + 1, [(0, i) for i in range(1, s + 1)])
-
-
-def path(n: int) -> Graph:
-    """P_n on n vertices (n-1 edges), labeled along the path."""
-    if n < 1:
-        raise ValueError("a path needs at least one vertex")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-@functools.lru_cache(maxsize=64)
-def clique(t: int) -> Graph:
-    if t < 1:
-        raise ValueError("a clique needs at least one vertex")
-    return Graph(t, itertools.combinations(range(t), 2))
-
-
-def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("a cycle needs at least three vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def basic_family(kind: str, param: int) -> Graph:
     makers = {"star": star, "path": path, "clique": clique, "cycle": cycle}
     if kind not in makers:
         raise ValueError(f"unknown family {kind!r}; expected one of {sorted(makers)}")
     return makers[kind](param)
-
-
-@functools.lru_cache(maxsize=64)
-def clique_with_pendants(t: int, a: int, b: int) -> Graph:
-    """K_t . aK_b: K_t plus a disjoint K_b blocks, block i glued at clique vertex i."""
-    if t < 3:
-        raise ValueError("t must be at least 3")
-    if not 1 <= a <= t:
-        raise ValueError("need 1 <= a <= t")
-    if b < 2:
-        raise ValueError("b must be at least 2")
-    edges = list(itertools.combinations(range(t), 2))
-    n = t
-    for i in range(a):
-        block = [i] + list(range(n, n + b - 1))
-        n += b - 1
-        edges.extend(itertools.combinations(block, 2))
-    return Graph(n, edges)
 
 
 def suitable_caterpillar(s: int, mid: int) -> Graph:

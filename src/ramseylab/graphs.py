@@ -1,4 +1,5 @@
-"""Simple undirected graphs on dense integer labels, plus edge 2-colorings.
+"""Simple undirected graphs on dense integer labels, plus edge 2-colorings,
+and the basic named graphs: stars, paths, cliques, cycles and K_t . aK_b.
 
 Graphs are immutable values: all "mutators" return new graphs.  Adjacency is
 kept as one bitmask per vertex, so adjacency tests, common-neighbor
@@ -7,6 +8,8 @@ intersections and degree counts are constant-time on word-sized instances.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 RED = "R"
@@ -227,3 +230,52 @@ class EdgeColoring:
 
     def __repr__(self) -> str:
         return f"EdgeColoring(red={len(self.red)}, blue={len(self.blue)})"
+
+
+# -- basic named graphs ------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=64)  # graphs are immutable, so callers may share them
+def star(s: int) -> Graph:
+    """K_{1,s}: the center is vertex 0."""
+    if s < 1:
+        raise ValueError("a star needs at least one edge")
+    return Graph(s + 1, [(0, i) for i in range(1, s + 1)])
+
+
+def path(n: int) -> Graph:
+    """P_n on n vertices (n-1 edges), labeled along the path."""
+    if n < 1:
+        raise ValueError("a path needs at least one vertex")
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@functools.lru_cache(maxsize=64)
+def clique(t: int) -> Graph:
+    if t < 1:
+        raise ValueError("a clique needs at least one vertex")
+    return Graph(t, itertools.combinations(range(t), 2))
+
+
+def cycle(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("a cycle needs at least three vertices")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@functools.lru_cache(maxsize=64)
+def clique_with_pendants(t: int, a: int, b: int) -> Graph:
+    """K_t . aK_b: K_t plus a disjoint K_b blocks, block i glued at clique vertex i."""
+    if t < 3:
+        raise ValueError("t must be at least 3")
+    if not 1 <= a <= t:
+        raise ValueError("need 1 <= a <= t")
+    if b < 2:
+        raise ValueError("b must be at least 2")
+    edges = list(itertools.combinations(range(t), 2))
+    n = t
+    for i in range(a):
+        block = [i] + list(range(n, n + b - 1))
+        n += b - 1
+        edges.extend(itertools.combinations(block, 2))
+    return Graph(n, edges)

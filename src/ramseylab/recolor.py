@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrowing import coloring_is_free
 from .errors import InvariantViolationError
-from .families import clique, clique_with_pendants, star
-from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, edge
-from .subgraph import cliques_of_size, contains_copy, copies_as_edge_sets
+from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, clique, clique_with_pendants, edge, star
+from .subgraph import cliques_of_size, coloring_is_free, contains_copy, copies_as_edge_sets
 from .trees import tree_classify
 
 _NOT_WOVEN = "T is neither a star with >= 2 edges nor a suitable caterpillar"

@@ -10,7 +10,8 @@ One walker, `_walk`, runs every search.  It follows a plan compiled once per
 pattern value: the order in which pattern vertices are placed, with each
 vertex's degree and its already-placed neighbours.  `contains_copy` walks
 the plain plan, or one pinning the given vertices, and stops at the first
-map; `copy_through` walks one plan per vertex orbit, pinned.
+map; `coloring_is_free` asks it of each color's masks.  `copy_through`
+walks one plan per vertex orbit, pinned.
 `copies_as_edge_sets` walks a plan that also carries the pattern's
 symmetry-breaking conditions, lower bounds on image labels that let through
 exactly one embedding of each copy, so it needs no dedupe.  Given the
@@ -32,7 +33,7 @@ import functools
 from typing import Iterator, NamedTuple
 
 from .errors import RamseyLabError
-from .graphs import Graph, bits
+from .graphs import BLUE, RED, EdgeColoring, Graph, bits
 
 
 class GraphTooLargeError(RamseyLabError):
@@ -228,6 +229,13 @@ def contains_copy(
         if len(set(targets)) != len(targets):
             return False
     return next(_walk(adj, _plan(pattern, tuple(pins or ()), ()), targets), None) is not None
+
+
+def coloring_is_free(f: Graph, c: EdgeColoring, g: Graph, h: Graph) -> bool:
+    """True iff c has no red-restricted copy of g and no blue-restricted copy of h."""
+    if c.host != f:
+        raise ValueError("coloring domain mismatch: coloring does not belong to f")
+    return not contains_copy(c.adjacency(RED), g) and not contains_copy(c.adjacency(BLUE), h)
 
 
 def copy_through(adj: tuple[int, ...], pattern: Graph, v: int) -> bool:

@@ -33,9 +33,9 @@ def test_tracer_hook_target_exists(module_path, attr_path):
 
 
 def test_subgraph_hooks_record_calls():
-    # The freeness checks, the walk's pendant check and its blue-clique listing
-    # reach `subgraph` through the names the tracer hooks; a search routed
-    # round them would leave its layer at 0 calls.
+    # The witness re-check, the recoloring's freeness checks, the walk's
+    # pendant check and its blue-clique listing go through names the tracer
+    # hooks; a search routed round them would leave its layer at 0 calls.
     tracer = _load_tracer()
     trace = tracer.Tracer()
     trace.install()
@@ -49,3 +49,5 @@ def test_subgraph_hooks_record_calls():
     calls = Counter(span[tracer.NAME] for span in trace.spans)
     assert calls["subgraph.contains_copy"] > 0
     assert calls["subgraph.cliques_of_size"] > 0
+    assert calls["arrowing.witness_check"] > 0
+    assert calls["recolor.freeness_check"] > 0

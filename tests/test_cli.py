@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ramseylab
-from ramseylab.arrowing import arrows, verify_determiner
+from ramseylab.arrowing import DEFAULT_BUDGET, arrows, verify_determiner
 from ramseylab.cli import (
     EXIT_BAD_INPUT,
     EXIT_INDETERMINATE,
@@ -21,7 +22,7 @@ from ramseylab.cli import (
     build_parser,
     main,
 )
-from ramseylab.families import clique, cycle, path, star
+from ramseylab.families import clique, clique_with_pendants, cycle, path, star
 from ramseylab.formats import coloring_to_text, graph_to_graph6
 from ramseylab.graphs import EdgeColoring, Graph
 
@@ -92,7 +93,6 @@ def test_construct_cli(files, capsys):
     _, write = files
     code, report = run(capsys, ["construct", "clique-pendants", "--t", "6", "--a", "2", "--b", "3"])
     assert code == EXIT_OK
-    from ramseylab.families import clique_with_pendants
     from ramseylab.formats import graph_from_graph6
 
     assert graph_from_graph6(report["verdict"]["graph6"]) == clique_with_pendants(6, 2, 3)
@@ -271,13 +271,83 @@ def test_verify_determiner_library_direct():
     assert results2["beta_closure_is_clique"] is False
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # A fresh interpreter, because test plugins may already have loaded numpy.
+_SEARCH = ["arrowing", "cli", "enumeration", "errors", "formats", "graphs", "subgraph"]
+
+# Each probe's argv (None for a bare `import ramseylab`) and the ramseylab
+# submodules it may load: exactly those its command uses.
+PROBES = {
+    "import": (None, []),
+    "arrows": (["arrows", "--g", "s2.g6", "--h", "k3.g6", "--f", "c5.g6"], _SEARCH),
+    "ramsey-number": (["ramsey-number", "--g", "p4.g6", "--h", "k3.g6", "--cap", "10"], _SEARCH),
+    "equiv-scan": (
+        ["equiv-scan", "--g1", "s2.g6", "--h1", "k3.g6", "--g2", "s2.g6", "--h2", "k3k2.g6", "--max-vertices", "5"],
+        _SEARCH,
+    ),
+    "recolor-walk": (
+        ["recolor", "walk", "f.g6", "col.txt", "--s", "2", "--t", "3", "--out", "out.txt"],
+        ["cli", "errors", "formats", "graphs", "recolor", "subgraph", "trees"],
+    ),
+    "factor": (["factor", "c5.g6", "--k", "2"], ["cli", "errors", "factors", "formats", "graphs", "matching"]),
+    "construct-star": (
+        ["construct", "star", "3"],
+        ["cli", "errors", "factors", "families", "formats", "graphs", "matching", "subgraph", "trees"],
+    ),
+}
+
+_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import ramseylab
+    code = 0
+else:
+    import ramseylab.cli
+    code = ramseylab.cli.main(argv)
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ramseylab."))
+print(json.dumps({"code": code, "loaded": loaded, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_cli_command_loads_only_its_modules(files, name):
+    # A fresh interpreter: this one has loaded every module already, and test
+    # plugins may have loaded numpy.
+    tmp_path, write = files
+    for file, graph in (("s2", star(2)), ("k3", clique(3)), ("c5", cycle(5)), ("p4", path(4))):
+        write(f"{file}.g6", graph)
+    write("k3k2.g6", clique_with_pendants(3, 1, 2))
+    f_graph = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    write("f.g6", f_graph)
+    coloring = EdgeColoring(f_graph, red=[(2, 3)], blue=[(0, 1), (1, 2), (0, 2)])
+    (tmp_path / "col.txt").write_text(coloring_to_text(coloring))
+    argv, expected = PROBES[name]
     src = str(Path(ramseylab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, ramseylab.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": src},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    *report, probe = out.stdout.splitlines()
+    probe = json.loads(probe)
+    assert probe == {"code": EXIT_OK, "loaded": expected, "numpy": False}, out.stderr
+    if argv is not None:
+        assert json.loads(report[0])["schema"] == 1
+
+
+def test_every_budget_default_is_the_deciders():
+    def parsers(parser):
+        yield parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from parsers(sub)
+
+    defaults = {p.prog: a.default for p in parsers(build_parser()) for a in p._actions if a.dest == "budget"}
+    assert len(defaults) == 5
+    assert set(defaults.values()) == {DEFAULT_BUDGET}
 
 
 def test_exit_codes(files, capsys):

@@ -15,7 +15,7 @@ _MODULES = {
         ramsey_number verify_determiner""",
     "errors": "BudgetExhaustedError CapExceededError InvariantViolationError RamseyLabError",
     "factors": "BelckCertificate FactorWitness belck_check has_k_factor odd_components star_pair_regular_arrows",
-    "families": """ConstructionTrace DeterminerGadget RootedGadget basic_family c_gadget determiner_chain
+    "families": """ConstructionTrace DeterminerGadget RootedGadget c_gadget determiner_chain
         diameter_distinguisher factor_extremal_graph lambda_gadget suitable_caterpillar uniform_tree""",
     "formats": "coloring_from_text coloring_to_text graph_from_graph6 graph_to_graph6",
     "graphs": "BLUE RED Edge EdgeColoring Graph clique clique_with_pendants cycle path star",

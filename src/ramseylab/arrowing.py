@@ -26,9 +26,10 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .errors import DEFAULT_BUDGET, BudgetExhaustedError, CapExceededError, InvariantViolationError
+from .errors import DEFAULT_BUDGET, BudgetExhaustedError, CapExceededError, GraphTooLargeError
+from .errors import InvariantViolationError
 from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, clique, edge
-from .subgraph import GraphTooLargeError, clique_number, coloring_is_free, contains_copy
+from .subgraph import clique_number, coloring_is_free, contains_copy
 from .subgraph import copies_as_edge_sets, copy_through
 from .enumeration import are_isomorphic, graphs_up_to_vertices
 
@@ -377,7 +378,13 @@ def ramsey_number(g: Graph, h: Graph, cap: int, budget: int = DEFAULT_BUDGET) ->
 
 
 def _ramsey_number(g: Graph, h: Graph, cap: int, budget: int) -> tuple[int, int]:
-    """ramsey_number and the nodes its searches explored, summed."""
+    """ramsey_number and the nodes its searches explored, summed.
+
+    The budget is checked first: a block coloring that reaches the cap runs no
+    search, so no search would reject a negative one.
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     value, nodes = _least_arrowing_clique(g, h, cap, budget)
     if value is None:
         raise CapExceededError(f"no complete graph up to K_{cap} arrows the pair")

@@ -1,6 +1,7 @@
 """Command-line surface: constructions, deciders, factors, and recolorings.
 
-Every subcommand prints a single JSON report on stdout:
+Every subcommand prints a single JSON report on stdout.  Each handler
+returns the report's verdict and node count, and `main` writes every report:
 
     {"schema": 1, "command": ..., "inputs": {path: sha256, ...},
      "verdict": {...}, "nodes_explored": ..., "elapsed": ..., "seed": ...}
@@ -37,7 +38,7 @@ from .formats import (
     graph_from_graph6,
     graph_to_graph6,
 )
-from .graphs import EdgeColoring, Graph
+from .graphs import EdgeColoring, Graph, clique, cycle, path, star
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -109,7 +110,8 @@ def _emit(command: str, inputs: dict[str, str], verdict, nodes: int, t0: float, 
 
 # -- subcommand handlers -------------------------------------------------------
 # Each handler imports the module it calls, so a process loads only what its
-# command uses.
+# command uses.  It reads its input files through `inputs` and returns the
+# report's verdict and nodes_explored; `main` writes the report.
 
 
 def _parse_edge(text: str):
@@ -119,15 +121,17 @@ def _parse_edge(text: str):
     return int(parts[0]), int(parts[1])
 
 
-def _cmd_construct(args, seed, t0) -> int:
-    from . import families
+_BASIC = {"star": star, "path": path, "clique": clique, "cycle": cycle}  # construct KIND N
 
+
+def _cmd_construct(args, inputs):
     kind = args.kind
-    inputs = {}
     coloring = None
     extra = {}
-    if kind in ("star", "path", "clique", "cycle"):
-        graph = families.basic_family(kind, args.param)
+    if kind not in _BASIC:  # the basic kinds need only `graphs`
+        from . import families
+    if kind in _BASIC:
+        graph = _BASIC[kind](args.param)
     elif kind == "clique-pendants":
         graph = families.clique_with_pendants(args.t, args.a, args.b)
     elif kind == "caterpillar":
@@ -158,13 +162,11 @@ def _cmd_construct(args, seed, t0) -> int:
             "hub": list(trace.hub),
             "odd_components": cert.odd_component_count,
         }
-    elif kind == "determiner-chain":
+    else:  # determiner-chain
         T = _load_graph(args.T, inputs)
         d_graph = _load_graph(args.determiner, inputs)
         gadget = families.DeterminerGadget(d_graph, _parse_edge(args.beta))
         graph = families.determiner_chain(T, gadget)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown construction {kind!r}")
 
     verdict = {"graph6": graph_to_graph6(graph), "n": graph.n, "m": graph.m, **extra}
     if args.out:
@@ -172,49 +174,41 @@ def _cmd_construct(args, seed, t0) -> int:
             fh.write(graph_to_graph6(graph) + "\n")
     if coloring is not None:
         verdict["coloring"] = _coloring_payload(coloring, args.coloring_out)
-    _emit(f"construct {kind}", inputs, verdict, 0, t0, seed)
-    return EXIT_OK
+    return verdict, 0
 
 
-def _cmd_arrows(args, seed, t0) -> int:
+def _cmd_arrows(args, inputs):
     from . import arrowing
 
-    inputs = {}
     f = _load_graph(args.f, inputs)
     g = _load_graph(args.g, inputs)
     h = _load_graph(args.h, inputs)
     verdict = arrowing.arrows(f, g, h, budget=args.budget)
-    _emit("arrows", inputs, _verdict_payload(verdict, args.witness_out), verdict.nodes_explored, t0, seed)
-    return EXIT_OK
+    return _verdict_payload(verdict, args.witness_out), verdict.nodes_explored
 
 
-def _cmd_ramsey_number(args, seed, t0) -> int:
+def _cmd_ramsey_number(args, inputs):
     from . import arrowing
 
-    inputs = {}
     g = _load_graph(args.g, inputs)
     h = _load_graph(args.h, inputs)
     value, nodes = arrowing._ramsey_number(g, h, args.cap, args.budget)
-    _emit("ramsey-number", inputs, {"ramsey_number": value}, nodes, t0, seed)
-    return EXIT_OK
+    return {"ramsey_number": value}, nodes
 
 
-def _cmd_minimal(args, seed, t0) -> int:
+def _cmd_minimal(args, inputs):
     from . import arrowing
 
-    inputs = {}
     f = _load_graph(args.f, inputs)
     g = _load_graph(args.g, inputs)
     h = _load_graph(args.h, inputs)
     value, nodes = arrowing._minimal_ramsey_check(f, g, h, args.budget)
-    _emit("minimal", inputs, {"minimal": value}, nodes, t0, seed)
-    return EXIT_OK
+    return {"minimal": value}, nodes
 
 
-def _cmd_equiv_scan(args, seed, t0) -> int:
+def _cmd_equiv_scan(args, inputs):
     from . import arrowing
 
-    inputs = {}
     graphs = [_load_graph(p, inputs) for p in (args.g1, args.h1, args.g2, args.h2)]
     result = arrowing.equivalence_scan(*graphs, max_vertices=args.max_vertices, budget=args.budget)
     verdict = {"kind": result.kind}
@@ -226,42 +220,34 @@ def _cmd_equiv_scan(args, seed, t0) -> int:
         verdict["second_pair_arrows"] = result.verdict_second.arrows
     if result.skipped:
         verdict["skipped"] = [graph_to_graph6(s) for s in result.skipped]
-    _emit("equiv-scan", inputs, verdict, result.nodes_explored, t0, seed)
-    return EXIT_OK
+    return verdict, result.nodes_explored
 
 
-def _cmd_factor(args, seed, t0) -> int:
+def _cmd_factor(args, inputs):
     from . import factors
 
-    inputs = {}
     g = _load_graph(args.graph, inputs)
     witness = factors.has_k_factor(g, args.k)
     if witness is None:
-        verdict = {"k": args.k, "factor": None}
-    else:
-        verdict = {"k": args.k, "factor": sorted([u, v] for u, v in witness.edges)}
-    _emit("factor", inputs, verdict, 0, t0, seed)
-    return EXIT_OK
+        return {"k": args.k, "factor": None}, 0
+    return {"k": args.k, "factor": sorted([u, v] for u, v in witness.edges)}, 0
 
 
-def _cmd_belck(args, seed, t0) -> int:
+def _cmd_belck(args, inputs):
     from . import factors
 
-    inputs = {}
     g = _load_graph(args.graph, inputs)
     D = [int(x) for x in args.d.split(",")] if args.d else []
     cert = factors.belck_check(g, D, args.p)
     verdict = {"p": args.p, "D": sorted(set(D)), "certificate": cert is not None}
     if cert is not None:
         verdict["odd_components"] = cert.odd_component_count
-    _emit("belck", inputs, verdict, 0, t0, seed)
-    return EXIT_OK
+    return verdict, 0
 
 
-def _cmd_recolor(args, seed, t0) -> int:
+def _cmd_recolor(args, inputs):
     from . import recolor
 
-    inputs = {}
     f = _load_graph(args.f, inputs)
     coloring = _load_coloring(args.coloring, f, inputs)
     if args.mode == "walk":
@@ -280,21 +266,15 @@ def _cmd_recolor(args, seed, t0) -> int:
     with open(out_path, "w", encoding="ascii") as fh:
         fh.write(coloring_to_text(result))
     summary["output"] = out_path
-    _emit(f"recolor {args.mode}", inputs, summary, 0, t0, seed)
-    return EXIT_OK
+    return summary, 0
 
 
-def _cmd_verify_determiner(args, seed, t0) -> int:
+def _cmd_verify_determiner(args, inputs):
     from . import arrowing
 
-    inputs = {}
     d = _load_graph(args.d, inputs)
     T = _load_graph(args.T, inputs)
-    results, nodes = arrowing._verify_determiner(d, _parse_edge(args.beta), T, args.t, args.budget)
-    _emit("verify-determiner", inputs, results, nodes, t0, seed)
-    if any(v is None for v in results.values()):
-        return EXIT_INDETERMINATE
-    return EXIT_OK
+    return arrowing._verify_determiner(d, _parse_edge(args.beta), T, args.t, args.budget)
 
 
 # -- parser ---------------------------------------------------------------------
@@ -303,6 +283,16 @@ def _cmd_verify_determiner(args, seed, t0) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _searcher(sub, name: str, *required: str, help=None):
+    """A searching command: its required string options (graph6 files, and
+    verify-determiner's --beta) in the order given, then --budget."""
+    p = sub.add_parser(name, help=help)
+    for option in required:
+        p.add_argument(f"--{option}", required=True)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,75 +304,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     con = sub.add_parser("construct", help="build a named graph or gadget")
     csub = con.add_subparsers(dest="kind", required=True)
-    for kind in ("star", "path", "clique", "cycle"):
-        p = csub.add_parser(kind)
-        p.add_argument("param", type=int)
-        _add_output_args(p)
+    for kind in _BASIC:
+        csub.add_parser(kind).add_argument("param", type=int)
     p = csub.add_parser("clique-pendants")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    _add_output_args(p)
     p = csub.add_parser("caterpillar")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--mid", type=int, default=0)
-    _add_output_args(p)
     p = csub.add_parser("uniform-tree")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
-    _add_output_args(p)
     p = csub.add_parser("lambda")
     p.add_argument("--T", required=True)
     p.add_argument("--gamma", required=True)
     p.add_argument("--i", type=int, required=True)
-    _add_output_args(p)
+    p.add_argument("--coloring-out", dest="coloring_out", default=None)
     p = csub.add_parser("c-gadget")
     p.add_argument("--gamma-prime", dest="gamma_prime", required=True)
-    _add_output_args(p)
+    p.add_argument("--coloring-out", dest="coloring_out", default=None)
     p = csub.add_parser("distinguisher")
     p.add_argument("--T", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--gamma", default=None)
     p.add_argument("--gamma-prime", dest="gamma_prime", default=None)
     p.add_argument("--J", default=None)
-    _add_output_args(p)
+    p.add_argument("--coloring-out", dest="coloring_out", default=None)
     p = csub.add_parser("factor-extremal")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    _add_output_args(p)
     p = csub.add_parser("determiner-chain")
     p.add_argument("--T", required=True)
     p.add_argument("--determiner", required=True)
     p.add_argument("--beta", required=True, help="edge of the determiner as 'u,v'")
-    _add_output_args(p)
+    for p in csub.choices.values():
+        p.add_argument("--out", default=None, help="also write the graph6 line to this file")
 
-    p = sub.add_parser("arrows", help="decide F -> (G, H)")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p = _searcher(sub, "arrows", "g", "h", "f", help="decide F -> (G, H)")
     p.add_argument("--witness-out", dest="witness_out", default=None)
-
-    p = sub.add_parser("ramsey-number")
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    p = sub.add_parser("minimal")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    p = sub.add_parser("equiv-scan")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--h1", required=True)
-    p.add_argument("--g2", required=True)
-    p.add_argument("--h2", required=True)
+    _searcher(sub, "ramsey-number", "g", "h").add_argument("--cap", type=int, required=True)
+    _searcher(sub, "minimal", "f", "g", "h")
+    p = _searcher(sub, "equiv-scan", "g1", "h1", "g2", "h2")
     p.add_argument("--max-vertices", dest="max_vertices", type=int, required=True, help="1 to 9")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("factor")
     p.add_argument("graph")
@@ -405,19 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("--a", "--b"):
         woven.add_argument(name, type=int, required=True)
 
-    p = sub.add_parser("verify-determiner")
-    p.add_argument("--d", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--T", required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    _searcher(sub, "verify-determiner", "d", "beta", "T").add_argument("--t", type=int, required=True)
 
     return parser
-
-
-def _add_output_args(p):
-    p.add_argument("--out", default=None, help="also write the graph6 line to this file")
-    p.add_argument("--coloring-out", dest="coloring_out", default=None)
 
 
 _HANDLERS = {
@@ -435,10 +390,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     t0 = time.monotonic()
-    parser = build_parser()
+    inputs: dict[str, str] = {}
     try:
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args, args.seed, t0)
+        args = build_parser().parse_args(argv)
+        verdict, nodes = _HANDLERS[args.command](args, inputs)
     except MismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -454,6 +409,12 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    # construct and recolor are labelled with their kind or mode: "construct star"
+    command = " ".join([args.command, *(vars(args)[k] for k in ("kind", "mode") if k in vars(args))])
+    _emit(command, inputs, verdict, nodes, t0, args.seed)
+    if args.command == "verify-determiner" and None in verdict.values():
+        return EXIT_INDETERMINATE  # an axiom the budget left undecided
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -19,5 +19,9 @@ class CapExceededError(RamseyLabError):
     """No value within the requested cap satisfied the query."""
 
 
+class GraphTooLargeError(RamseyLabError):
+    """An exact solver was asked for an instance beyond its cap."""
+
+
 class InvariantViolationError(RamseyLabError):
     """An internal postcondition failed; indicates a bug or a bad instance."""

@@ -1,9 +1,10 @@
 """Constructors for the gadgets and their witness colorings.
 
 The basic named graphs (star, path, clique, cycle, K_t . aK_b) live in
-`graphs`, below every search, and are re-exported here.  Every constructor uses a fixed canonical labeling (hub/clique vertices first,
-then attached blocks in index order) so outputs are byte-for-byte reproducible
-in graph6.  Witness colorings come paired with the gadgets that have one.
+`graphs`, below every search, and are re-exported here.  Every constructor
+uses a fixed canonical labeling (hub/clique vertices first, then attached
+blocks in index order) so outputs are byte-for-byte reproducible in graph6.
+Witness colorings come paired with the gadgets that have one.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .factors import BelckCertificate
-from .graphs import Edge, EdgeColoring, Graph, clique, cycle, edge, path, star
-from .graphs import clique_with_pendants  # noqa: F401  re-exported
+from .graphs import Edge, EdgeColoring, Graph, clique, cycle, edge
+from .graphs import clique_with_pendants, path, star  # noqa: F401  re-exported
 from .subgraph import cliques_of_size
 from .trees import tree_classify
 
@@ -59,14 +60,7 @@ class ConstructionTrace:
     q_factor: tuple[Edge, ...]
 
 
-# -- basic families ----------------------------------------------------------
-
-
-def basic_family(kind: str, param: int) -> Graph:
-    makers = {"star": star, "path": path, "clique": clique, "cycle": cycle}
-    if kind not in makers:
-        raise ValueError(f"unknown family {kind!r}; expected one of {sorted(makers)}")
-    return makers[kind](param)
+# -- trees --------------------------------------------------------------------
 
 
 def suitable_caterpillar(s: int, mid: int) -> Graph:

@@ -32,12 +32,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator, NamedTuple
 
-from .errors import RamseyLabError
 from .graphs import BLUE, RED, EdgeColoring, Graph, bits
-
-
-class GraphTooLargeError(RamseyLabError):
-    """Raised when an exact solver is asked for an instance beyond its cap."""
 
 
 class _Plan(NamedTuple):

@@ -23,7 +23,7 @@ from ramseylab.arrowing import (
     verify_determiner,
 )
 from ramseylab.enumeration import graphs_up_to_vertices, trees_up_to_vertices
-from ramseylab.errors import BudgetExhaustedError, CapExceededError
+from ramseylab.errors import BudgetExhaustedError, CapExceededError, GraphTooLargeError
 from ramseylab.families import (
     clique,
     clique_with_pendants,
@@ -273,11 +273,23 @@ def test_budget_is_nonnegative():
         arrows(clique(3), path(2), path(2), budget=-1)
     with pytest.raises(ValueError):
         ramsey_number(path(3), K3, cap=5, budget=-3)
+    # The block coloring of (P3, K3) reaches K_3, so cap 3 runs no search.
+    with pytest.raises(ValueError):
+        ramsey_number(path(3), K3, cap=3, budget=-1)
     # Budget 0 allows propagation only: single-edge copies decide K3 at once.
     verdict = arrows(clique(3), path(2), path(2), budget=0)
     assert verdict.arrows and verdict.nodes_explored == 0
     with pytest.raises(BudgetExhaustedError):
         arrows(clique(6), K3, K3, budget=0)
+
+
+def test_exhaustive_oracle_refuses_oversized_instances():
+    # K_8 has 28 edges, past the 2^24 coloring scan.
+    with pytest.raises(GraphTooLargeError):
+        exhaustive_arrows(clique(8), path(3), K3)
+    # One edge, but 40*39*38*37*36 = 78,960,960 injections of a 5-vertex pattern.
+    with pytest.raises(GraphTooLargeError):
+        exhaustive_arrows(Graph(40, [(0, 1)]), Graph(5), Graph(5))
 
 
 def test_pinned_search():

@@ -19,6 +19,7 @@ from ramseylab.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    _HANDLERS,
     build_parser,
     main,
 )
@@ -45,6 +46,11 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out.strip()
     return code, json.loads(out) if out else None
+
+
+def _subparsers(parser):
+    """The choices of the parser's subcommand argument: name -> parser."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def test_ramsey_number_cli(files, capsys):
@@ -114,6 +120,20 @@ def test_construct_writes_files(files, capsys):
     assert code == EXIT_OK
     assert out.read_text().strip() == report["verdict"]["graph6"]
     assert colout.exists() and report["verdict"]["coloring"]["path"] == str(colout)
+
+
+def test_coloring_out_only_where_a_coloring_exists(files, capsys):
+    tmp_path, write = files
+    construct = _subparsers(_subparsers(build_parser())["construct"])
+    takes = {kind for kind, p in construct.items() if "--coloring-out" in p._option_string_actions}
+    assert takes == {"lambda", "c-gadget", "distinguisher"}
+    # a kind without a coloring refuses the option and writes nothing
+    assert main(["construct", "star", "3", "--coloring-out", "x.txt"]) == EXIT_USAGE
+    assert not (tmp_path / "x.txt").exists()
+    c5 = write("c5.g6", cycle(5))
+    code, report = run(capsys, ["construct", "c-gadget", "--gamma-prime", c5, "--coloring-out", "c.txt"])
+    assert code == EXIT_OK and report["verdict"]["coloring"] == {"format": "file", "path": "c.txt"}
+    assert (tmp_path / "c.txt").exists()
 
 
 def test_arrows_cli(files, capsys):
@@ -290,7 +310,7 @@ PROBES = {
     "factor": (["factor", "c5.g6", "--k", "2"], ["cli", "errors", "factors", "formats", "graphs", "matching"]),
     "construct-star": (
         ["construct", "star", "3"],
-        ["cli", "errors", "factors", "families", "formats", "graphs", "matching", "subgraph", "trees"],
+        ["cli", "errors", "formats", "graphs"],
     ),
 }
 
@@ -395,9 +415,13 @@ def test_exit_codes(files, capsys):
     assert main(chain + ["--beta", "5,6"]) == EXIT_USAGE
     assert main(["arrows", "--g", k3, "--h", k3, "--f", k3, "--budget", "-1"]) == EXIT_USAGE
     assert main(["ramsey-number", "--g", p3, "--h", k3, "--cap", "5", "--budget", "-1"]) == EXIT_USAGE
+    # also when the block coloring of (P3, K3) reaches the cap and no search runs
+    assert main(["ramsey-number", "--g", p3, "--h", k3, "--cap", "3", "--budget", "-1"]) == EXIT_USAGE
     assert main(["minimal", "--f", k3, "--g", p3, "--h", k3, "--budget", "-1"]) == EXIT_USAGE
     determiner = ["verify-determiner", "--d", k4, "--beta", "0,1", "--T", p3, "--t", "3"]
     assert main(determiner + ["--budget", "-1"]) == EXIT_USAGE
+    # an unknown construction is a usage error
+    assert main(["construct", "grid", "3"]) == EXIT_USAGE
     # a graph too large for graph6 (258,048 vertices) is a usage error, not malformed input
     assert main(["construct", "star", "258047"]) == EXIT_USAGE
     # a negative scan budget is rejected whether or not the clique-number filter fires
@@ -487,3 +511,79 @@ def test_readme_examples_parse():
     assert lines
     for line in lines:
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+
+# Each case: its argv, the command label its report carries and its exit code.
+REPORT_CASES = [
+    (["construct", "star", "3"], "construct star", EXIT_OK),
+    (["construct", "path", "4"], "construct path", EXIT_OK),
+    (["construct", "clique", "4"], "construct clique", EXIT_OK),
+    (["construct", "cycle", "5"], "construct cycle", EXIT_OK),
+    (["construct", "clique-pendants", "--t", "6", "--a", "2", "--b", "3"], "construct clique-pendants", EXIT_OK),
+    (["construct", "caterpillar", "--s", "3", "--mid", "1"], "construct caterpillar", EXIT_OK),
+    (["construct", "uniform-tree", "--k", "2", "--i", "2"], "construct uniform-tree", EXIT_OK),
+    (["construct", "lambda", "--T", "p4.g6", "--gamma", "p4.g6", "--i", "1"], "construct lambda", EXIT_OK),
+    (["construct", "c-gadget", "--gamma-prime", "c5.g6"], "construct c-gadget", EXIT_OK),
+    (["construct", "distinguisher", "--T", "p4.g6", "--t", "3"], "construct distinguisher", EXIT_OK),
+    (["construct", "factor-extremal", "--p", "1", "--q", "3", "--r", "3"], "construct factor-extremal", EXIT_OK),
+    (
+        ["construct", "determiner-chain", "--T", "p3.g6", "--determiner", "k4.g6", "--beta", "0,1"],
+        "construct determiner-chain",
+        EXIT_OK,
+    ),
+    (["arrows", "--g", "s2.g6", "--h", "k3.g6", "--f", "c5.g6"], "arrows", EXIT_OK),
+    (["ramsey-number", "--g", "p4.g6", "--h", "k3.g6", "--cap", "10"], "ramsey-number", EXIT_OK),
+    (["minimal", "--f", "s3.g6", "--g", "s1.g6", "--h", "s3.g6"], "minimal", EXIT_OK),
+    (
+        ["equiv-scan", "--g1", "s2.g6", "--h1", "k3.g6", "--g2", "s2.g6", "--h2", "k3k2.g6", "--max-vertices", "4"],
+        "equiv-scan",
+        EXIT_OK,
+    ),
+    (["factor", "c6.g6", "--k", "1"], "factor", EXIT_OK),
+    (["belck", "s3.g6", "--p", "1", "--d", "0"], "belck", EXIT_OK),
+    (["recolor", "walk", "f.g6", "col.txt", "--s", "2", "--t", "3"], "recolor walk", EXIT_OK),
+    (
+        ["recolor", "woven", "host.g6", "hostcol.txt", "--g", "s2.g6", "--a", "1", "--b", "2", "--t", "6"],
+        "recolor woven",
+        EXIT_OK,
+    ),
+    (["verify-determiner", "--d", "k3.g6", "--beta", "0,1", "--T", "p4.g6", "--t", "3"], "verify-determiner", EXIT_OK),
+    # an axiom the budget leaves undecided: exit 3, with the report
+    (
+        ["verify-determiner", "--d", "k4.g6", "--beta", "0,1", "--T", "p3.g6", "--t", "3", "--budget", "0"],
+        "verify-determiner",
+        EXIT_INDETERMINATE,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, label, code", REPORT_CASES, ids=[f"{c[1]} exit {c[2]}" for c in REPORT_CASES])
+def test_every_command_writes_one_report(files, capsys, argv, label, code):
+    tmp_path, write = files
+    graphs = {"s1": star(1), "s2": star(2), "s3": star(3), "k3": clique(3), "k4": clique(4), "c5": cycle(5)}
+    graphs.update(c6=cycle(6), p3=path(3), p4=path(4), k3k2=clique_with_pendants(3, 1, 2))
+    f_graph = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    base = list(itertools.combinations(range(6), 2))
+    host = Graph(10, base + [(6, 7), (8, 9)])
+    graphs.update(f=f_graph, host=host)
+    for name, graph in graphs.items():
+        write(f"{name}.g6", graph)
+    (tmp_path / "col.txt").write_text(
+        coloring_to_text(EdgeColoring(f_graph, red=[(2, 3)], blue=[(0, 1), (1, 2), (0, 2)]))
+    )
+    (tmp_path / "hostcol.txt").write_text(coloring_to_text(EdgeColoring(host, red=[(6, 7), (8, 9)], blue=base)))
+    assert main(["--seed", "11", *argv]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert set(report) == {"schema", "command", "inputs", "verdict", "nodes_explored", "elapsed", "seed"}
+    assert report["command"] == label and report["seed"] == 11
+
+
+def test_every_subcommand_has_a_handler_and_a_report_case():
+    commands = _subparsers(build_parser())
+    assert set(commands) == set(_HANDLERS)
+    labels = {f"{name} {kind}" for name in ("construct", "recolor") for kind in _subparsers(commands[name])}
+    labels |= set(commands) - {"construct", "recolor"}
+    assert labels == {label for _, label, _ in REPORT_CASES}

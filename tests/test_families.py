@@ -7,7 +7,6 @@ from ramseylab.arrowing import coloring_is_free
 from ramseylab.factors import belck_check, has_k_factor, odd_components
 from ramseylab.families import (
     DeterminerGadget,
-    basic_family,
     c_gadget,
     clique,
     clique_with_pendants,
@@ -25,21 +24,6 @@ from ramseylab.graphs import BLUE, RED, Graph
 from ramseylab.subgraph import clique_number, contains_copy
 
 SPIDER_3x2 = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-
-
-def test_basic_family():
-    s = basic_family("star", 3)
-    assert s.n == 4 and s.m == 3 and s.degree(0) == 3
-    assert basic_family("clique", 6).m == 15
-    c5 = basic_family("cycle", 5)
-    assert all(c5.degree(v) == 2 for v in range(5))
-    assert basic_family("path", 4).m == 3
-    with pytest.raises(ValueError):
-        basic_family("cycle", 2)
-    with pytest.raises(ValueError):
-        basic_family("star", 0)
-    with pytest.raises(ValueError):
-        basic_family("grid", 3)
 
 
 def test_clique_with_pendants_counts():

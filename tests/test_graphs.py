@@ -89,6 +89,19 @@ def test_coloring_adjacency_and_unknown_colors():
             c.adjacency(color)
 
 
+def test_basic_constructors():
+    s = star(3)
+    assert s.n == 4 and s.m == 3 and s.degree(0) == 3
+    assert clique(6).m == 15
+    c5 = cycle(5)
+    assert all(c5.degree(v) == 2 for v in range(5))
+    assert path(4).m == 3
+    with pytest.raises(ValueError):
+        cycle(2)
+    with pytest.raises(ValueError):
+        star(0)
+
+
 def test_star_labels_center_first():
     s = star(4)
     assert s.degree(0) == 4 and all(s.degree(v) == 1 for v in range(1, 5))

@@ -428,8 +428,9 @@ def _least_arrowing_clique(g: Graph, h: Graph, cap: int, budget: int) -> tuple[i
     so the search starts one above it, and none is made when it reaches cap.
     When h = K_t with t >= 2, rho = R(g, K_{t-1}) is computed first by this
     same routine with cap - 1, under the same per-K_n budget; its nodes count
-    toward the sum.  A rho past cap - 1 could not skip any case below cap, so
-    none is skipped.
+    toward the sum.  When it finds none, no K_n with n <= cap - 1 arrows
+    (g, K_t) either: a free coloring for (g, K_{t-1}) has no blue K_{t-1}, so
+    no blue K_t.  Then only K_cap is decided.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -441,6 +442,8 @@ def _least_arrowing_clique(g: Graph, h: Graph, cap: int, budget: int) -> tuple[i
     t = h.n
     if t >= 2 and h.m == t * (t - 1) // 2 and cap >= 2:
         rho, nodes = _least_arrowing_clique(g, clique(t - 1), cap - 1, budget)
+        if rho is None:
+            lower = cap - 1
     for n in range(lower + 1, cap + 1):
         decided, spent = _clique_arrows(n, g, h, budget, rho)
         nodes += spent

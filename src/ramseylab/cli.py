@@ -38,7 +38,7 @@ from .formats import (
     graph_from_graph6,
     graph_to_graph6,
 )
-from .graphs import EdgeColoring, Graph, clique, cycle, path, star
+from .graphs import EdgeColoring, Graph, clique, clique_with_pendants, cycle, path, star
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,12 +128,12 @@ def _cmd_construct(args, inputs):
     kind = args.kind
     coloring = None
     extra = {}
-    if kind not in _BASIC:  # the basic kinds need only `graphs`
+    if kind not in (*_BASIC, "clique-pendants"):  # those kinds need only `graphs`
         from . import families
     if kind in _BASIC:
         graph = _BASIC[kind](args.param)
     elif kind == "clique-pendants":
-        graph = families.clique_with_pendants(args.t, args.a, args.b)
+        graph = clique_with_pendants(args.t, args.a, args.b)
     elif kind == "caterpillar":
         graph = families.suitable_caterpillar(args.s, args.mid)
     elif kind == "uniform-tree":

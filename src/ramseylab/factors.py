@@ -69,32 +69,25 @@ def has_k_factor(g: Graph, k: int) -> FactorWitness | None:
     if (g.n * k) % 2 == 1:
         return None
 
-    # Substitute graph: externals first (one per edge endpoint), then internals.
-    ext_id: dict[tuple[int, Edge], int] = {}
-    nodes = 0
+    # Substitute graph: externals first, v's in the order of its neighbours,
+    # so ext[v, w] is v's end of edge vw; then the internals.
+    ext: dict[tuple[int, int], int] = {}
     for v in range(g.n):
-        for e in g.edges:
-            if v in e:
-                ext_id[(v, e)] = nodes
-                nodes += 1
-    sub_edges: list[Edge] = []
+        for w in g.neighbors(v):
+            ext[v, w] = len(ext)
+    nodes = len(ext)
+    sub_edges = [(ext[u, v], ext[v, u]) for u, v in g.edges]
     for v in range(g.n):
-        externals = [ext_id[(v, e)] for e in g.edges if v in e]
+        externals = [ext[v, w] for w in g.neighbors(v)]
         for _ in range(degrees[v] - k):
-            internal = nodes
+            sub_edges.extend((nodes, x) for x in externals)
             nodes += 1
-            sub_edges.extend((internal, x) for x in externals)
-    for e in g.edges:
-        u, v = e
-        sub_edges.append((ext_id[(u, e)], ext_id[(v, e)]))
 
     substitute = Graph(nodes, sub_edges)
     match = maximum_matching(substitute)
     if len(match) != nodes:
         return None
-    factor = frozenset(
-        e for e in g.edges if match.get(ext_id[(e[0], e)]) == ext_id[(e[1], e)]
-    )
+    factor = frozenset(e for e in g.edges if match.get(ext[e]) == ext[e[1], e[0]])
     return FactorWitness(g, k, factor)
 
 

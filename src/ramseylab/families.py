@@ -1,7 +1,7 @@
 """Constructors for the gadgets and their witness colorings.
 
-The basic named graphs (star, path, clique, cycle, K_t . aK_b) live in
-`graphs`, below every search, and are re-exported here.  Every constructor
+The basic named graphs (star, path, clique, cycle, K_t . aK_b) live only in
+`graphs`, below every search; this module builds on them.  Every constructor
 uses a fixed canonical labeling (hub/clique vertices first, then attached
 blocks in index order) so outputs are byte-for-byte reproducible in graph6.
 Witness colorings come paired with the gadgets that have one.
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .factors import BelckCertificate
 from .graphs import Edge, EdgeColoring, Graph, clique, cycle, edge
-from .graphs import clique_with_pendants, path, star  # noqa: F401  re-exported
 from .subgraph import cliques_of_size
 from .trees import tree_classify
 
@@ -81,20 +80,15 @@ def suitable_caterpillar(s: int, mid: int) -> Graph:
 
 
 def uniform_tree(k: int, i: int) -> RootedGadget:
-    """U_{k,i}: rooted at 0, every non-leaf has k children, leaves at depth i."""
+    """U_{k,i}: rooted at 0, every non-leaf has k children, leaves at depth i.
+
+    Labelled breadth-first: vertex v's children are v*k+1 .. v*k+k, so the
+    non-leaves are 0 .. (n-1)/k - 1.
+    """
     if k < 1 or i < 0:
         raise ValueError("need k >= 1 and i >= 0")
-    edges = []
-    level = [0]
-    n = 1
-    for _ in range(i):
-        nxt_level = []
-        for v in level:
-            for _ in range(k):
-                edges.append((v, n))
-                nxt_level.append(n)
-                n += 1
-        level = nxt_level
+    n = sum(k**j for j in range(i + 1))
+    edges = [(v, v * k + c) for v in range((n - 1) // k) for c in range(1, k + 1)]
     return RootedGadget(Graph(n, edges), root=0)
 
 
@@ -116,27 +110,14 @@ def lambda_gadget(T: Graph, Gamma: Graph, i: int) -> RootedGadget:
     d = max((T.degree(v) for v in range(T.n)), default=0)
     if d == 0 or Gamma.n == 0:
         raise ValueError("T must have an edge and Gamma must be nonempty")
-    if i == 0:
-        return RootedGadget(Graph(1), root=0, witness_coloring=EdgeColoring(Graph(1)))
     k = d * Gamma.n
     skeleton = uniform_tree(k, i).graph
-    edges = list(skeleton.edges)
     blue_edges = []
-    children: dict[int, list[int]] = {v: [] for v in range(skeleton.n)}
-    for u, v in skeleton.edges:  # u < v, and BFS labeling makes u the parent
-        children[u].append(v)
-    for v in range(skeleton.n):
-        kids = sorted(children[v])
-        if not kids:
-            continue
-        assert len(kids) == k
-        for block_idx in range(d):
-            block = kids[block_idx * Gamma.n : (block_idx + 1) * Gamma.n]
-            for a, b in Gamma.edges:
-                e = (block[a], block[b]) if block[a] < block[b] else (block[b], block[a])
-                edges.append(e)
-                blue_edges.append(e)
-    graph = Graph(skeleton.n, edges)
+    for v in range((skeleton.n - 1) // k):  # the non-leaves
+        for j in range(d):  # block j of v's children starts at v*k+1+j*|Gamma|
+            base = v * k + 1 + j * Gamma.n
+            blue_edges.extend((base + a, base + b) for a, b in Gamma.edges)
+    graph = Graph(skeleton.n, skeleton.edges + tuple(blue_edges))
     witness = EdgeColoring(graph, red=skeleton.edges, blue=blue_edges)
     return RootedGadget(graph, root=0, witness_coloring=witness)
 
@@ -173,10 +154,11 @@ def _glue(
     n: int,
     gadget: Graph,
     attach: dict[int, int],
-) -> tuple[list[Edge], int, dict[int, int]]:
-    """Append a gadget, identifying the vertices in `attach` with base labels.
+) -> tuple[int, dict[int, int]]:
+    """Append a gadget's edges to `base_edges`, identifying the vertices in
+    `attach` with base labels.
 
-    Returns the grown edge list, new vertex count, and gadget->base label map.
+    Returns the new vertex count and the gadget->base label map.
     """
     mapping = dict(attach)
     for v in range(gadget.n):
@@ -185,7 +167,7 @@ def _glue(
             n += 1
     for a, b in gadget.edges:
         base_edges.append((mapping[a], mapping[b]))
-    return base_edges, n, mapping
+    return n, mapping
 
 
 def diameter_distinguisher(
@@ -228,8 +210,8 @@ def diameter_distinguisher(
     blue: list[Edge] = list(hub.edges)
 
     def glue_with_witness(gadget: RootedGadget, attach: dict[int, int]) -> dict[int, int]:
-        nonlocal edges, n
-        edges, n, mapping = _glue(edges, n, gadget.graph, attach)
+        nonlocal n
+        n, mapping = _glue(edges, n, gadget.graph, attach)
         w = gadget.witness_coloring
         if w is not None:
             red.extend((mapping[a], mapping[b]) for a, b in w.red)
@@ -242,9 +224,7 @@ def diameter_distinguisher(
         for u in range(t):
             glue_with_witness(lam, {lam.root: u})
     else:
-        r = profile.diameter // 2
-        if r < 2:
-            raise ValueError("even diameter below four never reaches this construction")
+        r = profile.diameter // 2  # diameter 2r, at least 4 in T'
         if J is None:
             if t != 3:
                 raise ValueError("no default J available for t > 3; supply one")
@@ -316,23 +296,21 @@ def factor_extremal_graph(p: int, q: int, r: int):
     g_n = cols * s * bsize
     g_stage = Graph(g_n, g_edges)
 
-    # Matching M_G: (q-1)/2 independent edges inside Q_{1,1}, then one edge
-    # from the Q_{1,j}-Q_{2,j} matching for j = 2..floor((r-q+2)/2).
-    m_g: list[Edge] = [(2 * x, 2 * x + 1) for x in range((q - 1) // 2)]
-    for j in range(2, (r - q + 2) // 2 + 1):
-        m_g.append((block_base(1, j), block_base(2, j)))
-    m_q = [e for e in m_g if e in set(gq_edges)]
-    assert len(m_g) == (r - 1) // 2 and len(m_q) == (q - 1) // 2
+    # Matching M_G: M_q, (q-1)/2 independent edges inside Q_{1,1} (so also in
+    # G_q), then one edge from the Q_{1,j}-Q_{2,j} matching for
+    # j = 2..floor((r-q+2)/2).  Every edge here and in stage one is (low, high),
+    # and M_G comes out in increasing order, as the trace lists it.
+    m_q: list[Edge] = [(2 * x, 2 * x + 1) for x in range((q - 1) // 2)]
+    m_g = m_q + [(block_base(1, j), block_base(2, j)) for j in range(2, (r - q + 2) // 2 + 1)]
+    assert len(m_g) == (r - 1) // 2
 
     # Stage two: new vertex u replaces each matching edge vw by uv, uw.
     u = g_n
     h_n = g_n + 1
-    m_g_set = {tuple(sorted(e)) for e in m_g}
-    m_q_set = {tuple(sorted(e)) for e in m_q}
-    h_edges = [e for e in g_edges if tuple(sorted(e)) not in m_g_set]
-    h_edges.extend((u, x) for e in sorted(m_g_set) for x in e)
-    hq_edges = [e for e in gq_edges if tuple(sorted(e)) not in m_q_set]
-    hq_edges.extend((u, x) for e in sorted(m_q_set) for x in e)
+    h_edges = [e for e in g_edges if e not in m_g]
+    h_edges.extend((u, x) for e in m_g for x in e)
+    hq_edges = [e for e in gq_edges if e not in m_q]
+    hq_edges.extend((u, x) for e in m_q for x in e)
     h_stage = Graph(h_n, h_edges)
 
     # Stage three: hub K_t plus q*t disjoint copies of H.
@@ -368,8 +346,8 @@ def factor_extremal_graph(p: int, q: int, r: int):
     trace = ConstructionTrace(
         params=(p, q, r, t),
         g_stage=g_stage,
-        m_g=tuple(sorted(m_g_set)),
-        m_q=tuple(sorted(m_q_set)),
+        m_g=tuple(m_g),
+        m_q=tuple(m_q),
         h_stage=h_stage,
         u_vertex=u,
         hub=hub,
@@ -393,5 +371,5 @@ def determiner_chain(T: Graph, D: DeterminerGadget) -> Graph:
     edges = list(T.edges)
     n = T.n
     for x, y in T.edges:
-        edges, n, _ = _glue(edges, n, D.graph, {b1: x, b2: y})
+        n, _ = _glue(edges, n, D.graph, {b1: x, b2: y})
     return Graph(n, edges)

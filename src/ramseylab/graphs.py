@@ -102,7 +102,7 @@ class Graph:
         e = edge(*e)
         if e not in self.edge_set():
             raise ValueError(f"edge {e} not in graph")
-        return Graph(self.n, (f for f in self.edges if f != e))
+        return self.without_edges((e,))
 
     def without_edges(self, drop: Iterable[Edge]) -> Graph:
         gone = {edge(u, v) for u, v in drop}
@@ -112,11 +112,7 @@ class Graph:
         """Delete vertex v; remaining vertices are relabeled to 0..n-2 in order."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
-        relabel = {u: (u if u < v else u - 1) for u in range(self.n) if u != v}
-        return Graph(
-            self.n - 1,
-            ((relabel[a], relabel[b]) for a, b in self.edges if v not in (a, b)),
-        )
+        return self.induced(u for u in range(self.n) if u != v)
 
     def induced(self, keep: Iterable[int]) -> Graph:
         """Induced subgraph on `keep`, relabeled by increasing original label."""
@@ -131,10 +127,8 @@ class Graph:
             ),
         )
 
-    def relabeled(self, mapping: dict[int, int] | list[int]) -> Graph:
-        """Apply a vertex bijection 0..n-1 -> 0..n-1."""
-        if isinstance(mapping, dict):
-            mapping = [mapping[i] for i in range(self.n)]
+    def relabeled(self, mapping: list[int]) -> Graph:
+        """Apply a vertex bijection 0..n-1 -> 0..n-1: vertex v becomes mapping[v]."""
         if sorted(mapping) != list(range(self.n)):
             raise ValueError("mapping is not a bijection on 0..n-1")
         return Graph(self.n, ((mapping[a], mapping[b]) for a, b in self.edges))

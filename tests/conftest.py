@@ -4,8 +4,7 @@ import random
 import pytest
 
 from ramseylab.arrowing import arrows
-from ramseylab.families import clique
-from ramseylab.graphs import BLUE, RED, Edge, Graph, edge
+from ramseylab.graphs import BLUE, RED, Edge, Graph, clique, edge
 from ramseylab.subgraph import _plan, _walk
 
 

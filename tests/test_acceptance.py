@@ -22,17 +22,12 @@ from ramseylab.arrowing import (
 from ramseylab.enumeration import graphs_by_edge_count, graphs_up_to_vertices, trees_up_to_vertices
 from ramseylab.factors import belck_check, has_k_factor
 from ramseylab.families import (
-    clique,
-    clique_with_pendants,
-    cycle,
     diameter_distinguisher,
     factor_extremal_graph,
     lambda_gadget,
-    path,
-    star,
     suitable_caterpillar,
 )
-from ramseylab.graphs import EdgeColoring
+from ramseylab.graphs import EdgeColoring, clique, clique_with_pendants, cycle, path, star
 from ramseylab.recolor import star_clique_recolor, yuv_certificate
 from ramseylab.subgraph import cliques_of_size, contains_copy, copies_as_edge_sets
 

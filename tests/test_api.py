@@ -1,6 +1,7 @@
 """Every public name must be used by the library or a demo, not only by tests,
 and every field of an exported dataclass must be read somewhere."""
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -83,3 +84,28 @@ def test_every_dataclass_field_is_read():
                 if not re.search(rf"\.{field.name}\b", text):
                     unread.append(f"{name}.{field.name}")
     assert unread == []
+
+
+# `bench/tracer.py` hooks `enumeration.iso_test` by patching this name in
+# `enumeration`, so the module keeps it though it never calls it.
+UNUSED_IMPORT_ALLOWED = {"enumeration.contains_copy"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A name imported and never read is dead weight or a re-export shim; the
+    # package's exports load through `__init__`, so no other module needs one.
+    unused = []
+    for path in sorted((ROOT / "src" / "ramseylab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += sorted(f"{path.stem}.{name}" for name in imported - used)
+    assert sorted(set(unused) - UNUSED_IMPORT_ALLOWED) == []
+    assert set(unused) >= UNUSED_IMPORT_ALLOWED  # an allowance nothing needs goes too

@@ -24,15 +24,19 @@ from ramseylab.arrowing import (
 )
 from ramseylab.enumeration import graphs_up_to_vertices, trees_up_to_vertices
 from ramseylab.errors import BudgetExhaustedError, CapExceededError, GraphTooLargeError
-from ramseylab.families import (
+from ramseylab.families import diameter_distinguisher
+from ramseylab.graphs import (
+    BLUE,
+    RED,
+    EdgeColoring,
+    Graph,
+    bits,
     clique,
     clique_with_pendants,
     cycle,
-    diameter_distinguisher,
     path,
     star,
 )
-from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph, bits
 from ramseylab.subgraph import copy_through
 
 from conftest import case_nodes, random_graph
@@ -181,6 +185,24 @@ def test_ramsey_number_cap_bounds_the_block_coloring(monkeypatch):
     with pytest.raises(CapExceededError):
         ramsey_number(path(30), clique(30), cap=5)
     assert built == []
+
+
+def test_ramsey_number_decides_only_the_cap_after_the_rho_sweep_fails(monkeypatch):
+    # R(K3, K5) = 14, so the (K3, K5) sweep up to K_13 finds nothing: a free
+    # coloring of K_13 for (K3, K5) has no blue K5, so none for (K3, K6)
+    # either, and only K_14 is left to decide for (K3, K6).
+    searched = []
+    clique_arrows = ramseylab.arrowing._clique_arrows
+
+    def recording(n, g, h, budget, rho):
+        searched.append((n, h.n))
+        return clique_arrows(n, g, h, budget, rho)
+
+    monkeypatch.setattr(ramseylab.arrowing, "_clique_arrows", recording)
+    with pytest.raises(CapExceededError):
+        ramsey_number(K3, clique(6), cap=14)
+    assert [n for n, t in searched if t == 6] == [14]
+    assert [n for n, t in searched if t == 5] == [9, 10, 11, 12, 13]
 
 
 def test_block_coloring_is_free_and_refutes_its_clique():

@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 from ramseylab import arrowing, recolor
-from ramseylab.families import clique
-from ramseylab.graphs import EdgeColoring, Graph
+from ramseylab.graphs import EdgeColoring, Graph, clique
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 

@@ -16,6 +16,7 @@ from ramseylab.arrowing import DEFAULT_BUDGET, arrows, verify_determiner
 from ramseylab.cli import (
     EXIT_BAD_INPUT,
     EXIT_INDETERMINATE,
+    EXIT_INVARIANT,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
@@ -23,9 +24,8 @@ from ramseylab.cli import (
     build_parser,
     main,
 )
-from ramseylab.families import clique, clique_with_pendants, cycle, path, star
 from ramseylab.formats import coloring_to_text, graph_to_graph6
-from ramseylab.graphs import EdgeColoring, Graph
+from ramseylab.graphs import EdgeColoring, Graph, clique, clique_with_pendants, cycle, path, star
 
 from conftest import case_nodes
 
@@ -312,6 +312,10 @@ PROBES = {
         ["construct", "star", "3"],
         ["cli", "errors", "formats", "graphs"],
     ),
+    "construct-clique-pendants": (
+        ["construct", "clique-pendants", "--t", "3", "--a", "1", "--b", "2"],
+        ["cli", "errors", "formats", "graphs"],
+    ),
 }
 
 _PROBE = """
@@ -441,6 +445,16 @@ def test_exit_codes(files, capsys):
     capsys.readouterr()
 
 
+def test_invariant_violation_exits_4(files, capsys, monkeypatch):
+    # A witness that fails its re-check is a bug, reported without a report.
+    _, write = files
+    monkeypatch.setattr("ramseylab.arrowing.coloring_is_free", lambda *args: False)
+    argv = ["arrows", "--g", write("s2.g6", star(2)), "--h", write("k3.g6", clique(3))]
+    assert main(argv + ["--f", write("c5.g6", cycle(5))]) == EXIT_INVARIANT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invariant violation:")
+
+
 def test_report_determinism(files, capsys):
     _, write = files
     g = write("p3.g6", path(3))
@@ -475,7 +489,9 @@ def test_verify_determiner_bad_beta(files, capsys):
     T = write("p4.g6", path(4))
     code = main(["verify-determiner", "--d", d, "--beta", "0,5", "--T", T, "--t", "3"])
     assert code == EXIT_USAGE
-    capsys.readouterr()
+    code = main(["verify-determiner", "--d", d, "--beta", "0-1", "--T", T, "--t", "3"])
+    assert code == EXIT_USAGE
+    assert "expected an edge as 'u,v'" in capsys.readouterr().err
 
 
 def test_construct_basic_kinds(files, capsys):

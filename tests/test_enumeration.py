@@ -21,8 +21,7 @@ from ramseylab.enumeration import (
     graphs_up_to_vertices,
     trees_up_to_vertices,
 )
-from ramseylab.families import cycle, path, star
-from ramseylab.graphs import Graph
+from ramseylab.graphs import Graph, cycle, path, star
 
 # Published counts: graphs up to isomorphism by vertex count (A000088),
 # by edge count without isolated vertices (A000664), and trees (A000055).
@@ -111,6 +110,8 @@ def test_graph_counts_by_edges():
         for g in graphs:
             assert g.m == m
             assert all(g.degree(v) >= 1 for v in range(g.n))
+    with pytest.raises(ValueError):
+        graphs_by_edge_count(0)
 
 
 @pytest.mark.parametrize("n,count", sorted(TREE_COUNTS.items()))

@@ -14,8 +14,8 @@ from ramseylab.factors import (
     odd_components,
     star_pair_regular_arrows,
 )
-from ramseylab.families import clique, cycle, factor_extremal_graph, path, star
-from ramseylab.graphs import Graph
+from ramseylab.families import factor_extremal_graph
+from ramseylab.graphs import Graph, clique, cycle, path, star
 from conftest import random_graph
 from oracles import brute_has_k_factor
 
@@ -88,6 +88,8 @@ def test_star_pair_regular_arrows_examples():
     assert star_pair_regular_arrows(cycle(6), 1, 3) is False
     with pytest.raises(ValueError):
         star_pair_regular_arrows(path(4), 2, 2)
+    with pytest.raises(ValueError, match="positive"):
+        star_pair_regular_arrows(cycle(5), 0, 4)
 
 
 def _cycle_partitions(n: int, least: int = 3):

@@ -1,26 +1,34 @@
+import hashlib
 import itertools
 import math
 
 import pytest
 
 from ramseylab.arrowing import coloring_is_free
+from ramseylab.enumeration import graphs_up_to_vertices
 from ramseylab.factors import belck_check, has_k_factor, odd_components
 from ramseylab.families import (
     DeterminerGadget,
+    RootedGadget,
     c_gadget,
-    clique,
-    clique_with_pendants,
-    cycle,
     determiner_chain,
     diameter_distinguisher,
     factor_extremal_graph,
     lambda_gadget,
-    path,
-    star,
     suitable_caterpillar,
     uniform_tree,
 )
-from ramseylab.graphs import BLUE, RED, Graph
+from ramseylab.graphs import (
+    BLUE,
+    RED,
+    EdgeColoring,
+    Graph,
+    clique,
+    clique_with_pendants,
+    cycle,
+    path,
+    star,
+)
 from ramseylab.subgraph import clique_number, contains_copy
 
 SPIDER_3x2 = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
@@ -51,6 +59,8 @@ def test_suitable_caterpillar_shapes():
     assert mid.n == 8 and [mid.degree(v) for v in range(3)] == [3, 3, 3]
     with pytest.raises(ValueError):
         suitable_caterpillar(2, 2)
+    with pytest.raises(ValueError, match="s must be at least 1"):
+        suitable_caterpillar(0, 0)
 
 
 def test_uniform_tree():
@@ -60,6 +70,8 @@ def test_uniform_tree():
     assert u31.graph.n == 4 and u31.graph.degree(u31.root) == 3
     u23 = uniform_tree(2, 3).graph
     assert u23.n == 15 and u23.is_tree()
+    with pytest.raises(ValueError, match="need k >= 1"):
+        uniform_tree(0, 1)
 
 
 def test_lambda_gadget_p4():
@@ -93,6 +105,25 @@ def test_lambda_gadget_structure_invariants():
 def test_lambda_gadget_depth_zero():
     lam = lambda_gadget(path(4), path(4), 0)
     assert lam.graph.n == 1 and lam.graph.m == 0
+
+
+def test_gadget_input_checks():
+    with pytest.raises(ValueError, match="outside the gadget"):
+        RootedGadget(path(2), root=2)
+    with pytest.raises(ValueError, match="outside the gadget"):
+        RootedGadget(path(2), root=0, co_root=-1)
+    with pytest.raises(ValueError, match="does not color the gadget"):
+        RootedGadget(path(2), root=0, witness_coloring=EdgeColoring(Graph(2)))
+    with pytest.raises(ValueError, match="must be a tree"):
+        lambda_gadget(cycle(3), path(2), 1)
+    with pytest.raises(ValueError, match="depth"):
+        lambda_gadget(path(2), path(2), -1)
+    with pytest.raises(ValueError, match="must have an edge"):
+        lambda_gadget(Graph(1), path(2), 1)
+    with pytest.raises(ValueError, match="must have an edge"):
+        lambda_gadget(path(2), Graph(0), 1)
+    with pytest.raises(ValueError, match="nonempty"):
+        c_gadget(Graph(0))
 
 
 def test_c_gadget():
@@ -133,6 +164,16 @@ def test_diameter_distinguisher_validation():
         diameter_distinguisher(SPIDER_3x2, 3, GammaPrime=cycle(5), J=path(4))
     with pytest.raises(ValueError):
         diameter_distinguisher(path(4), 4)  # no default Gamma beyond t=3
+    with pytest.raises(ValueError, match="at least 3"):
+        diameter_distinguisher(path(4), 2)
+    with pytest.raises(ValueError, match="no default J"):
+        diameter_distinguisher(SPIDER_3x2, 4, Gamma=SPIDER_3x2, GammaPrime=cycle(5))
+    with pytest.raises(ValueError, match="J must not contain"):
+        diameter_distinguisher(SPIDER_3x2, 3, GammaPrime=cycle(5), J=clique(3))
+    with pytest.raises(ValueError, match="GammaPrime must not contain"):
+        diameter_distinguisher(SPIDER_3x2, 3, GammaPrime=clique(3))
+    with pytest.raises(ValueError, match="capped at 20 vertices"):
+        diameter_distinguisher(SPIDER_3x2, 3, GammaPrime=cycle(5), J=cycle(21))
 
 
 VALID_TRIPLES = [
@@ -192,6 +233,8 @@ def test_factor_extremal_preconditions():
         factor_extremal_graph(1, 5, 6)  # even r needs q <= r/2
     with pytest.raises(ValueError):
         factor_extremal_graph(1, 5, 3)
+    with pytest.raises(ValueError, match="p must be positive"):
+        factor_extremal_graph(-1, 3, 3)
 
 
 def test_determiner_chain_counts_and_coverage():
@@ -223,3 +266,42 @@ def test_counts_match_closed_forms():
         u = uniform_tree(k, i).graph
         assert u.n == sum(k**j for j in range(i + 1))
         assert u.m == u.n - 1
+
+
+def test_constructions_are_pinned():
+    # Exact labels, witness colorings and the factors found, so a rewrite of
+    # any constructor or of the substitute graph must keep every one of them.
+    digest = hashlib.sha256()
+
+    def put(*items):
+        digest.update(repr(items).encode())
+
+    for k in range(1, 5):
+        for i in range(4):
+            put(uniform_tree(k, i).graph.edges)
+    for T, gamma, i in [
+        (path(4), path(4), 1),
+        (path(4), path(4), 2),
+        (SPIDER_3x2, SPIDER_3x2, 1),
+        (star(2), cycle(5), 1),
+        (star(3), clique(2), 2),
+        (path(3), path(2), 3),
+    ]:
+        lam = lambda_gadget(T, gamma, i)
+        put(lam.graph.edges, sorted(lam.witness_coloring.red))
+    for args in [(path(4), 3), (path(6), 3), (SPIDER_3x2, 3, None, cycle(5))]:
+        g, coloring = diameter_distinguisher(*args)
+        put(g.edges, sorted(coloring.red))
+    for g in graphs_up_to_vertices(6):
+        for k in range(1, 4):
+            w = has_k_factor(g, k)
+            put(g.edges, k, None if w is None else sorted(w.edges))
+    for p, q, r in [(1, 3, 3), (1, 5, 5)]:
+        f, trace, cert = factor_extremal_graph(p, q, r)
+        put(f.edges, sorted(cert.D), cert.odd_component_count)
+        put(trace.params, trace.g_stage.edges, trace.m_g, trace.m_q, trace.h_stage.edges)
+        put(trace.u_vertex, trace.hub, trace.q_factor)
+        for k in range(1, 4):
+            w = has_k_factor(f, k)
+            put(k, None if w is None else sorted(w.edges))
+    assert digest.hexdigest() == "27dda9b9e521d69203b611b0daf1c95c233f04f523345bc017fa6e897d29e2fc"

@@ -5,7 +5,6 @@ import networkx as nx
 import pytest
 
 from ramseylab.enumeration import graphs_up_to_vertices
-from ramseylab.families import clique, cycle, path
 from ramseylab.formats import (
     FormatError,
     MismatchError,
@@ -14,7 +13,7 @@ from ramseylab.formats import (
     graph_from_graph6,
     graph_to_graph6,
 )
-from ramseylab.graphs import EdgeColoring, Graph
+from ramseylab.graphs import EdgeColoring, Graph, clique, cycle, path
 
 from conftest import random_graph
 
@@ -114,6 +113,10 @@ def test_coloring_mismatch_and_malformed():
         coloring_from_text("not a header\n")
     with pytest.raises(FormatError):
         coloring_from_text("-1 0\n")
+    with pytest.raises(FormatError, match="bad coloring header"):
+        coloring_from_text("3 x\n")
+    with pytest.raises(FormatError, match="out of range"):
+        coloring_from_text("3 1\n0 3 R\n")
 
 
 def test_coloring_mismatch_is_typed_and_checked_before_allocation():

@@ -1,7 +1,6 @@
 import pytest
 
-from ramseylab.families import clique, cycle, path, star
-from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph, edge
+from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph, clique, cycle, edge, path, star
 
 
 def test_edge_normalization_and_loops():
@@ -31,6 +30,10 @@ def test_without_vertex_relabels():
     g = path(4)  # 0-1-2-3
     h = g.without_vertex(1)
     assert h.n == 3 and h.edges == ((1, 2),)  # old 2-3 becomes 1-2
+    with pytest.raises(ValueError, match="out of range"):
+        g.without_vertex(4)
+    with pytest.raises(ValueError, match="not in graph"):
+        g.without_edge((0, 2))
 
 
 def test_induced_and_union():
@@ -64,6 +67,8 @@ def test_coloring_partition_enforced():
         EdgeColoring(g, red=[(0, 1), (1, 2)], blue=[(0, 1)])
     c = EdgeColoring(g, red=[(0, 1)], blue=[(1, 2)])
     assert c.color((1, 0)) == RED and c.color((1, 2)) == BLUE
+    with pytest.raises(KeyError):
+        c.color((0, 2))
 
 
 def test_coloring_flip_and_subgraphs():
@@ -100,6 +105,10 @@ def test_basic_constructors():
         cycle(2)
     with pytest.raises(ValueError):
         star(0)
+    with pytest.raises(ValueError):
+        path(0)
+    with pytest.raises(ValueError):
+        clique(0)
 
 
 def test_star_labels_center_first():

@@ -4,8 +4,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseylab.families import clique, cycle
-from ramseylab.graphs import Graph
+from ramseylab.graphs import Graph, clique, cycle
 from ramseylab.matching import maximum_matching
 
 from conftest import random_graph

@@ -8,9 +8,21 @@ import ramseylab.recolor
 from ramseylab.arrowing import coloring_is_free
 from ramseylab.enumeration import graphs_by_edge_count
 from ramseylab.errors import InvariantViolationError
-from ramseylab.families import clique, clique_with_pendants, cycle, path, star, suitable_caterpillar
-from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph, edge
+from ramseylab.families import suitable_caterpillar
+from ramseylab.graphs import (
+    BLUE,
+    RED,
+    EdgeColoring,
+    Graph,
+    clique,
+    clique_with_pendants,
+    cycle,
+    edge,
+    path,
+    star,
+)
 from ramseylab.recolor import (
+    WalkTrace,
     WovenCertificate,
     alternating_walk_step,
     star_clique_recolor,
@@ -48,6 +60,21 @@ def test_walk_preconditions():
         alternating_walk_step(f, pendant_blue, 2, 3)
     with pytest.raises(ValueError):
         alternating_walk_step(f, no_blue_k3, 1, 3)
+    with pytest.raises(ValueError, match="does not belong"):
+        alternating_walk_step(clique(3), no_blue_k3, 2, 3)
+    with pytest.raises(ValueError, match="not free"):
+        star_clique_recolor(f, pendant_blue, 2, 3)
+
+
+def test_walk_trace_validation():
+    with pytest.raises(ValueError, match="repeats an edge"):
+        WalkTrace(((0, 1), (0, 1)), (RED, BLUE), (0, 1))
+    with pytest.raises(ValueError, match="seed edge missing"):
+        WalkTrace(((0, 1),), (RED,), (1, 2))
+    with pytest.raises(ValueError, match="one recorded color"):
+        WalkTrace(((0, 1),), (), (0, 1))
+    with pytest.raises(ValueError, match="fail to alternate"):
+        WalkTrace(((0, 1), (1, 2), (2, 3), (3, 4)), (RED, BLUE, BLUE, RED), (0, 1))
 
 
 def test_walk_two_triangles_bridged():
@@ -271,6 +298,10 @@ def test_woven_recolor_noop_and_threshold():
     assert phi3 == phi_nb and trace.family_B == ()
     with pytest.raises(ValueError, match="threshold"):
         woven_recolor(f, phi_nb, star(2), a=1, b=2, t=5)
+    with pytest.raises(ValueError, match="need a >= 1"):
+        woven_recolor(f, phi_nb, star(2), a=0, b=2, t=6)
+    with pytest.raises(ValueError, match="does not belong"):
+        woven_recolor(clique(6), phi_nb, star(2), a=1, b=2, t=6)
     # G must be woven; P6 is neither a star nor a suitable caterpillar.
     with pytest.raises(ValueError, match="neither a star"):
         woven_recolor(f, phi_nb, path(6), a=1, b=2, t=6)

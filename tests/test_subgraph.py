@@ -9,8 +9,19 @@ from hypothesis import strategies as st
 
 from ramseylab import subgraph
 from ramseylab.arrowing import _ArrowEngine
-from ramseylab.families import clique, clique_with_pendants, cycle, path, star
-from ramseylab.graphs import BLUE, RED, EdgeColoring, Graph, bits, edge
+from ramseylab.graphs import (
+    BLUE,
+    RED,
+    EdgeColoring,
+    Graph,
+    bits,
+    clique,
+    clique_with_pendants,
+    cycle,
+    edge,
+    path,
+    star,
+)
 from ramseylab.subgraph import (
     _clique_plan,
     _compile,

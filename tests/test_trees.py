@@ -3,8 +3,8 @@ from collections import Counter
 import pytest
 
 from ramseylab.enumeration import trees_up_to_vertices
-from ramseylab.families import cycle, path, star, suitable_caterpillar
-from ramseylab.graphs import Graph
+from ramseylab.families import suitable_caterpillar
+from ramseylab.graphs import Graph, cycle, path, star
 from ramseylab.trees import tree_classify
 
 from oracles import brute_tree_profile

@@ -5,8 +5,21 @@ each flip of the greedy walk then keeps those guarantees while strictly
 shrinking the number of blue triangles.
 """
 
-from ramseylab import EdgeColoring, Graph, alternating_walk_step, clique, coloring_is_free, star
-from ramseylab.recolor import _blue_cliques
+from ramseylab import (
+    BLUE,
+    EdgeColoring,
+    Graph,
+    alternating_walk_step,
+    clique,
+    cliques_of_size,
+    coloring_is_free,
+    star,
+)
+
+
+def blue_cliques(c, t):
+    return list(cliques_of_size(c.adjacency(BLUE), t))
+
 
 # Two blue triangles bridged by a red path through a fresh vertex.
 f = Graph(7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6), (1, 3), (3, 4)])
@@ -18,12 +31,12 @@ c = EdgeColoring(
 
 s, t = 3, 3
 step = 0
-while _blue_cliques(c, t):
+while blue_cliques(c, t):
     step += 1
     c, trace = alternating_walk_step(f, c, s, t)
     walk = ", ".join(f"{e}:{col}" for e, col in zip(trace.edges, trace.colors_before))
     print(f"step {step}: seed {trace.start_edge}, walk [{walk}]")
-    print(f"  blue triangles left: {len(_blue_cliques(c, t))}")
+    print(f"  blue triangles left: {len(blue_cliques(c, t))}")
 
 assert coloring_is_free(f, c, star(s), clique(t))
 print("final coloring is free of red K_1,3 and blue K_3")

@@ -3,12 +3,15 @@
 Walk recoloring: given a coloring free of red stars and blue pendant-cliques,
 an alternating walk seeded inside a blue clique is flipped, strictly reducing
 the number of blue cliques while keeping the coloring star-free, until no
-blue clique is left.
+blue clique is left.  The input is checked once; the result needs no final
+check, since every step asserts that it made no red star.
 
 Woven recoloring: given a coloring free of (G, K_t with a pendant blocks),
 blue t-cliques are broken by flipping a matching inside each member of a
 maximal scattered family, and the red G-copies this creates are killed again
-by flipping small hitting sets (the woven certificates) back to blue.
+by flipping small hitting sets (the woven certificates) back to blue.  The
+saturated sets U_K are computed for the family members only, the one place
+they are read.
 Every postcondition the underlying proofs promise is asserted at runtime.
 """
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError
-from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, clique, clique_with_pendants, edge, star
+from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, clique_with_pendants, edge, star
 from .subgraph import cliques_of_size, coloring_is_free, contains_copy, copies_as_edge_sets
 from .trees import tree_classify
 
@@ -75,12 +78,13 @@ class RecolorTrace:
 # -- alternating-walk recoloring ----------------------------------------------
 
 
-def _blue_cliques(c: EdgeColoring, t: int) -> list[tuple[int, ...]]:
-    return list(cliques_of_size(c.adjacency(BLUE), t))
-
-
-def _has_red_star(c: EdgeColoring, s: int) -> bool:
-    return any(a.bit_count() >= s for a in c.adjacency(RED))
+def _check_walk_input(f: Graph, c: EdgeColoring, s: int, t: int) -> None:
+    if s < 2 or t < 3:
+        raise ValueError("the walk transformation needs s >= 2 and t >= 3")
+    if c.host != f:
+        raise ValueError("coloring does not belong to f")
+    if not coloring_is_free(f, c, star(s), clique_with_pendants(t, 1, 2)):
+        raise ValueError("input coloring is not free of red stars / blue pendant cliques")
 
 
 def alternating_walk_step(
@@ -96,14 +100,8 @@ def alternating_walk_step(
     Flipping the walk keeps red stars away, creates no blue pendant clique,
     and strictly lowers the blue K_t count; all three are asserted.
     """
-    if s < 2 or t < 3:
-        raise ValueError("the walk transformation needs s >= 2 and t >= 3")
-    if c.host != f:
-        raise ValueError("coloring does not belong to f")
-    pendant = clique_with_pendants(t, 1, 2)
-    if not coloring_is_free(f, c, star(s), pendant):
-        raise ValueError("input coloring is not free of red stars / blue pendant cliques")
-    blue_cliques = _blue_cliques(c, t)
+    _check_walk_input(f, c, s, t)
+    blue_cliques = list(cliques_of_size(c.adjacency(BLUE), t))
     if not blue_cliques:
         raise ValueError("no blue clique to remove")
 
@@ -116,43 +114,30 @@ def alternating_walk_step(
                 )
             clique_of[v] = idx
 
-    visited: set[Edge] = set()
-    clique_visited: set[int] = set()
+    # The cliques are disjoint and in lexicographic order, so the lowest edge
+    # inside one is the first clique's first two vertices.  Every candidate
+    # edge at a step contains the current vertex, so the lowest edge goes to
+    # the lowest neighbour; a red edge is dropped from `red` once walked.
+    seed = blue_cliques[0][:2]
+    red = list(c.adjacency(RED))
+    clique_visited = {0}
 
-    def in_clique_edges(idx: int) -> list[Edge]:
-        members = blue_cliques[idx]
-        return [edge(a, b) for i, a in enumerate(members) for b in members[i + 1 :]]
-
-    seed = min(e for idx in range(len(blue_cliques)) for e in in_clique_edges(idx))
-    visited.add(seed)
-    clique_visited.add(clique_of[seed[0]])
-
-    def extend(start: int) -> list[Edge]:
+    def extend(cur: int) -> list[Edge]:
         out: list[Edge] = []
-        cur = start
-        while True:
-            red_next = [
-                edge(cur, w)
-                for w in f.neighbors(cur)
-                if edge(cur, w) in c.red and edge(cur, w) not in visited
-            ]
-            if not red_next:
-                return out  # endpoint of the last blue edge has no red way out
-            e = min(red_next)
-            visited.add(e)
-            out.append(e)
-            cur = e[0] if e[1] == cur else e[1]
+        while red[cur]:
+            w = next(bits(red[cur]))
+            red[cur] ^= 1 << w
+            red[w] ^= 1 << cur
+            out.append(edge(cur, w))
+            cur = w
             idx = clique_of.get(cur)
             if idx is None or idx in clique_visited:
                 return out  # off the cliques, or meeting a visited one: stop
-            blue_next = [
-                edge(cur, w) for w in blue_cliques[idx] if w != cur
-            ]
-            e = min(e2 for e2 in blue_next if e2 not in visited)
-            visited.add(e)
-            out.append(e)
             clique_visited.add(idx)
-            cur = e[0] if e[1] == cur else e[1]
+            w = next(x for x in blue_cliques[idx] if x != cur)
+            out.append(edge(cur, w))
+            cur = w
+        return out  # endpoint of the last blue edge has no red way out
 
     tail = extend(seed[1])
     head = extend(seed[0])
@@ -164,14 +149,15 @@ def alternating_walk_step(
     )
     flipped = c.flipped(walk)
 
-    if _has_red_star(flipped, s):
+    if any(a.bit_count() >= s for a in flipped.adjacency(RED)):
         raise InvariantViolationError("walk flip created a red star")
-    before, after = len(blue_cliques), len(_blue_cliques(flipped, t))
+    blue = flipped.adjacency(BLUE)
+    before, after = len(blue_cliques), sum(1 for _ in cliques_of_size(blue, t))
     if after >= before:
         raise InvariantViolationError(
             f"walk flip failed to reduce blue cliques: {before} -> {after}"
         )
-    if contains_copy(flipped.adjacency(BLUE), pendant):
+    if contains_copy(blue, clique_with_pendants(t, 1, 2)):
         raise InvariantViolationError("walk flip created a blue pendant clique")
     return flipped, trace
 
@@ -180,16 +166,14 @@ def star_clique_recolor(f: Graph, c: EdgeColoring, s: int, t: int) -> EdgeColori
     """Iterate the walk step until no blue K_t remains.
 
     Turns any (K_{1,s}, K_t.K_2)-free coloring into a (K_{1,s}, K_t)-free one;
-    termination is forced by the strict decrease each step asserts.
+    termination is forced by the strict decrease each step asserts.  The
+    result needs no final check: the loop ends on no blue K_t, and there is
+    no red K_{1,s} by the input check (no step) or by the last step's
+    asserted postcondition.
     """
-    if not coloring_is_free(f, c, star(s), clique_with_pendants(t, 1, 2)):
-        raise ValueError("input coloring is not free of red stars / blue pendant cliques")
-    remaining = len(_blue_cliques(c, t))
-    while remaining > 0:
+    _check_walk_input(f, c, s, t)
+    while next(cliques_of_size(c.adjacency(BLUE), t), None) is not None:
         c, _ = alternating_walk_step(f, c, s, t)
-        remaining = len(_blue_cliques(c, t))
-    if not coloring_is_free(f, c, star(s), clique(t)):
-        raise InvariantViolationError("walk iteration ended on a non-free coloring")
     return c
 
 
@@ -225,17 +209,12 @@ def yuv_certificate(f: Graph, uv: Edge, T: Graph) -> WovenCertificate:
         raise ValueError("some copy of T avoids uv; the certificate is undefined")
 
     def edges_at(w: int) -> list[Edge]:
-        return sorted(edge(w, x) for x in f_prime.neighbors(w))
+        return [edge(w, x) for x in f_prime.neighbors(w)]  # ascending
 
     if not contains_copy(f.adj, T):
         y: frozenset[Edge] = frozenset()
     elif kind == "star":
-        pick = []
-        if edges_at(u):
-            pick.append(edges_at(u)[0])
-        if edges_at(v):
-            pick.append(edges_at(v)[0])
-        y = frozenset(pick)
+        y = frozenset(edges_at(u)[:1] + edges_at(v)[:1])
     else:
         leaf_u = _leaf_embeds_at(f, T, u)
         leaf_v = _leaf_embeds_at(f, T, v)
@@ -275,13 +254,14 @@ def woven_recolor(
     G must be a star or a suitable caterpillar.  Its shape fixes the woven
     bound k, and Chvatal's theorem gives r = R(G, K_{b-1}) = (b-2)(|G|-1)+1.
 
-    Follows the proof pipeline: collect the saturated vertices U_K of every
-    blue K_t (those with a large blue complete neighborhood outside K), pick a
-    maximal family of blue cliques pairwise sharing fewer than `a` vertices,
-    flip a maximum matching inside each member (phi2), then hit every red
-    G-copy those flips created with woven certificates and flip the hitting
-    sets back to blue (phi3).  The intersection and saturation claims and the
-    final freeness are all asserted.
+    Follows the proof pipeline: pick a maximal family of blue K_t's pairwise
+    sharing fewer than `a` vertices, collect the saturated vertices U_K of
+    each member K (those whose blue neighbours outside K span a K_rho of f,
+    rho = r + (a-1)(b-1)), flip a maximum matching inside each member away
+    from U_K (phi2), then hit every red G-copy those flips created with
+    woven certificates and flip the hitting sets back to blue (phi3).  The
+    intersection and saturation claims and the final freeness are all
+    asserted.
     """
     if a < 1 or b < 2:
         raise ValueError("need a >= 1 and b >= 2")
@@ -291,17 +271,19 @@ def woven_recolor(
     if woven is None:
         raise ValueError(_NOT_WOVEN)
     k = woven[2]
-    r = (b - 2) * (G.n - 1) + 1
-    threshold = 4 * k + 2 * (r + (a - 1) * (b - 1)) + (a - 1)
+    rho = (b - 2) * (G.n - 1) + 1 + (a - 1) * (b - 1)  # r + (a-1)(b-1)
+    threshold = 4 * k + 2 * rho + (a - 1)
     if t < threshold:
         raise ValueError(f"t={t} is below the pipeline threshold {threshold}")
     target = clique_with_pendants(t, a, b)
     if not coloring_is_free(f, phi1, G, target):
         raise ValueError("input coloring is not free for the pendant-clique pair")
 
-    rho = r + (a - 1) * (b - 1)
     blue = phi1.adjacency(BLUE)
-    blue_cliques = list(cliques_of_size(blue, t))
+    family: list[tuple[int, ...]] = []
+    for members in cliques_of_size(blue, t):  # in lexicographic order
+        if all(len(set(members) & set(other)) < a for other in family):
+            family.append(members)
 
     def saturated(members: tuple[int, ...]) -> frozenset[int]:
         inside = set(members)
@@ -314,29 +296,22 @@ def woven_recolor(
                 out.append(uu)
         return frozenset(out)
 
-    u_k = {members: saturated(members) for members in blue_cliques}
-
-    family: list[tuple[int, ...]] = []
-    for members in blue_cliques:  # lexicographic order from the clique enumeration
-        if all(len(set(members) & set(other)) < a for other in family):
-            family.append(members)
-
-    for i, ka in enumerate(family):
-        if len(u_k[ka]) > a - 1:
+    u_k = [saturated(members) for members in family]
+    for i, (ka, ua) in enumerate(zip(family, u_k)):
+        if len(ua) > a - 1:
             raise InvariantViolationError(
                 f"saturated set larger than a-1 in family member {ka}"
             )
-        for kb in family[i + 1 :]:
-            common = set(ka) & set(kb)
-            if not common <= (u_k[ka] & u_k[kb]):
+        for kb, ub in zip(family[i + 1 :], u_k[i + 1 :]):
+            if not set(ka) & set(kb) <= ua & ub:
                 raise InvariantViolationError(
                     f"family members {ka} and {kb} overlap outside their saturated sets"
                 )
 
     matching: list[Edge] = []
-    for members in family:
-        free = sorted(set(members) - u_k[members])
-        matching.extend(edge(free[2 * i], free[2 * i + 1]) for i in range(len(free) // 2))
+    for members, ua in zip(family, u_k):
+        free = [v for v in members if v not in ua]
+        matching.extend(zip(free[::2], free[1::2]))
     matching.sort()
     phi2 = phi1.flipped(matching)
 
@@ -364,7 +339,7 @@ def woven_recolor(
         y_sets.append(cert.Y)
         hit |= sum(bit[e] for e in cert.Y)
 
-    all_y = frozenset().union(*y_sets) if y_sets else frozenset()
+    all_y = frozenset().union(*y_sets)
     phi3 = phi2.flipped(all_y)
 
     red = phi3.adjacency(RED)
@@ -377,7 +352,7 @@ def woven_recolor(
         raise InvariantViolationError(f"blue clique survived the pipeline: {blue_after}")
 
     trace = RecolorTrace(
-        U_K_sets=tuple(u_k[members] for members in family),
+        U_K_sets=tuple(u_k),
         family_B=tuple(family),
         matching_M=tuple(matching),
         Y_sets=tuple(y_sets),

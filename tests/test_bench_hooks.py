@@ -32,9 +32,10 @@ def test_tracer_hook_target_exists(module_path, attr_path):
 
 
 def test_subgraph_hooks_record_calls():
-    # The witness re-check, the recoloring's freeness checks, the walk's
-    # pendant check and its blue-clique listing go through names the tracer
-    # hooks; a search routed round them would leave its layer at 0 calls.
+    # The witness re-check, the recoloring and its walk steps, their freeness
+    # checks, the walk's pendant check and its blue-clique listing go through
+    # names the tracer hooks; a search routed round them would leave its
+    # layer at 0 calls.
     tracer = _load_tracer()
     trace = tracer.Tracer()
     trace.install()
@@ -50,3 +51,5 @@ def test_subgraph_hooks_record_calls():
     assert calls["subgraph.cliques_of_size"] > 0
     assert calls["arrowing.witness_check"] > 0
     assert calls["recolor.freeness_check"] > 0
+    assert calls["recolor.star_clique_recolor"] > 0
+    assert calls["recolor.walk_step"] > 0

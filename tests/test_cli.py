@@ -411,8 +411,12 @@ def test_exit_codes(files, capsys):
     assert main(["construct", "distinguisher", "--T", c5, "--t", "3"]) == EXIT_USAGE
     scan = ["equiv-scan", "--g1", k3, "--h1", k3, "--g2", k3, "--h2", k3]
     assert main(scan + ["--max-vertices", "0"]) == EXIT_USAGE
-    # beta must be an edge of the determiner; a budget must be nonnegative
+    # the walk needs s >= 2, also on a host with no blue triangle
     p3 = write("p3.g6", path(3))
+    p3_blue = tmp_path / "p3_blue.txt"
+    p3_blue.write_text(coloring_to_text(EdgeColoring(path(3), blue=path(3).edges)))
+    assert main(["recolor", "walk", p3, str(p3_blue), "--s", "1", "--t", "3"]) == EXIT_USAGE
+    # beta must be an edge of the determiner; a budget must be nonnegative
     k4 = write("k4.g6", clique(4))
     chain = ["construct", "determiner-chain", "--T", p3, "--determiner", k4]
     assert main(chain + ["--beta=-1,0"]) == EXIT_USAGE

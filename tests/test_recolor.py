@@ -64,6 +64,10 @@ def test_walk_preconditions():
         alternating_walk_step(clique(3), no_blue_k3, 2, 3)
     with pytest.raises(ValueError, match="not free"):
         star_clique_recolor(f, pendant_blue, 2, 3)
+    # s = 1 is rejected also where no walk step would run
+    p3 = path(3)
+    with pytest.raises(ValueError, match="s >= 2"):
+        star_clique_recolor(p3, EdgeColoring(p3, blue=p3.edges), 1, 3)
 
 
 def test_walk_trace_validation():
@@ -191,6 +195,27 @@ def test_star_clique_recolor_builds_no_graph(monkeypatch, red, blue):
     monkeypatch.setattr(Graph, "__init__", counting_init)
     star_clique_recolor(f, c, 2, 3)
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "red, blue, checks",
+    [
+        ([(0, 1), (2, 3)], [(1, 2), (0, 2)], 1),  # no blue triangle: the input check
+        ([(2, 3)], [(0, 1), (1, 2), (0, 2)], 2),  # and the one step's own input check
+    ],
+)
+def test_star_clique_recolor_checks_freeness_once_per_call(monkeypatch, red, blue, checks):
+    f = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    calls = []
+    is_free = ramseylab.recolor.coloring_is_free
+
+    def counting(*args):
+        calls.append(args)
+        return is_free(*args)
+
+    monkeypatch.setattr(ramseylab.recolor, "coloring_is_free", counting)
+    star_clique_recolor(f, EdgeColoring(f, red, blue), 2, 3)
+    assert len(calls) == checks
 
 
 def test_yuv_star_path_example():
@@ -334,6 +359,32 @@ def test_woven_recolor_with_saturated_vertices():
     assert coloring_is_free(f, phi3, star(2), clique(t))
 
 
+def test_woven_recolor_saturates_the_family_only(monkeypatch):
+    # Blue K_16, a blue K_5 and spokes from vertex 0 to it.  The sixteen blue
+    # K_15's pairwise share 14 vertices, so with a = 2 the family is the
+    # first alone, and in it only vertex 0 has enough blue neighbours outside
+    # to be looked at in an induced subgraph.
+    t = 15
+    edges = (
+        list(itertools.combinations(range(t + 1), 2))
+        + list(itertools.combinations(range(t + 1, t + 6), 2))
+        + [(0, w) for w in range(t + 1, t + 6)]
+    )
+    f = Graph(t + 6, edges)
+    phi1 = EdgeColoring(f, red=[], blue=edges)
+    calls = []
+    induced = Graph.induced
+
+    def counting(self, keep):
+        calls.append(keep)
+        return induced(self, keep)
+
+    monkeypatch.setattr(Graph, "induced", counting)
+    _, trace = woven_recolor(f, phi1, star(2), a=2, b=3, t=t)
+    assert trace.U_K_sets == (frozenset({0}),)
+    assert len(calls) == 1
+
+
 def test_woven_recolor_y_flips_needed():
     # Pendant red edges at the matched clique vertices force nonempty hitting
     # sets: after the matching flip each flipped edge meets a red pendant,
@@ -401,3 +452,51 @@ def test_woven_recolor_intersecting_family():
     assert all(shared not in e for e in trace.matching_M)
     assert len(trace.matching_M) == 14
     assert coloring_is_free(f, phi3, star(2), clique(t))
+
+
+def _woven_instances():
+    """(f, phi1, a, b, t) of the K6 instance, its no-op variant, the pendant
+    instance (also demo 05's), the saturated and the intersecting K15's."""
+    k6 = list(itertools.combinations(range(6), 2))
+    f = Graph(10, k6 + [(6, 7), (8, 9)])
+    yield f, EdgeColoring(f, red=[(6, 7), (8, 9)], blue=k6), 1, 2, 6
+    yield f, EdgeColoring(f, red=[k6[0], (6, 7), (8, 9)], blue=k6[1:]), 1, 2, 6
+    pend = [(0, 6), (2, 7), (4, 8)]
+    f = Graph(9, k6 + pend)
+    yield f, EdgeColoring(f, red=pend, blue=k6), 1, 2, 6
+    k15 = list(itertools.combinations(range(15), 2))
+    outside = list(itertools.combinations(range(15, 20), 2))
+    f = Graph(20, k15 + outside + [(0, w) for w in range(15, 20)])
+    yield f, EdgeColoring(f, red=[], blue=f.edges), 2, 3, 15
+    second = list(itertools.combinations(range(14, 29), 2))
+    f = Graph(29, sorted(set(k15 + second)))
+    yield f, EdgeColoring(f, red=[], blue=f.edges), 2, 3, 15
+
+
+def test_recoloring_steps_are_pinned():
+    # One walk step (trace and sorted red edges) on each free coloring of a
+    # host with at most 6 edges that has a blue triangle, then every woven
+    # instance's red edges and full trace.
+    pendant = clique_with_pendants(3, 1, 2)
+    digest = hashlib.sha256()
+    steps = 0
+    for m, graphs in graphs_by_edge_count(6).items():
+        for g in graphs:
+            for mask in range(1 << m):
+                red = [e for i, e in enumerate(g.edges) if mask >> i & 1]
+                blue = [e for i, e in enumerate(g.edges) if not mask >> i & 1]
+                c = EdgeColoring(g, red, blue)
+                if not blue_triangles(g, c) or not coloring_is_free(g, c, star(2), pendant):
+                    continue
+                out, trace = alternating_walk_step(g, c, 2, 3)
+                digest.update(repr((g.n, g.edges, red, trace, sorted(out.red))).encode())
+                steps += 1
+    assert steps == 62
+    for f, phi1, a, b, t in _woven_instances():
+        phi3, trace = woven_recolor(f, phi1, star(2), a=a, b=b, t=t)
+        y_sets = [sorted(y) for y in trace.Y_sets]
+        u_k = [sorted(u) for u in trace.U_K_sets]
+        digest.update(
+            repr((f.n, sorted(phi3.red), u_k, trace.family_B, trace.matching_M, y_sets)).encode()
+        )
+    assert digest.hexdigest() == "6e958871a58b87ad011867800c50f209e41b1c40f034b5a67e456e9f69bf7368"

@@ -14,15 +14,16 @@ with no recursion limit.  A completed conflict-free coloring is a witness
 that F does not arrow; an exhausted search proves that it does.
 
 The exhaustive decider rebuilds the copies by brute-force injection
-enumeration and scans all 2^m colorings vectorized; it exists to cross-check
-the pruned search and never shares its search path.  numpy is imported only
-inside the exhaustive decider, so the CLI starts without it.
+enumeration and scans all 2^m colorings as the bits of two 2^m-bit ints, one
+marking a red g and one a blue h, each closed by a shift and a mask per edge;
+it exists to cross-check the pruned search and never shares its search path.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -267,12 +268,7 @@ class _ArrowEngine:
             stack.append((pos + 1, state, e, _RED_BIT))
         if red is None:
             return ArrowingVerdict(True, None, nodes, "pruned")
-        edges = self.f.edges
-        witness = EdgeColoring(
-            self.f,
-            red=[e for i, e in enumerate(edges) if red >> i & 1],
-            blue=[e for i, e in enumerate(edges) if not red >> i & 1],
-        )
+        witness = _coloring(self.f, red)
         if not coloring_is_free(self.f, witness, self.g, self.h):
             raise InvariantViolationError("search produced a non-free witness coloring")
         return ArrowingVerdict(False, witness, nodes, "pruned")
@@ -299,16 +295,18 @@ def arrows(
     return engine.solve(budget, engine.prefix(pinned))
 
 
+def _coloring(f: Graph, red: int) -> EdgeColoring:
+    """The coloring of f with f.edges[i] red iff bit i of `red` is set."""
+    red_edges = [e for i, e in enumerate(f.edges) if red >> i & 1]
+    return EdgeColoring(f, red=red_edges, blue=f.edge_set().difference(red_edges))
+
+
 def _copies_by_injection(host: Graph, pattern: Graph, edge_index: dict[Edge, int]) -> list[int]:
     """Copies of `pattern` as edge-index masks, via all injective vertex maps.
 
     Deliberately naive; serves as the independent oracle route.
     """
-    if pattern.n > host.n:
-        return []
-    total = 1
-    for i in range(pattern.n):
-        total *= host.n - i
+    total = math.perm(host.n, pattern.n)
     if total > 20_000_000:
         raise GraphTooLargeError(
             f"injection enumeration too large: {host.n} P {pattern.n} = {total}"
@@ -334,8 +332,6 @@ def exhaustive_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingVerdict:
     Copy enumeration and the coloring scan share nothing with the pruned
     search; this is the oracle the pruned verdicts are checked against.
     """
-    import numpy as np
-
     m = f.m
     if m > 24:
         raise GraphTooLargeError(f"exhaustive scan supports at most 24 edges, got {m}")
@@ -345,25 +341,30 @@ def exhaustive_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingVerdict:
     total = 1 << m
     # Coloring c (bit set = red) shows a red g iff c contains a g-copy mask,
     # and a blue h iff c lies inside the complement of an h-copy mask.  Mark
-    # those masks, then close upward (red) or downward (blue) one edge at a
-    # time, so the scan costs m passes whatever the number of copies.
-    red_g = np.zeros(total, dtype=bool)
-    red_g[gmasks] = True
-    blue_h = np.zeros(total, dtype=bool)
-    blue_h[[(total - 1) ^ mask for mask in hmasks]] = True
+    # those masks as bits of two 2^m-bit ints, then close upward (red) or
+    # downward (blue) one edge at a time, so the scan costs m passes whatever
+    # the number of copies.  `clear` is the colorings with edge i blue.
+    red, blue = _bitset(gmasks, total), _bitset([(total - 1) ^ mask for mask in hmasks], total)
     for i in range(m):
-        up = red_g.reshape(-1, 2, 1 << i)
-        up[:, 1] |= up[:, 0]
-        down = blue_h.reshape(-1, 2, 1 << i)
-        down[:, 0] |= down[:, 1]
-    free = np.nonzero(~(red_g | blue_h))[0]
-    if free.size == 0:
+        step = 1 << i
+        clear, period = (1 << step) - 1, step << 1
+        while period < total:
+            clear |= clear << period
+            period <<= 1
+        red |= (red & clear) << step
+        blue |= (blue >> step) & clear
+    free = ~(red | blue) & ((1 << total) - 1)
+    if not free:
         return ArrowingVerdict(True, None, total, "exhaustive")
-    first = int(free[0])
-    red = [e for e, i in edge_index.items() if first >> i & 1]
-    blue = [e for e, i in edge_index.items() if not first >> i & 1]
-    witness = EdgeColoring(f, red=red, blue=blue)
-    return ArrowingVerdict(False, witness, total, "exhaustive")
+    return ArrowingVerdict(False, _coloring(f, (free & -free).bit_length() - 1), total, "exhaustive")
+
+
+def _bitset(positions: list[int], size: int) -> int:
+    """The size-bit int with these bits set; OR-ing each into an int would copy it each time."""
+    buf = bytearray((size + 7) >> 3)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
 
 
 def ramsey_number(g: Graph, h: Graph, cap: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -499,19 +500,13 @@ def minimal_ramsey_check(f: Graph, g: Graph, h: Graph, budget: int = DEFAULT_BUD
 def _minimal_ramsey_check(f: Graph, g: Graph, h: Graph, budget: int) -> tuple[bool, int]:
     """minimal_ramsey_check and the nodes its searches explored, summed."""
     nodes = 0
-
-    def arrows_pair(host: Graph) -> bool:
-        nonlocal nodes
+    isolated = (f.without_vertex(v) for v in range(f.n) if not f.adj[v])
+    for host in itertools.chain([f], map(f.without_edge, f.edges), isolated):
         verdict = arrows(host, g, h, budget)
         nodes += verdict.nodes_explored
-        return verdict.arrows
-
-    if not arrows_pair(f):
-        return False, nodes
-    minimal = not any(arrows_pair(f.without_edge(e)) for e in f.edges) and not any(
-        arrows_pair(f.without_vertex(v)) for v in range(f.n) if not f.adj[v]
-    )
-    return minimal, nodes
+        if verdict.arrows != (host is f):  # f must arrow, and no deletion may
+            return False, nodes
+    return True, nodes
 
 
 def verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int = DEFAULT_BUDGET) -> dict:
@@ -554,10 +549,8 @@ def _verify_determiner(d: Graph, beta, T: Graph, t: int, budget: int) -> tuple[d
         "beta_forced_red": holds({beta: BLUE}, expect_arrows=True),
         "well_behaved": holds(adjacent, expect_arrows=False),
     }
-    closure = {u, v}
-    closure.update(d.neighbors(u))
-    closure.update(d.neighbors(v))
-    induced = d.induced(closure)
+    # u and v are each other's neighbours, so this is beta's closed neighbourhood.
+    induced = d.induced(bits(d.adj[u] | d.adj[v]))
     # A simple graph on t vertices with t(t-1)/2 edges is K_t.
     results["beta_closure_is_clique"] = induced.n == t and induced.m == t * (t - 1) // 2
     return results, nodes
@@ -672,24 +665,20 @@ def equivalence_scan(
         None,
     )
     order = (1, 0) if small == 1 else (0, 1)
-    # Per-pair results of the previous level and of the current one, keyed
-    # by adjacency masks; a host's parent is always on the level just before it.
-    previous: tuple[dict, dict] = ({}, {})
-    current: tuple[dict, dict] = ({}, {})
-    level = 0
+    # Per-pair results keyed by adjacency masks.  A key's length is its
+    # host's order, so a parent lookup only meets the level just before it.
+    known: tuple[dict, dict] = ({}, {})
     for host in graphs_up_to_vertices(max_vertices):
-        if host.n != level:
-            level, previous, current = host.n, current, ({}, {})
         key = host.adj
         try:
             for i in order:
-                if small not in (None, i) and current[small][key] is not None:
-                    current[i][key] = current[small][key]  # free for both pairs
+                if small not in (None, i) and known[small][key] is not None:
+                    known[i][key] = known[small][key]  # free for both pairs
                     continue
-                red, nodes = _monotone_arrows(host, *pairs[i], budget, previous[i])
+                red, nodes = _monotone_arrows(host, *pairs[i], budget, known[i])
                 result.nodes_explored += nodes
-                current[i][key] = red
-            decided = [current[i][key] is None for i in (0, 1)]
+                known[i][key] = red
+            decided = [known[i][key] is None for i in (0, 1)]
             if decided[0] == decided[1]:
                 continue
             v1 = arrows(host, g1, h1, budget)

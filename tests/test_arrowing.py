@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -314,6 +315,21 @@ def test_exhaustive_oracle_refuses_oversized_instances():
         exhaustive_arrows(Graph(40, [(0, 1)]), Graph(5), Graph(5))
 
 
+def test_exhaustive_oracle_verdicts_nodes_and_witnesses_are_pinned():
+    # Every host to 6 vertices, the empty host and K7 under five pairs, then
+    # the first 24 edges of K9 (the scan's largest size) under (P4, K3).
+    pairs = [(star(2), K3), (path(4), K3), (K3, K3), (Graph(3, [(0, 1)]), path(3)), (clique(1), clique(2))]
+    runs = [(host, g, h) for host in [*graphs_up_to_vertices(6), Graph(0), clique(7)] for g, h in pairs]
+    runs.append((Graph(9, list(itertools.combinations(range(9), 2))[:24]), path(4), K3))
+    rows = []
+    for host, g, h in runs:
+        verdict = exhaustive_arrows(host, g, h)
+        red = sorted(verdict.witness.red) if verdict.witness else None
+        rows.append((verdict.arrows, verdict.nodes_explored, red))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "24cf3e7b1531534e43b5e7ad7d41a77e28e4ab51f88aacd612dc1f97e47db447"
+
+
 def test_pinned_search():
     # K_4 with one edge pinned red: still has free colorings for (P_3, K_3).
     assert not arrows(clique(4), path(3), K3, pinned={(0, 1): RED}).arrows
@@ -616,23 +632,24 @@ def test_star_pair_ramsey_numbers_match_closed_form():
 
 
 def test_exhaustive_oracle_triangulated_on_tiny_hosts():
-    # Third route: per-coloring freeness via raw injection enumeration.
-    from ramseylab.enumeration import graphs_up_to_vertices
-    from oracles import injection_embeds_colored
-
-    g, h = path(3), K3
+    # Third route: per-coloring freeness via raw injection enumeration.  Bit i
+    # of the loop index set means host.edges[i] is red, the oracle's own
+    # numbering, so its witness is the first free coloring the loop finds.
+    pairs = [(path(3), K3), (K3, K3), (Graph(3, [(0, 1)]), path(3)), (clique(1), clique(2))]
     for host in graphs_up_to_vertices(4):
-        free_found = False
-        for bits in range(1 << host.m):
-            red = {e for i, e in enumerate(host.edges) if bits >> i & 1}
-            blue = set(host.edges) - red
-            if not injection_embeds_colored(host, g, red) and not injection_embeds_colored(
-                host, h, blue
-            ):
-                free_found = True
-                break
-        assert exhaustive_arrows(host, g, h).arrows == (not free_found)
-        assert arrows(host, g, h).arrows == (not free_found)
+        for g, h in pairs:
+            first_free = None
+            for c in range(1 << host.m):
+                red = {e for i, e in enumerate(host.edges) if c >> i & 1}
+                blue = set(host.edges) - red
+                if not injection_embeds_colored(host, g, red) and not injection_embeds_colored(
+                    host, h, blue
+                ):
+                    first_free = EdgeColoring(host, red=red, blue=blue)
+                    break
+            verdict = exhaustive_arrows(host, g, h)
+            assert (verdict.arrows, verdict.witness) == (first_free is None, first_free)
+            assert arrows(host, g, h).arrows == (first_free is None)
 
 
 def test_witness_determinism():

@@ -1,6 +1,8 @@
 """The package's exports load on first use; this checks that the lazy
-surface is the one an eager package would give."""
+surface is the one an eager package would give, and that the package needs
+nothing outside the standard library."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -50,3 +52,18 @@ def test_lazy_exports_match_an_eager_package():
         [sys.executable, "-c", _PROBE], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
     )
     assert (out.returncode, out.stdout) == (0, "ok\n"), out.stderr
+
+
+def test_library_imports_only_the_standard_library():
+    # Imports inside functions count too; relative imports are the package's own.
+    outside = []
+    for path in sorted(Path(ramseylab.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside

@@ -1,7 +1,9 @@
 """Command-line surface: constructions, deciders, factors, and recolorings.
 
-Every subcommand prints a single JSON report on stdout.  Each handler
-returns the report's verdict and node count, and `main` writes every report:
+Every subcommand prints a single JSON report on stdout.  Each leaf parser
+carries its handler and the report's `command` label.  A handler returns the
+report's verdict, its node count and whether the verdict is settled, and
+`main` writes every report:
 
     {"schema": 1, "command": ..., "inputs": {path: sha256, ...},
      "verdict": {...}, "nodes_explored": ..., "elapsed": ..., "seed": ...}
@@ -11,8 +13,11 @@ Reports are deterministic given identical inputs and seed, except for the
 62 vertices and written to a file otherwise.
 
 Exit codes: 0 success; 2 usage error (bad arguments, unknown subcommand);
-3 indeterminate (budget exhausted or cap reached); 4 internal invariant
-violation; 5 malformed input file; 6 graph/coloring mismatch.
+3 indeterminate: with the report when the verdict is partial (an undecided
+determiner axiom, or a scan that skipped hosts and found no distinguisher),
+and with none when a search or cap gave no verdict (budget exhausted or cap
+reached); 4 internal invariant violation; 5 malformed input file;
+6 graph/coloring mismatch.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .errors import (
     BudgetExhaustedError,
     CapExceededError,
     InvariantViolationError,
-    RamseyLabError,
 )
 from .formats import (
     FormatError,
@@ -50,17 +54,13 @@ EXIT_MISMATCH = 6
 SCHEMA_VERSION = 1
 
 
-class _UsageError(RamseyLabError):
-    pass
-
-
 def _read(path: str, inputs: dict[str, str]) -> str:
     """Read `path` once: record the sha256 of its bytes in `inputs`, return them as ASCII text."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     inputs[path] = hashlib.sha256(data).hexdigest()
     try:
         return data.decode("ascii")
@@ -111,13 +111,14 @@ def _emit(command: str, inputs: dict[str, str], verdict, nodes: int, t0: float, 
 # -- subcommand handlers -------------------------------------------------------
 # Each handler imports the module it calls, so a process loads only what its
 # command uses.  It reads its input files through `inputs` and returns the
-# report's verdict and nodes_explored; `main` writes the report.
+# report's verdict, its nodes_explored, and whether no part of the verdict was
+# left undecided by a budget; `main` writes the report.
 
 
 def _parse_edge(text: str):
     parts = text.split(",")
     if len(parts) != 2:
-        raise _UsageError(f"expected an edge as 'u,v', got {text!r}")
+        raise ValueError(f"expected an edge as 'u,v', got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
@@ -174,7 +175,7 @@ def _cmd_construct(args, inputs):
             fh.write(graph_to_graph6(graph) + "\n")
     if coloring is not None:
         verdict["coloring"] = _coloring_payload(coloring, args.coloring_out)
-    return verdict, 0
+    return verdict, 0, True
 
 
 def _cmd_arrows(args, inputs):
@@ -184,7 +185,7 @@ def _cmd_arrows(args, inputs):
     g = _load_graph(args.g, inputs)
     h = _load_graph(args.h, inputs)
     verdict = arrowing.arrows(f, g, h, budget=args.budget)
-    return _verdict_payload(verdict, args.witness_out), verdict.nodes_explored
+    return _verdict_payload(verdict, args.witness_out), verdict.nodes_explored, True
 
 
 def _cmd_ramsey_number(args, inputs):
@@ -193,7 +194,7 @@ def _cmd_ramsey_number(args, inputs):
     g = _load_graph(args.g, inputs)
     h = _load_graph(args.h, inputs)
     value, nodes = arrowing._ramsey_number(g, h, args.cap, args.budget)
-    return {"ramsey_number": value}, nodes
+    return {"ramsey_number": value}, nodes, True
 
 
 def _cmd_minimal(args, inputs):
@@ -203,7 +204,7 @@ def _cmd_minimal(args, inputs):
     g = _load_graph(args.g, inputs)
     h = _load_graph(args.h, inputs)
     value, nodes = arrowing._minimal_ramsey_check(f, g, h, args.budget)
-    return {"minimal": value}, nodes
+    return {"minimal": value}, nodes, True
 
 
 def _cmd_equiv_scan(args, inputs):
@@ -220,7 +221,8 @@ def _cmd_equiv_scan(args, inputs):
         verdict["second_pair_arrows"] = result.verdict_second.arrows
     if result.skipped:
         verdict["skipped"] = [graph_to_graph6(s) for s in result.skipped]
-    return verdict, result.nodes_explored
+    # Hosts the budget skipped leave "no distinguisher" open; a found one settles the scan.
+    return verdict, result.nodes_explored, result.distinguisher is not None or not result.skipped
 
 
 def _cmd_factor(args, inputs):
@@ -229,8 +231,8 @@ def _cmd_factor(args, inputs):
     g = _load_graph(args.graph, inputs)
     witness = factors.has_k_factor(g, args.k)
     if witness is None:
-        return {"k": args.k, "factor": None}, 0
-    return {"k": args.k, "factor": sorted([u, v] for u, v in witness.edges)}, 0
+        return {"k": args.k, "factor": None}, 0, True
+    return {"k": args.k, "factor": sorted([u, v] for u, v in witness.edges)}, 0, True
 
 
 def _cmd_belck(args, inputs):
@@ -242,7 +244,7 @@ def _cmd_belck(args, inputs):
     verdict = {"p": args.p, "D": sorted(set(D)), "certificate": cert is not None}
     if cert is not None:
         verdict["odd_components"] = cert.odd_component_count
-    return verdict, 0
+    return verdict, 0, True
 
 
 def _cmd_recolor(args, inputs):
@@ -266,7 +268,7 @@ def _cmd_recolor(args, inputs):
     with open(out_path, "w", encoding="ascii") as fh:
         fh.write(coloring_to_text(result))
     summary["output"] = out_path
-    return summary, 0
+    return summary, 0, True
 
 
 def _cmd_verify_determiner(args, inputs):
@@ -274,7 +276,8 @@ def _cmd_verify_determiner(args, inputs):
 
     d = _load_graph(args.d, inputs)
     T = _load_graph(args.T, inputs)
-    return arrowing._verify_determiner(d, _parse_edge(args.beta), T, args.t, args.budget)
+    results, nodes = arrowing._verify_determiner(d, _parse_edge(args.beta), T, args.t, args.budget)
+    return results, nodes, None not in results.values()  # None: an axiom the budget left undecided
 
 
 # -- parser ---------------------------------------------------------------------
@@ -282,13 +285,14 @@ def _cmd_verify_determiner(args, inputs):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
-def _searcher(sub, name: str, *required: str, help=None):
-    """A searching command: its required string options (graph6 files, and
-    verify-determiner's --beta) in the order given, then --budget."""
+def _searcher(sub, name: str, handler, *required: str, help=None):
+    """A searching command, labelled with its name: its required string options
+    (graph6 files, and verify-determiner's --beta) in the order given, then --budget."""
     p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler, label=name)
     for option in required:
         p.add_argument(f"--{option}", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -339,28 +343,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", required=True)
     p.add_argument("--determiner", required=True)
     p.add_argument("--beta", required=True, help="edge of the determiner as 'u,v'")
-    for p in csub.choices.values():
+    for kind, p in csub.choices.items():
         p.add_argument("--out", default=None, help="also write the graph6 line to this file")
+        p.set_defaults(handler=_cmd_construct, label=f"construct {kind}")
 
-    p = _searcher(sub, "arrows", "g", "h", "f", help="decide F -> (G, H)")
+    p = _searcher(sub, "arrows", _cmd_arrows, "g", "h", "f", help="decide F -> (G, H)")
     p.add_argument("--witness-out", dest="witness_out", default=None)
-    _searcher(sub, "ramsey-number", "g", "h").add_argument("--cap", type=int, required=True)
-    _searcher(sub, "minimal", "f", "g", "h")
-    p = _searcher(sub, "equiv-scan", "g1", "h1", "g2", "h2")
+    _searcher(sub, "ramsey-number", _cmd_ramsey_number, "g", "h").add_argument("--cap", type=int, required=True)
+    _searcher(sub, "minimal", _cmd_minimal, "f", "g", "h")
+    p = _searcher(sub, "equiv-scan", _cmd_equiv_scan, "g1", "h1", "g2", "h2")
     p.add_argument("--max-vertices", dest="max_vertices", type=int, required=True, help="1 to 9")
 
     p = sub.add_parser("factor")
+    p.set_defaults(handler=_cmd_factor, label="factor")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("belck")
+    p.set_defaults(handler=_cmd_belck, label="belck")
     p.add_argument("graph")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--d", default="", help="comma-separated vertex set D")
 
     rsub = sub.add_parser("recolor").add_subparsers(dest="mode", required=True)
     walk, woven = rsub.add_parser("walk"), rsub.add_parser("woven")
-    for p in (walk, woven):
+    for mode, p in rsub.choices.items():
+        p.set_defaults(handler=_cmd_recolor, label=f"recolor {mode}")
         p.add_argument("f")
         p.add_argument("coloring")
         p.add_argument("--t", type=int, required=True)
@@ -370,22 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("--a", "--b"):
         woven.add_argument(name, type=int, required=True)
 
-    _searcher(sub, "verify-determiner", "d", "beta", "T").add_argument("--t", type=int, required=True)
+    determiner = _searcher(sub, "verify-determiner", _cmd_verify_determiner, "d", "beta", "T")
+    determiner.add_argument("--t", type=int, required=True)
 
     return parser
-
-
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "arrows": _cmd_arrows,
-    "ramsey-number": _cmd_ramsey_number,
-    "minimal": _cmd_minimal,
-    "equiv-scan": _cmd_equiv_scan,
-    "factor": _cmd_factor,
-    "belck": _cmd_belck,
-    "recolor": _cmd_recolor,
-    "verify-determiner": _cmd_verify_determiner,
-}
 
 
 def main(argv=None) -> int:
@@ -393,14 +389,14 @@ def main(argv=None) -> int:
     inputs: dict[str, str] = {}
     try:
         args = build_parser().parse_args(argv)
-        verdict, nodes = _HANDLERS[args.command](args, inputs)
+        verdict, nodes, settled = args.handler(args, inputs)
     except MismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetExhaustedError, CapExceededError) as exc:
@@ -409,12 +405,8 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    # construct and recolor are labelled with their kind or mode: "construct star"
-    command = " ".join([args.command, *(vars(args)[k] for k in ("kind", "mode") if k in vars(args))])
-    _emit(command, inputs, verdict, nodes, t0, args.seed)
-    if args.command == "verify-determiner" and None in verdict.values():
-        return EXIT_INDETERMINATE  # an axiom the budget left undecided
-    return EXIT_OK
+    _emit(args.label, inputs, verdict, nodes, t0, args.seed)
+    return EXIT_OK if settled else EXIT_INDETERMINATE
 
 
 if __name__ == "__main__":

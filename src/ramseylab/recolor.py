@@ -81,8 +81,6 @@ class RecolorTrace:
 def _check_walk_input(f: Graph, c: EdgeColoring, s: int, t: int) -> None:
     if s < 2 or t < 3:
         raise ValueError("the walk transformation needs s >= 2 and t >= 3")
-    if c.host != f:
-        raise ValueError("coloring does not belong to f")
     if not coloring_is_free(f, c, star(s), clique_with_pendants(t, 1, 2)):
         raise ValueError("input coloring is not free of red stars / blue pendant cliques")
 
@@ -265,8 +263,6 @@ def woven_recolor(
     """
     if a < 1 or b < 2:
         raise ValueError("need a >= 1 and b >= 2")
-    if phi1.host != f:
-        raise ValueError("coloring does not belong to f")
     woven = tree_classify(G).woven
     if woven is None:
         raise ValueError(_NOT_WOVEN)

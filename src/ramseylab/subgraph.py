@@ -21,15 +21,17 @@ steps, so copies that share a prefix share its edges, and no edge tuples
 are built.
 
 `cliques_of_size` answers the clique questions: the clique number and the
-"contains K_k" checks.  It is the walker on K_k, whose conditions are the
-chain image[0] < ... < image[k-1] written down directly, so each clique is
-visited once, in increasing order, and a branch stops once too few
+"contains K_k" checks.  It is the walker on K_k's plan, compiled by the same
+rule as every other pattern's and cached per k.  On K_k the symmetry-breaking
+conditions come out as the chain image[0] < ... < image[k-1], so each clique
+is visited once, in increasing order, and a branch stops once too few
 candidates are left to finish the clique.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterator, NamedTuple
 
 from .graphs import BLUE, RED, EdgeColoring, Graph, bits
@@ -280,19 +282,10 @@ def copies_as_edge_sets(adj: tuple[int, ...], pattern: Graph) -> list[int]:
 
 @functools.lru_cache(maxsize=256)
 def _clique_plan(k: int) -> _Plan:
-    """The plan of K_k, in closed form.
-
-    Search order 0..k-1, and the Grochow–Kellis conditions as the chain
-    image[0] < ... < image[k-1], which `_orbit_breaks` takes O(k^4) to derive.
-    Step i's room is k - i: it and every later step draw from its candidates.
-    """
-    return _Plan(
-        tuple(range(k)),
-        (k - 1,) * k,
-        tuple(tuple(range(i)) for i in range(k)),
-        tuple((i - 1,) if i else () for i in range(k)),
-        tuple(range(k, 0, -1)),
-    )
+    """The plan of K_k under its symmetry-breaking conditions, keyed by k so
+    that a clique query costs one cache lookup."""
+    K_k = Graph(k, itertools.combinations(range(k), 2))
+    return _plan(K_k, (), _orbit_breaks(K_k))
 
 
 def cliques_of_size(adj: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -622,6 +623,19 @@ def test_deep_search_needs_no_recursion():
         verdict = arrows(path(n), path(3), K3)
         assert not verdict.arrows and verdict.nodes_explored == nodes
         assert coloring_is_free(path(n), verdict.witness, path(3), K3)
+
+
+def test_sparse_host_walks_its_few_unit_copies():
+    # Each assignment on a long path leaves at most a few unit copies.  They are
+    # walked one by one; scanning every uncolored edge for them instead costs a
+    # pass over the host's edges per assignment: 14 s of CPU time against 0.25 s
+    # on a 2-core machine.
+    f = path(8000)
+    start = time.process_time()
+    verdict = arrows(f, path(3), K3)
+    assert time.process_time() - start < 3.0
+    assert not verdict.arrows and verdict.nodes_explored == 3999
+    assert coloring_is_free(f, verdict.witness, path(3), K3)
 
 
 def test_star_pair_ramsey_numbers_match_closed_form():

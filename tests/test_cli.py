@@ -20,11 +20,10 @@ from ramseylab.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
-    _HANDLERS,
     build_parser,
     main,
 )
-from ramseylab.formats import coloring_to_text, graph_to_graph6
+from ramseylab.formats import coloring_to_text, graph_from_graph6, graph_to_graph6
 from ramseylab.graphs import EdgeColoring, Graph, clique, clique_with_pendants, cycle, path, star
 
 from conftest import case_nodes
@@ -182,6 +181,52 @@ def test_equiv_scan_cli(files, capsys):
     assert code == EXIT_OK
     assert report["verdict"]["kind"] == "distinguisher"
     assert report["verdict"]["first_pair_arrows"] is True
+
+
+@pytest.mark.parametrize(
+    "pairs, options, code, kind, skipped, shape",
+    [
+        # the clique numbers differ: decided without a search
+        ((star(2), clique(3), star(2), clique(4)), ["--max-vertices", "4"], EXIT_OK, "symbolic-distinguisher", 0, None),
+        # every host with a triangle is skipped, and nothing else tells the pairs apart
+        (
+            (path(4), clique(3), path(4), clique_with_pendants(3, 1, 2)),
+            ["--max-vertices", "5", "--budget", "0"],
+            EXIT_INDETERMINATE,
+            "no-distinguisher-found",
+            14,
+            None,
+        ),
+        # a distinguisher found past skipped hosts settles the scan
+        (
+            (star(2), clique(3), star(3), clique(3)),
+            ["--max-vertices", "6", "--budget", "2"],
+            EXIT_OK,
+            "distinguisher",
+            30,
+            (6, 14),
+        ),
+    ],
+    ids=["symbolic", "skipped", "found-past-skipped"],
+)
+def test_equiv_scan_reports_reason_and_skipped_hosts(files, capsys, pairs, options, code, kind, skipped, shape):
+    _, write = files
+    argv = ["equiv-scan", *options]
+    for name, graph in zip(("g1", "h1", "g2", "h2"), pairs):
+        argv += [f"--{name}", write(f"{name}.g6", graph)]
+    got, report = run(capsys, argv)
+    verdict = report["verdict"]
+    assert got == code and verdict["kind"] == kind
+    assert len([graph_from_graph6(s) for s in verdict.get("skipped", [])]) == skipped
+    if kind == "symbolic-distinguisher":
+        assert "Nešetřil–Rödl" in verdict["reason"] and report["nodes_explored"] == 0
+    else:
+        assert "reason" not in verdict
+    if shape is None:
+        assert "distinguisher" not in verdict
+    else:
+        found = graph_from_graph6(verdict["distinguisher"])
+        assert (found.n, found.m) == shape
 
 
 def test_factor_and_belck_cli(files, capsys):
@@ -601,9 +646,19 @@ def test_every_command_writes_one_report(files, capsys, argv, label, code):
     assert report["command"] == label and report["seed"] == 11
 
 
+def _leaves(parser):
+    """The parsers under `parser` with no subcommand of their own: one per command that runs."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        return [parser]
+    return [leaf for p in actions[0].choices.values() for leaf in _leaves(p)]
+
+
 def test_every_subcommand_has_a_handler_and_a_report_case():
-    commands = _subparsers(build_parser())
-    assert set(commands) == set(_HANDLERS)
-    labels = {f"{name} {kind}" for name in ("construct", "recolor") for kind in _subparsers(commands[name])}
-    labels |= set(commands) - {"construct", "recolor"}
-    assert labels == {label for _, label, _ in REPORT_CASES}
+    leaves = _leaves(build_parser())
+    assert len(leaves) == 21  # 7 commands, 12 construct kinds, 2 recolor modes
+    for p in leaves:
+        assert callable(p.get_default("handler")), p.prog
+        # the report's label is the command as typed: "construct star"
+        assert p.get_default("label") == p.prog.removeprefix("ramseylab "), p.prog
+    assert {p.get_default("label") for p in leaves} == {label for _, label, _ in REPORT_CASES}

@@ -23,8 +23,6 @@ from ramseylab.graphs import (
     star,
 )
 from ramseylab.subgraph import (
-    _clique_plan,
-    _compile,
     _orbit_breaks,
     _plan,
     _walk,
@@ -376,12 +374,6 @@ def test_cliques_of_size_matches_subset_oracle():
     assert list(cliques_of_size(clique(3).adj, 5)) == []
     with pytest.raises(ValueError):
         cliques_of_size(clique(3).adj, -1)
-
-
-def test_clique_plan_is_the_general_rule_on_k_k():
-    # The closed-form chain is what orbit breaking derives for K_k.
-    for k in range(1, 11):
-        assert _clique_plan(k) == _compile(clique(k), (), _orbit_breaks(clique(k))), k
 
 
 def _edge_index(host: Graph) -> list[dict[int, int]]:

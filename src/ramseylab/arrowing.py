@@ -353,10 +353,17 @@ def exhaustive_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingVerdict:
             period <<= 1
         red |= (red & clear) << step
         blue |= (blue >> step) & clear
-    free = ~(red | blue) & ((1 << total) - 1)
-    if not free:
+    # Adding 1 to the covered colorings turns their lowest 0 bit, the first
+    # free coloring, into the lowest 1 bit; with none, it carries out to bit
+    # total.  Names are dropped once used, so at most four full-width ints
+    # are alive here, one fewer than in the loop.
+    red |= blue
+    del blue
+    first = red + 1
+    del red
+    if first >> total:
         return ArrowingVerdict(True, None, total, "exhaustive")
-    return ArrowingVerdict(False, _coloring(f, (free & -free).bit_length() - 1), total, "exhaustive")
+    return ArrowingVerdict(False, _coloring(f, (first & -first).bit_length() - 1), total, "exhaustive")
 
 
 def _bitset(positions: list[int], size: int) -> int:
@@ -567,12 +574,24 @@ class ScanResult:
     nodes_explored: int = 0  # summed over every search, skipped hosts included
 
 
+# A kept graph on as many vertices as the host can only be a spanning
+# subgraph of it, and a failed test walks nearly every vertex map.  Most
+# hosts tested do not arrow.  On the 9-vertex scan of (P4, K3) vs
+# (P4, K3·K2) each pair keeps 88 such graphs; testing them all before each
+# search took 1.65M walks and made the scan 45% slower than with no kept
+# graphs.  So only the first few are tried before the search (all of them
+# up to 7 vertices for both benchmark pairs), and the rest only after a
+# search proves the host arrows, to tell whether it is minimal.
+_SPANNING_TESTS = 3
+
+
 def _monotone_arrows(
     host: Graph,
     g: Graph,
     h: Graph,
     budget: int,
     known: dict[tuple[int, ...], tuple[int, ...] | None],
+    kept: list[Graph],
 ) -> tuple[tuple[int, ...] | None, int]:
     """Decide host -> (g, h) from its parent's result where that settles it.
 
@@ -586,7 +605,15 @@ def _monotone_arrows(
     witness is free, so an extension is free iff no red g and no blue h has
     v among its vertices, which `copy_through` checks on the red and blue
     adjacency masks; the first extension that passes is host's witness.
-    Failing that, `arrows` searches, and may raise BudgetExhaustedError.
+    Failing that, host arrows if a graph in `kept`, each one known to arrow,
+    has a copy in it (monotonicity again).  A copy that avoids v would lie
+    in the parent, which does not arrow, so only copies through v are
+    looked for, and of the kept graphs on host.n vertices only the first
+    `_SPANNING_TESTS`.  Failing that too, `arrows` searches, and may raise
+    BudgetExhaustedError.  A host it proves to arrow is appended to `kept`
+    unless a kept graph on host.n vertices has a copy in it.  So, with the
+    hosts in listing order and none skipped, `kept` holds the minimal
+    Ramsey graphs met.
     """
     v = host.n - 1
     parent = tuple(a & ~(1 << v) for a in host.adj[:v])
@@ -601,8 +628,21 @@ def _monotone_arrows(
             blue_adj = [a ^ r for a, r in zip(host.adj, red_adj)]
             if not (copy_through(red_adj, g, v) or copy_through(blue_adj, h, v)):
                 return red_adj, 0
+        spanning = _SPANNING_TESTS
+        for ramsey in kept:  # in listing order, so those on host.n vertices come last
+            if ramsey.n == host.n:
+                if not spanning:
+                    break
+                spanning -= 1
+            if ramsey.m <= host.m and copy_through(host.adj, ramsey, v):
+                return None, 0
     verdict = arrows(host, g, h, budget)
-    return (None if verdict.arrows else verdict.witness.adjacency(RED)), verdict.nodes_explored
+    if not verdict.arrows:
+        return verdict.witness.adjacency(RED), verdict.nodes_explored
+    # Minimal unless a kept graph spans it: one on as many vertices, fewer edges.
+    if not any(r.n == host.n and r.m < host.m and copy_through(host.adj, r, v) for r in kept):
+        kept.append(host)
+    return None, verdict.nodes_explored
 
 
 def equivalence_scan(
@@ -626,17 +666,24 @@ def equivalence_scan(
     (see `_monotone_arrows`); results are keyed by adjacency masks, and a
     witness is kept as its red ones.  A host inherits a positive verdict by
     subgraph monotonicity, F ⊆ F′ and F → (G, H) give F′ → (G, H), and a
-    negative one as the parent's witness extended to the new vertex v's
-    edges, when no monochromatic copy has v among its vertices.  That check
-    is exact by induction, because the parent's witness was free.  When g1 ⊆ g2
-    and h1 ⊆ h2 (or the reverse), a coloring with no red g1 and no blue h1 has
-    no red g2 and no blue h2, so F ↛ (g1, h1) gives F ↛ (g2, h2): the smaller
-    pair is decided first, its free coloring is the larger pair's witness, and
-    the larger pair is searched only where the smaller one arrows.  Hosts on
-    which the two pairs agree need no further search.  A host whose verdicts
-    differ is re-decided by `arrows` for both pairs, so a reported
-    distinguisher, its verdicts and its budget behaviour are those of a plain
-    search on that host.  Raises ValueError for a negative budget.
+    negative one as the parent's witness extended to the new vertex v's edges,
+    when no monochromatic copy has v among its vertices.  That check is exact
+    by induction, because the parent's witness was free.  Each pair keeps the
+    minimal Ramsey graphs its searches meet, and a host whose parent does not
+    arrow arrows when one of them has a copy through v.  Hosts come by vertex
+    count, then edge count, so by induction a host that a search proves to
+    arrow is minimal unless a kept graph on as many vertices spans it; only a
+    few of those are tried before the search.  A search is left only where it
+    finds a witness, a new minimal Ramsey graph, or a host spanned by one of
+    the others.  When g1 ⊆ g2 and h1 ⊆ h2 (or the reverse), a coloring with no
+    red g1 and no blue h1 has no red g2 and no blue h2, so F ↛ (g1, h1) gives
+    F ↛ (g2, h2): the smaller pair is decided first, its free coloring is the
+    larger pair's witness, and the larger pair is searched only where the
+    smaller one arrows.  Hosts on which the two pairs agree need no further
+    search.  A host whose verdicts differ is re-decided by `arrows` for both
+    pairs, so a reported distinguisher, its verdicts and its budget behaviour
+    are those of a plain search on that host.  Raises ValueError for a
+    negative budget.
     """
     if not 1 <= max_vertices <= 9:
         raise ValueError("enumeration bound: max_vertices must be between 1 and 9")
@@ -668,6 +715,8 @@ def equivalence_scan(
     # Per-pair results keyed by adjacency masks.  A key's length is its
     # host's order, so a parent lookup only meets the level just before it.
     known: tuple[dict, dict] = ({}, {})
+    # Per pair, the minimal Ramsey graphs its searches met (see `_monotone_arrows`).
+    kept: tuple[list, list] = ([], [])
     for host in graphs_up_to_vertices(max_vertices):
         key = host.adj
         try:
@@ -675,7 +724,7 @@ def equivalence_scan(
                 if small not in (None, i) and known[small][key] is not None:
                     known[i][key] = known[small][key]  # free for both pairs
                     continue
-                red, nodes = _monotone_arrows(host, *pairs[i], budget, known[i])
+                red, nodes = _monotone_arrows(host, *pairs[i], budget, known[i], kept[i])
                 result.nodes_explored += nodes
                 known[i][key] = red
             decided = [known[i][key] is None for i in (0, 1)]

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -196,9 +197,9 @@ def test_ramsey_number_decides_only_the_cap_after_the_rho_sweep_fails(monkeypatc
     searched = []
     clique_arrows = ramseylab.arrowing._clique_arrows
 
-    def recording(n, g, h, budget, rho):
+    def recording(n, g, h, *args, **kwargs):
         searched.append((n, h.n))
-        return clique_arrows(n, g, h, budget, rho)
+        return clique_arrows(n, g, h, *args, **kwargs)
 
     monkeypatch.setattr(ramseylab.arrowing, "_clique_arrows", recording)
     with pytest.raises(CapExceededError):
@@ -329,6 +330,22 @@ def test_exhaustive_oracle_verdicts_nodes_and_witnesses_are_pinned():
         rows.append((verdict.arrows, verdict.nodes_explored, red))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "24cf3e7b1531534e43b5e7ad7d41a77e28e4ab51f88aacd612dc1f97e47db447"
+
+
+def test_exhaustive_oracle_holds_at_most_five_full_width_ints():
+    # On 22 edges each set of colorings is a 2^22-bit (512 KiB) int.  The
+    # closure loop holds five at once; finding the first free coloring used
+    # to build three more while the closed sets were still alive.
+    host = Graph(9, list(itertools.combinations(range(9), 2))[:22])
+    exhaustive_arrows(host, path(4), K3)  # plans and caches outside the measure
+    tracemalloc.start()
+    try:
+        verdict = exhaustive_arrows(host, path(4), K3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.arrows
+    assert peak < 5.5 * (1 << 22) / 8, peak
 
 
 def test_pinned_search():
@@ -739,10 +756,10 @@ def test_monotone_verdicts_match_search(g, h, monkeypatch):
     monkeypatch.setattr(
         ramseylab.arrowing, "arrows", lambda *args: searches.append(args) or arrows(*args)
     )
-    known = {}
+    known, kept = {}, []
     hosts = graphs_up_to_vertices(6)
     for host in hosts:
-        red_adj, _ = _monotone_arrows(host, g, h, DEFAULT_BUDGET, known)
+        red_adj, _ = _monotone_arrows(host, g, h, DEFAULT_BUDGET, known, kept)
         known[host.adj] = red_adj
         assert (red_adj is None) == arrows(host, g, h).arrows, host.edges
         if red_adj is not None:
@@ -768,7 +785,7 @@ def test_copies_through_new_vertex_decide_extensions(g, h):
     # The parent's witness is free, so an extension to the new vertex v is
     # free iff no red g and no blue h has v among its vertices.  Every
     # extension is checked, a superset of those the scan tries.
-    known = {}
+    known, kept = {}, []
     for host in graphs_up_to_vertices(6):
         v = host.n - 1
         parent_red = known.get(tuple(a & ~(1 << v) for a in host.adj[:v]))
@@ -783,7 +800,7 @@ def test_copies_through_new_vertex_decide_extensions(g, h):
                     blue_adj = coloring.adjacency(BLUE)
                     through = copy_through(red_adj, g, v) or copy_through(blue_adj, h, v)
                     assert through != coloring_is_free(host, coloring, g, h), (host.edges, extra)
-        known[host.adj], _ = _monotone_arrows(host, g, h, DEFAULT_BUDGET, known)
+        known[host.adj], _ = _monotone_arrows(host, g, h, DEFAULT_BUDGET, known, kept)
 
 
 def test_scan_builds_colorings_only_in_searches(monkeypatch):
@@ -831,7 +848,7 @@ def _searched_nodes(monkeypatch) -> list[int]:
     return nodes
 
 
-@pytest.mark.parametrize("g, nodes", [(star(2), 199), (path(4), 676)])
+@pytest.mark.parametrize("g, nodes", [(star(2), 57), (path(4), 375)])
 def test_benchmark_scans_keep_their_results(g, nodes, monkeypatch):
     # K3 embeds in K3·K2, so the scan searches (g, K3·K2) only on hosts where
     # (g, K3) arrows.  The count is the sum over the `arrows` calls made.
@@ -846,8 +863,8 @@ def test_non_nested_scan_keeps_its_node_count(monkeypatch):
     # smaller one and both are decided on every host.
     searched = _searched_nodes(monkeypatch)
     res = equivalence_scan(star(2), star(3), star(3), star(2), max_vertices=6)
-    assert (res.kind, res.nodes_explored, res.skipped) == ("no-distinguisher-found", 133, [])
-    assert sum(searched) == 133
+    assert (res.kind, res.nodes_explored, res.skipped) == ("no-distinguisher-found", 29, [])
+    assert sum(searched) == 29
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -858,12 +875,12 @@ def test_nested_scan_takes_over_free_witnesses(g, swap, monkeypatch):
     # free for the larger pair too.
     held, decided, hosts = {}, set(), {}
 
-    def spy(host, g, h, budget, known):
+    def spy(host, g, h, budget, known, *args, **kwargs):
         hosts[host.adj] = host
         if h == K3_K2:
             held[id(known)] = known
             decided.add(host.adj)
-        return _monotone_arrows(host, g, h, budget, known)
+        return _monotone_arrows(host, g, h, budget, known, *args, **kwargs)
 
     monkeypatch.setattr(ramseylab.arrowing, "_monotone_arrows", spy)
     pairs = [(g, K3), (g, K3_K2)]
@@ -878,6 +895,60 @@ def test_nested_scan_takes_over_free_witnesses(g, swap, monkeypatch):
         red = _red_edges(red_adj)
         witness = EdgeColoring(host, red, host.edge_set() - red)
         assert coloring_is_free(host, witness, g, K3_K2), host.edges
+
+
+@pytest.mark.parametrize(
+    "pairs, spanning, counts, shortcuts, nodes",
+    [
+        ((star(2), K3, star(2), K3_K2), 3, {5: 1, 6: 2, 7: 2}, 56, 57),
+        ((path(4), K3, path(4), K3_K2), 3, {7: 3}, 30, 375),
+        ((star(2), star(3), star(3), star(2)), 3, {5: 1}, 160, 74),
+        # Spanning kept graphs tested only after the search: every host on
+        # 7 vertices that arrows is searched, as by the scan without kept
+        # graphs, and only the minimal ones are kept.
+        ((path(4), K3, path(4), K3_K2), 0, {7: 3}, 0, 676),
+    ],
+)
+def test_scan_settles_hosts_from_the_ramsey_graphs_it_proved(
+    pairs, spanning, counts, shortcuts, nodes, monkeypatch
+):
+    # A host whose parent does not arrow, and which no extension of the
+    # parent's witness colors freely, arrows when a graph the scan's searches
+    # proved to arrow has a copy through the new vertex.  In the scan's
+    # order (vertex count, then edge count) the graphs a pair keeps are
+    # exactly its minimal Ramsey graphs.
+    proved, kept, settled = [], {}, []
+
+    def searching(*args, **kwargs):
+        verdict = arrows(*args, **kwargs)
+        if verdict.arrows:
+            proved.append(args[:3])
+        return verdict
+
+    def deciding(host, g, h, budget, known, *args, **kwargs):
+        kept[g, h] = args[0]
+        v = host.n - 1
+        parent = known.get(tuple(a & ~(1 << v) for a in host.adj[:v]))
+        searches = len(proved)
+        red, nodes = _monotone_arrows(host, g, h, budget, known, *args, **kwargs)
+        if red is None and parent is not None and len(proved) == searches and nodes == 0:
+            settled.append((host, g, h))
+        return red, nodes
+
+    monkeypatch.setattr(ramseylab.arrowing, "_SPANNING_TESTS", spanning)
+    monkeypatch.setattr(ramseylab.arrowing, "arrows", searching)
+    monkeypatch.setattr(ramseylab.arrowing, "_monotone_arrows", deciding)
+    res = equivalence_scan(*pairs, max_vertices=7)
+    monkeypatch.undo()
+    assert (res.kind, res.nodes_explored, res.skipped) == ("no-distinguisher-found", nodes, [])
+    assert len(settled) == shortcuts
+    for host, g, h in settled:
+        assert arrows(host, g, h).arrows, host.edges
+    minimal = Counter((host, g, h) for (g, h), graphs in kept.items() for host in graphs)
+    assert minimal <= Counter(proved)
+    for host, g, h in proved:
+        assert minimal_ramsey_check(host, g, h) == ((host, g, h) in minimal), host.edges
+    assert Counter(host.n for host in kept[pairs[:2]]) == counts
 
 
 def _plain_scan(g1, h1, g2, h2, max_vertices):

@@ -70,9 +70,9 @@ def test_ramsey_number_cli_reports_nodes_of_every_search(files, capsys, monkeypa
     searched = []
     clique_arrows = ramseylab.arrowing._clique_arrows
 
-    def recording(n, g, h, budget, rho):
+    def recording(n, g, h, *args, **kwargs):
         searched.append((n, h.n))
-        return clique_arrows(n, g, h, budget, rho)
+        return clique_arrows(n, g, h, *args, **kwargs)
 
     monkeypatch.setattr(ramseylab.arrowing, "_clique_arrows", recording)
     code, report = run(capsys, ["ramsey-number", "--g", g, "--h", h, "--cap", "10"])

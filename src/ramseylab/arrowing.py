@@ -657,9 +657,16 @@ def equivalence_scan(
 
     A clique-number mismatch proves non-equivalence outright, and is reported
     symbolically, when both patterns of the pair with the larger maximum
-    clique number have an edge.  Otherwise every graph on up to max_vertices
-    vertices (up to isomorphism) is tested.  Finding nothing is NOT a proof of
-    equivalence.
+    clique number have an edge.  Otherwise the graphs on up to max_vertices
+    vertices (up to isomorphism) are tested, in the order of
+    `graphs_up_to_vertices`, which the scan drives: each level is decided
+    before the next is built, and only hosts that arrow neither pair, or were
+    skipped on budget, are augmented.  A host that arrows both pairs cannot
+    tell them apart, and neither can a graph that contains it (subgraph
+    monotonicity), so no distinguisher is lost; every class that does not
+    arrow both pairs is listed with the masks and in the place it has in the
+    full listing (see `enumeration`).  No level is built past a
+    distinguisher.  Finding nothing is NOT a proof of equivalence.
 
     Each host is first decided for each pair from its parent on the level
     before, found by the host's adjacency masks with the last vertex cleared
@@ -717,19 +724,24 @@ def equivalence_scan(
     known: tuple[dict, dict] = ({}, {})
     # Per pair, the minimal Ramsey graphs its searches met (see `_monotone_arrows`).
     kept: tuple[list, list] = ([], [])
-    for host in graphs_up_to_vertices(max_vertices):
-        key = host.adj
+
+    def decide(host: Graph) -> bool | None:
+        """Decide host for both pairs: true when its children are to be
+        listed, false when it arrows both pairs, None when it tells them apart."""
+        # A verdict on the last level is never a parent's, so it is not stored.
+        store = host.n < max_vertices
+        red: list = [None, None]
         try:
             for i in order:
-                if small not in (None, i) and known[small][key] is not None:
-                    known[i][key] = known[small][key]  # free for both pairs
-                    continue
-                red, nodes = _monotone_arrows(host, *pairs[i], budget, known[i], kept[i])
-                result.nodes_explored += nodes
-                known[i][key] = red
-            decided = [known[i][key] is None for i in (0, 1)]
-            if decided[0] == decided[1]:
-                continue
+                if small not in (None, i) and red[small] is not None:
+                    red[i] = red[small]  # free for both pairs
+                else:
+                    red[i], nodes = _monotone_arrows(host, *pairs[i], budget, known[i], kept[i])
+                    result.nodes_explored += nodes
+                if store:
+                    known[i][host.adj] = red[i]
+            if (red[0] is None) == (red[1] is None):
+                return red[0] is not None
             v1 = arrows(host, g1, h1, budget)
             result.nodes_explored += v1.nodes_explored
             v2 = arrows(host, g2, h2, budget)
@@ -737,10 +749,12 @@ def equivalence_scan(
         except BudgetExhaustedError as exc:
             result.nodes_explored += exc.nodes_explored
             result.skipped.append(host)
-            continue
-        if [v1.arrows, v2.arrows] != decided:
+            return True
+        if [v1.arrows, v2.arrows] != [red[0] is None, red[1] is None]:
             raise InvariantViolationError("an inherited verdict disagrees with the search")
         result.kind = "distinguisher"
         result.distinguisher, result.verdict_first, result.verdict_second = host, v1, v2
-        return result
+        return None
+
+    graphs_up_to_vertices(max_vertices, grow=decide)
     return result

@@ -34,6 +34,19 @@ so its adjacency masks with the last vertex cleared, one per vertex below
 it, are the masks of a listed representative on n - 1 vertices: its parent.
 `arrowing.equivalence_scan` decides a host from its parent for speed; a
 missing parent would only cost it a search.
+
+`graphs_up_to_vertices(n, grow)` hands each graph to `grow` in listing
+order, a whole level before the next is built.  It augments only the graphs
+that `grow` returns true for, in the store's order, and None from `grow`
+ends the listing with that level.  Take a property closed under supergraphs,
+such as arrowing both pairs of a scan, and a `grow` that is true on every
+graph without it.  Then every class without it keeps its label (its
+adjacency masks) and its place in the listing.  Its first parent in the full
+enumeration is a subgraph of it, so that parent lacks the property too; by
+induction it is still listed, and grown.  The parents before it offer the
+same children as before, or none, so the store still keeps that parent's
+child first.  So a class that is not listed always has the property.  A
+listed class that has it may come from another parent, with other masks.
 """
 
 from __future__ import annotations
@@ -153,12 +166,20 @@ class IsoClassStore:
 
 
 def _levels(
-    n: int, children: Callable[[Graph], Iterator[tuple]], first: Graph = Graph(1)
+    n: int,
+    children: Callable[[Graph], Iterator[tuple]],
+    key: Callable[[Graph], tuple],
+    first: Graph = Graph(1),
+    grow: Callable[[Graph], bool | None] | None = None,
 ) -> Iterator[list[Graph]]:
-    """Yield the isomorph-free levels 1..n, unsorted; level 1 is `first` alone.
+    """Yield the isomorph-free levels 1..n, each sorted by key; level 1 is `first` alone.
 
-    Level k+1 keeps the first of each class among the children of level k, so
-    one augmentation pass serves every size and a level never depends on n.
+    Level k+1 keeps the first of each class among the children of level k,
+    taken in the store's order, so one augmentation pass serves every size
+    and a level never depends on n.  Given `grow`, each graph of a level is
+    handed to it in the yielded order before the next level is built.  Only
+    the graphs it returns true for are augmented, and once it returns None
+    no further level is built.
     """
     level = [first]
     for size in range(1, n + 1):
@@ -168,7 +189,17 @@ def _levels(
                 store.add(*child)
             level = store.graphs
             del store  # free its buckets before the level is sorted
-        yield level
+        order = sorted(range(len(level)), key=lambda i: key(level[i]))
+        yield [level[i] for i in order]
+        if grow is not None:
+            chosen = []
+            for i in order:
+                verdict = grow(level[i])
+                if verdict is None:
+                    return
+                if verdict:
+                    chosen.append(i)
+            level = [level[i] for i in sorted(chosen)]
 
 
 def _twin_pairs(adj: Sequence[int]) -> list[tuple[int, int]]:
@@ -243,17 +274,21 @@ def _edge_children(g: Graph) -> Iterator[tuple]:
     yield _grow(*_grow(g.adj, rows, 0), 1 << g.n)
 
 
-def graphs_up_to_vertices(n: int) -> list[Graph]:
-    levels = _levels(n, _new_vertex_children)
-    return [g for level in levels for g in sorted(level, key=lambda g: (g.m, g.edges))]
+def graphs_up_to_vertices(n: int, grow: Callable[[Graph], bool | None] | None = None) -> list[Graph]:
+    """Every graph on 1..n vertices up to isomorphism, by vertex count, then
+    edge count, then edge list.  Given `grow`, only the children of the
+    graphs it returns true for, and no graph past the level where it returns
+    None (see `_levels` and the module docstring)."""
+    levels = _levels(n, _new_vertex_children, lambda g: (g.m, g.edges), grow=grow)
+    return [g for level in levels for g in level]
 
 
 def graphs_by_edge_count(max_edges: int) -> dict[int, list[Graph]]:
     """Graphs with 1..max_edges edges and no isolated vertices, up to iso."""
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
-    levels = _levels(max_edges, _edge_children, _K2)
-    return {m: sorted(level, key=lambda g: (g.n, g.edges)) for m, level in enumerate(levels, 1)}
+    levels = _levels(max_edges, _edge_children, lambda g: (g.n, g.edges), _K2)
+    return dict(enumerate(levels, 1))
 
 
 def _leaf_children(t: Graph) -> Iterator[tuple]:
@@ -266,4 +301,4 @@ def _leaf_children(t: Graph) -> Iterator[tuple]:
 
 
 def trees_up_to_vertices(n: int) -> list[Graph]:
-    return [t for level in _levels(n, _leaf_children) for t in sorted(level, key=lambda t: t.edges)]
+    return [t for level in _levels(n, _leaf_children, lambda t: t.edges) for t in level]

@@ -130,6 +130,7 @@ def _walk(
     plan: _Plan,
     targets: tuple[int, ...],
     index: list[dict[int, int]] | None = None,
+    degrees: list[int] | None = None,
 ) -> Iterator:
     """Yield the image of every map of the plan's pattern into the host `adj`.
 
@@ -141,7 +142,9 @@ def _walk(
     Given the host's edge-index table (`index[a][b]` is edge ab's bit), each
     map is yielded as the int mask of its image's edges instead.  A step ORs
     the bits of its edges to earlier steps into the mask of the step before,
-    so maps that share a prefix share its edges.
+    so maps that share a prefix share its edges.  `degrees`, the host's
+    vertex degrees, saves a caller that walks one host many times from
+    counting them on each walk.
     """
     verts, needs, backs, lows, rooms = plan
     n = len(verts)
@@ -149,7 +152,8 @@ def _walk(
     if n == 0:
         yield image if index is None else 0
         return
-    degrees = [a.bit_count() for a in adj]
+    if degrees is None:
+        degrees = [a.bit_count() for a in adj]
     allowed = [1 << h for h in targets] + [(1 << len(adj)) - 1] * (n - len(targets))
     saved = [0] * n
     masks = [0] * (n + 1)  # masks[i]: the edges that steps before i placed
@@ -238,11 +242,14 @@ def coloring_is_free(f: Graph, c: EdgeColoring, g: Graph, h: Graph) -> bool:
 def copy_through(adj: tuple[int, ...], pattern: Graph, v: int) -> bool:
     """True iff some copy of `pattern` in the host with adjacency masks `adj`
     has v among its vertices (an isolated pattern vertex counts too)."""
+    if len(adj) < pattern.n:
+        return False
+    degrees = [a.bit_count() for a in adj]
     # A plan whose pinned vertex has more neighbours than v fails at its first step.
-    return len(adj) >= pattern.n and any(
-        next(_walk(adj, plan, (v,)), None) is not None
+    return any(
+        next(_walk(adj, plan, (v,), None, degrees), None) is not None
         for plan in _orbit_plans(pattern)
-        if plan.needs[0] <= adj[v].bit_count()
+        if plan.needs[0] <= degrees[v]
     )
 
 

@@ -858,6 +858,44 @@ def test_benchmark_scans_keep_their_results(g, nodes, monkeypatch):
     assert sum(searched) == nodes
 
 
+def _listings(monkeypatch) -> list[list[Graph]]:
+    """Patch `graphs_up_to_vertices` as the scan calls it; the list gets each listing."""
+    listings = []
+
+    def spying(*args, **kwargs):
+        listings.append(graphs_up_to_vertices(*args, **kwargs))
+        return listings[-1]
+
+    monkeypatch.setattr(ramseylab.arrowing, "graphs_up_to_vertices", spying)
+    return listings
+
+
+def test_scan_grows_no_host_that_arrows_both_pairs(monkeypatch):
+    # Neither a host that arrows both pairs nor any graph containing it tells
+    # them apart, so its children are not listed: 902 of the 1,252 graphs on
+    # up to 7 vertices.  A class the scan lists keeps its masks unless it
+    # arrows both pairs, so every host whose masks are missing arrows both.
+    listings = _listings(monkeypatch)
+    res = equivalence_scan(star(2), K3, star(2), K3_K2, max_vertices=7)
+    assert res.kind == "no-distinguisher-found"
+    [listed] = listings
+    assert len(listed) == 902
+    masks = {host.adj for host in listed}
+    for host in graphs_up_to_vertices(7):
+        if host.adj not in masks:
+            assert arrows(host, star(2), K3).arrows and arrows(host, star(2), K3_K2).arrows, host.edges
+
+
+def test_scan_builds_no_level_past_its_distinguisher(monkeypatch):
+    # K1,5 arrows (K1,3, K1,3) but not (C4, C4); the scan stops at it, and
+    # builds none of the 288,058 graphs on 7 to 9 vertices.
+    listings = _listings(monkeypatch)
+    res = equivalence_scan(star(3), star(3), cycle(4), cycle(4), max_vertices=9)
+    assert (res.kind, res.distinguisher, res.nodes_explored) == ("distinguisher", star(5), 44)
+    [listed] = listings
+    assert max(host.n for host in listed) == 6
+
+
 def test_non_nested_scan_keeps_its_node_count(monkeypatch):
     # K1,2 embeds in K1,3 but not the other way, so neither pair is the
     # smaller one and both are decided on every host.
@@ -900,9 +938,9 @@ def test_nested_scan_takes_over_free_witnesses(g, swap, monkeypatch):
 @pytest.mark.parametrize(
     "pairs, spanning, counts, shortcuts, nodes",
     [
-        ((star(2), K3, star(2), K3_K2), 3, {5: 1, 6: 2, 7: 2}, 56, 57),
+        ((star(2), K3, star(2), K3_K2), 3, {5: 1, 6: 2, 7: 2}, 90, 57),
         ((path(4), K3, path(4), K3_K2), 3, {7: 3}, 30, 375),
-        ((star(2), star(3), star(3), star(2)), 3, {5: 1}, 160, 74),
+        ((star(2), star(3), star(3), star(2)), 3, {5: 1}, 274, 74),
         # Spanning kept graphs tested only after the search: every host on
         # 7 vertices that arrows is searched, as by the scan without kept
         # graphs, and only the minimal ones are kept.
@@ -916,7 +954,10 @@ def test_scan_settles_hosts_from_the_ramsey_graphs_it_proved(
     # parent's witness colors freely, arrows when a graph the scan's searches
     # proved to arrow has a copy through the new vertex.  In the scan's
     # order (vertex count, then edge count) the graphs a pair keeps are
-    # exactly its minimal Ramsey graphs.
+    # exactly its minimal Ramsey graphs.  The scan grows only hosts that
+    # arrow neither pair (none is skipped here), so no host inherits a
+    # positive verdict from its parent: each one that arrows is settled here
+    # or searched.
     proved, kept, settled = [], {}, []
 
     def searching(*args, **kwargs):

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from ramseylab import arrowing, recolor
-from ramseylab.graphs import EdgeColoring, Graph, clique
+from ramseylab.enumeration import graphs_up_to_vertices
+from ramseylab.graphs import EdgeColoring, Graph, clique, star
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -53,3 +54,28 @@ def test_subgraph_hooks_record_calls():
     assert calls["recolor.freeness_check"] > 0
     assert calls["recolor.star_clique_recolor"] > 0
     assert calls["recolor.walk_step"] > 0
+
+
+def test_scan_hook_counts_the_graphs_listed(monkeypatch):
+    # The scan drives the enumeration; its listing must still reach the
+    # tracer, or `enumeration.graphs.count` would read 0 on a working scan.
+    listings = []
+
+    def spying(*args, **kwargs):
+        listings.append(graphs_up_to_vertices(*args, **kwargs))
+        return listings[-1]
+
+    monkeypatch.setattr(arrowing, "graphs_up_to_vertices", spying)
+    tracer = _load_tracer()
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        K3_K2 = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+        res = arrowing.equivalence_scan(star(2), clique(3), star(2), K3_K2, max_vertices=6)
+    finally:
+        trace.restore()
+    assert res.kind == "no-distinguisher-found"
+    [listed] = listings
+    [span] = [s for s in trace.spans if s[tracer.NAME] == "enumeration.graphs"]
+    assert span[tracer.COUNT] == len(listed) > 0
+    assert tracer.layer_values([trace.spans], trace.absent)["enumeration.graphs.count"] == len(listed)

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations
 
 import networkx as nx
@@ -28,6 +28,8 @@ from ramseylab.graphs import Graph, cycle, path, star
 GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 EDGE_COUNTS = {1: 1, 2: 2, 3: 5, 4: 11, 5: 26, 6: 68, 7: 177, 8: 497, 9: 1476, 10: 4613}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
+# Triangle-free graphs by vertex count (A006785).
+TRIANGLE_FREE_COUNTS = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107}
 
 
 @pytest.mark.parametrize("n,count", sorted(GRAPH_COUNTS.items()))
@@ -147,6 +149,40 @@ def test_graphs_up_to_seven_vertices_are_pinned():
     graphs = graphs_up_to_vertices(7)
     digest = hashlib.sha256(repr([(g.n, g.edges) for g in graphs]).encode()).hexdigest()
     assert digest == "9e3522e47da7742a39fc2931b64911bb1d4f90d6f7e291c8434f948572d56bf5"
+
+
+def test_grow_keeps_the_labels_of_the_classes_it_grows():
+    # Having a triangle is closed under supergraphs, so growing only the
+    # triangle-free graphs lists every one of them, each with the label and
+    # in the place it has in the full listing.  Every other graph listed has
+    # a triangle and a triangle-free parent.
+    def has_triangle(g: Graph) -> bool:
+        return subgraph.clique_number(g.adj) >= 3
+
+    full = graphs_up_to_vertices(7)
+    assert graphs_up_to_vertices(7, grow=lambda g: True) == full
+    listed = graphs_up_to_vertices(7, grow=lambda g: not has_triangle(g))
+    free = [g for g in listed if not has_triangle(g)]
+    assert Counter(g.n for g in free) == TRIANGLE_FREE_COUNTS
+    assert free == [g for g in full if not has_triangle(g)]
+    grown = {g.adj for g in free}
+    for g in listed:
+        if g.n > 1:
+            v = g.n - 1
+            assert tuple(a & ~(1 << v) for a in g.adj[:v]) in grown, g.edges
+
+
+def test_grow_returning_none_ends_the_listing_with_its_level():
+    # The graphs after the first None are not handed to grow.
+    seen = []
+
+    def grow(g: Graph) -> bool | None:
+        seen.append(g)
+        return None if g.n == 4 else True
+
+    listed = graphs_up_to_vertices(9, grow=grow)
+    assert listed == graphs_up_to_vertices(4)
+    assert seen == listed[: 1 + 2 + 4 + 1]
 
 
 def test_enumeration_compiles_no_search_plan(monkeypatch):

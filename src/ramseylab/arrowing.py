@@ -1,17 +1,17 @@
 """The arrowing decision engine and everything built on top of it.
 
 A host F arrows a pair (G, H) when every red/blue edge coloring of F shows a
-red G or a blue H.  The pruned decider enumerates the copies of G and H in F
-once, each as a mask over F's edge list, then runs a DFS over partial
-colorings: a copy is a clause, whose edges may not all take the copy's
-forbidden color.  The clauses of one pattern are bit positions: each edge
-keeps the set of copies through it as one int, and each copy a counter of its
-forbidden-colored edges, stored bit-sliced across a few ints, so coloring an
-edge updates all its copies at once (see `_ArrowEngine`).  Conflicts prune,
-and a copy with one uncolored edge left and no edge of its allowed color
-forces that edge (unit propagation).  The DFS loops over an explicit stack,
-with no recursion limit.  A completed conflict-free coloring is a witness
-that F does not arrow; an exhausted search proves that it does.
+red G or a blue H.  The pruned decider lists the copies of G and H in F once,
+each as a mask over F's edges (built from vertex subsets on a complete F),
+then runs a DFS over partial colorings: a copy is a clause, whose edges may
+not all take the copy's forbidden color.  The clauses of one pattern are bit
+positions: each edge keeps the set of copies through it as one int, and each
+copy a counter of its forbidden-colored edges, stored bit-sliced across a few
+ints, so coloring an edge updates all its copies at once (see `_ArrowEngine`).
+Conflicts prune, and a copy with one uncolored edge left and no edge of its
+allowed color forces that edge (unit propagation).  The DFS loops over an
+explicit stack, with no recursion limit.  A completed conflict-free coloring
+is a witness that F does not arrow; an exhausted search proves that it does.
 
 The exhaustive decider rebuilds the copies by brute-force injection
 enumeration and scans all 2^m colorings as the bits of two 2^m-bit ints, one
@@ -31,7 +31,7 @@ from .errors import DEFAULT_BUDGET, BudgetExhaustedError, CapExceededError, Grap
 from .errors import InvariantViolationError
 from .graphs import BLUE, RED, Edge, EdgeColoring, Graph, bits, clique, edge
 from .subgraph import clique_number, coloring_is_free, contains_copy
-from .subgraph import copies_as_edge_sets, copy_through
+from .subgraph import copies_as_edge_sets, copies_in_clique, copy_through
 from .enumeration import are_isomorphic, graphs_up_to_vertices
 
 _RED_BIT = 0  # internal encoding: 0 = red, 1 = blue
@@ -60,11 +60,12 @@ class _ArrowEngine:
 
     Each copy of g or h is a clause: its k edges may not all take the copy's
     forbidden color (red for g, blue for h).  The copies of one pattern form a
-    side, indexed by that forbidden color, numbered 0..N-1 in the order
-    `copies_as_edge_sets` lists them, so a set of copies is an N-bit int.
-    Per side, `copy_edges[i]` is copy i's edge mask as that listing gives it
-    (bit j for f.edges[j]) and `inc[e]` the set of copies through edge e.
-    All copies of a pattern have the same k edges.
+    side, indexed by that forbidden color, numbered 0..N-1, so a set of copies
+    is an N-bit int.  Per side, `copy_edges[i]` is copy i's edge mask (bit j
+    for f.edges[j]) and `inc[e]` the set of copies through edge e.  All copies
+    of a pattern have the same k edges.  On a complete host (n <= 256) both
+    come from `copies_in_clique`, else from `copies_as_edge_sets` and
+    `_transpose`.
 
     A state is an immutable tuple: the red and blue edge masks, the satisfied
     copies of each side (those with an edge of the allowed color), then each
@@ -103,35 +104,19 @@ class _ArrowEngine:
         # Single-edge clauses force their edge to the other color up front.
         units: list[tuple[int, int]] = []
         for pattern, bad in ((g, _RED_BIT), (h, _BLUE_BIT)):
-            copies = copies_as_edge_sets(f.adj, pattern)
-            if copies and not copies[0]:
+            if not pattern.m and pattern.n <= f.n:
                 # An edgeless copy is monochromatic under every coloring.
                 self.trivial_arrows = True
                 return
-            # Bit i of rows[j] is copy i, little-endian, read as an int below.
-            # A chunk of copies spans edges low..low+width-1.  Written last
-            # first as width-digit binary strings of mask >> low, it holds
-            # edge j of each copy at every width-th digit from digit
-            # low+width-1-j.  Only the edges the chunk uses are read; a row
-            # that missed the chunks before is padded first, and its missing
-            # tail reads as 0.
-            rows = [bytearray() for _ in range(m)]
-            for at in range(0, len(copies), _CHUNK):
-                chunk = copies[at : at + _CHUNK]
-                union = functools.reduce(operator.or_, chunk)
-                low = (union & -union).bit_length() - 1
-                width = union.bit_length() - low
-                spec = f"0{width}b"
-                digits = "".join([format(mask >> low, spec) for mask in reversed(chunk)])
-                size = (len(chunk) + 7) >> 3
-                for j in bits(union):
-                    row = rows[j]
-                    row += bytes((at >> 3) - len(row))
-                    row += int(digits[low + width - 1 - j :: width], 2).to_bytes(size, "little")
+            if 2 * m == f.n * (f.n - 1) and f.n <= 256:
+                copies, rows = copies_in_clique(f.n, pattern)
+            else:
+                copies = copies_as_edge_sets(f.adj, pattern)
+                rows = _transpose(copies, m)
             k = copies[0].bit_count() if copies else 0
             if k == 1:
                 units += [(mask.bit_length() - 1, 1 - bad) for mask in copies]
-            inc.append(tuple(int.from_bytes(row, "little") for row in rows))
+            inc.append(tuple(rows))
             copy_edges.append(copies)
             for j, row in enumerate(inc[-1]):
                 weight[j] += row.bit_count()
@@ -272,6 +257,29 @@ class _ArrowEngine:
         if not coloring_is_free(self.f, witness, self.g, self.h):
             raise InvariantViolationError("search produced a non-free witness coloring")
         return ArrowingVerdict(False, witness, nodes, "pruned")
+
+
+def _transpose(copies: list[int], m: int) -> list[int]:
+    """Per edge j < m, the int whose bit i is set iff copies[i] has bit j."""
+    # Rows are built as little-endian bytes.  A chunk of copies spans edges
+    # low..low+width-1.  Written last first as width-digit binary strings of
+    # mask >> low, it holds edge j of each copy at every width-th digit from
+    # digit low+width-1-j.  Only the edges the chunk uses are read; a row
+    # that missed the chunks before is padded first, and its tail reads as 0.
+    rows = [bytearray() for _ in range(m)]
+    for at in range(0, len(copies), _CHUNK):
+        chunk = copies[at : at + _CHUNK]
+        union = functools.reduce(operator.or_, chunk)
+        low = (union & -union).bit_length() - 1
+        width = union.bit_length() - low
+        spec = f"0{width}b"
+        digits = "".join([format(mask >> low, spec) for mask in reversed(chunk)])
+        size = (len(chunk) + 7) >> 3
+        for j in bits(union):
+            row = rows[j]
+            row += bytes((at >> 3) - len(row))
+            row += int(digits[low + width - 1 - j :: width], 2).to_bytes(size, "little")
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def arrows(

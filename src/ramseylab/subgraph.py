@@ -18,7 +18,7 @@ exactly one embedding of each copy, so it needs no dedupe.  Given the
 host's edge-index table, the walker builds each copy's mask over the host's
 edges (lexicographic order) as it goes: a step ORs in the edges to earlier
 steps, so copies that share a prefix share its edges, and no edge tuples
-are built.
+are built; `copies_in_clique` builds K_n's copies from K_p's and p-subsets.
 
 `cliques_of_size` answers the clique questions: the clique number and the
 "contains K_k" checks.  It is the walker on K_k's plan, compiled by the same
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterator, NamedTuple
 
 from .graphs import BLUE, RED, EdgeColoring, Graph, bits
@@ -276,15 +277,65 @@ def copies_as_edge_sets(adj: tuple[int, ...], pattern: Graph) -> list[int]:
             index[a][b] = index[b][a] = i
             i += 1
     copies = list(_walk(adj, _plan(pattern, (), _orbit_breaks(pattern)), (), index))
-    # The arrowing engine numbers its clauses in this order.  Its verdicts,
-    # node counts and witnesses do not depend on the order, but its time
-    # does, through the lengths of its ints.  On the decide benchmarks'
-    # instances (seed 41; CPU time with enumeration, min of 3) this order
-    # took 263 ms to refute and 97 ms to prove, against 363 and 147 ms
-    # sorted as ints and 407 and 153 ms in walker order.  The key is a small
-    # int, so a sparse host's long masks are not copied to sort them.
+    # The arrowing engine numbers an incomplete host's clauses in this order.
+    # Its time depends on the order, through the lengths of its ints; its
+    # verdicts do not.  The key is a small int, so a sparse host's long
+    # masks are not copied to sort them.
     copies.sort(key=lambda mask: (mask & -mask).bit_length())
     return copies
+
+
+@functools.lru_cache(maxsize=256)
+def _templates(pattern: Graph) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """p, `pattern`'s non-isolated vertex count, and its copies in K_p as edge lists."""
+    core = pattern.induced(v for v in range(pattern.n) if pattern.adj[v])
+    K_p = Graph(core.n, itertools.combinations(range(core.n), 2))
+    copies = copies_as_edge_sets(K_p.adj, core)
+    return core.n, tuple(tuple(K_p.edges[i] for i in bits(mask)) for mask in copies)
+
+
+def copies_in_clique(n: int, pattern: Graph) -> tuple[list[int], list[int]]:
+    """`copies_as_edge_sets(clique(n).adj, pattern)` in another order, n <= 256,
+    and `rows`: bit i of `rows[e]` is set iff copy i has edge e.
+
+    A copy is one p-subset S of K_n with one template t of `_templates`; its
+    edges are (S[i], S[j]) for the edges (i, j) of t, and no copy has two
+    such forms.  Copies are listed by subset, lexicographically, then by t.
+    """
+    edges = list(itertools.combinations(range(n), 2))
+    p, templates = _templates(pattern) if pattern.n <= n else (0, ())
+    if not p:  # no copy, or one with no edge
+        return [0] * (pattern.n <= n), [0] * len(edges)
+    # at[i]: per subset, in order, its vertex at position i, one byte each.
+    flat = bytes(itertools.chain.from_iterable(itertools.combinations(range(n), p)))
+    at = [flat[i::p] for i in range(p)]
+    subsets = len(at[0])
+    bit = [[0] * n for _ in range(n)]
+    for e, (a, b) in enumerate(edges):
+        bit[a][b] = 1 << e
+    pairs = list(itertools.combinations(range(p), 2))
+    spans = {q: list(map(operator.getitem, map(bit.__getitem__, at[q[0]]), at[q[1]])) for q in pairs}
+    per_template = (map(sum, zip(*map(spans.__getitem__, t))) for t in templates)
+    masks = list(itertools.chain.from_iterable(zip(*per_template)))
+    # has[v][i]: byte s is 1 iff subset s has v at position i.
+    ones = [bytes(v) + b"\1" + bytes(255 - v) for v in range(n)]
+    has = [[int.from_bytes(row.translate(one), "little") for row in at] for one in ones]
+    if len(templates) == 1:  # K_p: a copy has edge ab iff its subset has a and b
+        zeros = int.from_bytes(b"0" * subsets, "big")  # adding 0 or 1 makes an ASCII digit
+        member = [int((sum(h) + zeros).to_bytes(subsets, "big"), 2) for h in has]
+        return masks, [member[a] & member[b] for a, b in edges]
+    # Byte s of `code` is 1 + the place in `group` of the pair (i, j) with a
+    # at i and b at j in subset s, or 0.  Translated to template bits, last
+    # copy first, it reads as row ab.  A byte holds 255 places, hence groups.
+    rows = [0] * len(edges)
+    for start in range(0, len(pairs), 255):
+        group = pairs[start : start + 255]
+        table = ["0" * len(templates)]
+        table += ["".join("01"[q in t] for t in reversed(templates)) for q in group]
+        for e, (a, b) in enumerate(edges):
+            code = sum(place * (has[a][i] & has[b][j]) for place, (i, j) in enumerate(group, 1))
+            rows[e] |= int(code.to_bytes(subsets, "big").decode("latin-1").translate(table), 2)
+    return masks, rows
 
 
 @functools.lru_cache(maxsize=256)

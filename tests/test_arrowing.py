@@ -16,6 +16,7 @@ from ramseylab.arrowing import (
     _clique_arrows,
     _monotone_arrows,
     _ramsey_number,
+    _transpose,
     _verify_determiner,
     arrows,
     coloring_is_free,
@@ -40,7 +41,7 @@ from ramseylab.graphs import (
     path,
     star,
 )
-from ramseylab.subgraph import copy_through
+from ramseylab.subgraph import copies_as_edge_sets, copy_through
 
 from conftest import case_nodes, random_graph
 from oracles import injection_embeds, injection_embeds_colored
@@ -433,21 +434,43 @@ def test_engine_node_counts_and_witnesses_are_pinned(make, nodes, red):
         assert not verdict.arrows and verdict.witness.red == frozenset(red)
 
 
-def test_clause_order_does_not_change_the_search(monkeypatch):
-    # The engine numbers copies in the order copies_as_edge_sets lists them.
-    # Propagation reaches one fixpoint whatever that order, so reversing or
-    # shuffling the list must leave every verdict, node count and witness.
-    def run():
-        outcomes = []
-        for make, _, _ in ENGINE_PINS:
-            f, g, h, pinned = make()
-            verdict = arrows(f, g, h, pinned=pinned)
-            outcomes.append((verdict.arrows, verdict.nodes_explored, verdict.witness))
-        return outcomes, _ramsey_number(K3, clique(4), 9, DEFAULT_BUDGET)
+def _engine_outcomes():
+    """Verdict, nodes and witness of every `ENGINE_PINS` case, and R(K3, K4)
+    with its nodes."""
+    outcomes = []
+    for make, _, _ in ENGINE_PINS:
+        f, g, h, pinned = make()
+        verdict = arrows(f, g, h, pinned=pinned)
+        outcomes.append((verdict.arrows, verdict.nodes_explored, verdict.witness))
+    return outcomes, _ramsey_number(K3, clique(4), 9, DEFAULT_BUDGET)
 
-    expected = run()
+
+def test_engine_walker_route_matches_the_clique_route(monkeypatch):
+    # A complete host's clauses come from vertex subsets times templates;
+    # built from the walker's copies and their transpose instead, every
+    # verdict, node count and witness must stay.
+    expected = _engine_outcomes()
+    walked = []
+
+    def walker_route(n, pattern):
+        walked.append(n)
+        copies = copies_as_edge_sets(clique(n).adj, pattern)
+        return copies, _transpose(copies, n * (n - 1) // 2)
+
+    monkeypatch.setattr(ramseylab.arrowing, "copies_in_clique", walker_route)
+    assert _engine_outcomes() == expected
+    assert 9 in walked
+
+
+def test_clause_order_does_not_change_the_search(monkeypatch):
+    # The engine numbers copies in the order copies_as_edge_sets lists them,
+    # or on a complete host in the order of copies_in_clique.  Propagation
+    # reaches one fixpoint whatever that order, so reversing or shuffling
+    # either list must leave every verdict, node count and witness.
+    expected = _engine_outcomes()
     assert expected[1][0] == 9
     listed = ramseylab.arrowing.copies_as_edge_sets
+    in_clique = ramseylab.arrowing.copies_in_clique
     rng = random.Random(1409)
     for reorder in (list.reverse, rng.shuffle):
 
@@ -456,8 +479,18 @@ def test_clause_order_does_not_change_the_search(monkeypatch):
             reorder(copies)
             return copies
 
+        def reordered_in_clique(n, pattern):
+            masks, rows = in_clique(n, pattern)
+            order = list(range(len(masks)))
+            reorder(order)
+            # Bit i of a new row is bit order[i] of the old one.
+            digits = [format(row, f"0{len(masks)}b")[::-1] for row in rows]
+            rows = [int("".join(d[i] for i in reversed(order)) or "0", 2) for d in digits]
+            return [masks[i] for i in order], rows
+
         monkeypatch.setattr(ramseylab.arrowing, "copies_as_edge_sets", reordered)
-        assert run() == expected, reorder
+        monkeypatch.setattr(ramseylab.arrowing, "copies_in_clique", reordered_in_clique)
+        assert _engine_outcomes() == expected, reorder
 
 
 def _p4_gadget():

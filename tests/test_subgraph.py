@@ -30,6 +30,7 @@ from ramseylab.subgraph import (
     cliques_of_size,
     contains_copy,
     copies_as_edge_sets,
+    copies_in_clique,
     copy_through,
 )
 
@@ -251,7 +252,9 @@ def test_p5_copies_in_k11_at_scale():
     assert decoded == paths
     lows = [(c & -c).bit_length() for c in copies]
     assert lows == sorted(lows)
-    assert _ArrowEngine(host, path(5), clique(4)).copy_edges[0] == copies
+    # The engine numbers a complete host's clauses by vertex subset instead.
+    clauses = _ArrowEngine(host, path(5), clique(4)).copy_edges[0]
+    assert len(clauses) == len(copies) and set(clauses) == set(copies)
 
 
 def test_copies_match_brute_oracle():
@@ -265,6 +268,21 @@ def test_copies_match_brute_oracle():
     for host in hosts:
         for pattern in patterns:
             assert_copies_are(host, pattern, brute_copy_edge_sets(host, pattern))
+
+
+def test_copies_in_clique_match_the_walker():
+    # Every graph on at most 5 vertices (K0, K1, patterns with isolated
+    # vertices and patterns larger than the host among them) on K0 ... K9.
+    patterns = [Graph(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g()[:53]]
+    for n in range(10):
+        host = Graph(n, itertools.combinations(range(n), 2))
+        for pattern in patterns:
+            masks, rows = copies_in_clique(n, pattern)
+            assert len(masks) == len(set(masks))
+            assert set(masks) == set(copies_as_edge_sets(host.adj, pattern))
+            assert rows == [
+                sum(1 << i for i, mask in enumerate(masks) if mask >> e & 1) for e in range(host.m)
+            ]
 
 
 def test_copy_through_reaches_every_vertex_of_every_copy():
